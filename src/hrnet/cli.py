@@ -4,7 +4,7 @@ Subcommands: ``constants`` (derived-constant block + constants.csv),
 ``simulate`` (trajectory.csv + report.txt), ``sweep`` (sweep.csv over one
 scalar parameter), and ``verify`` (the acceptance-criteria suite).
 
-Exit codes: 0 success, 2 config error, 3 integration failure,
+Exit codes: 0 success, 2 config error, 3 integration or solver failure,
 4 verification failure.  The output directory is ``--out`` if given, else
 the ``HRNET_OUTDIR`` environment variable, else the config's
 ``[output] directory``.
@@ -17,8 +17,9 @@ import os
 import sys
 
 from .config import load_config
-from .errors import ConfigError, IntegrationError, SingularParameterError
+from .errors import ConfigError, SingularParameterError
 from .runner import (
+    FAILURES,
     atomic_write_text,
     resolve_output_dir,
     run_constants,
@@ -93,7 +94,8 @@ def _cmd_simulate(args) -> int:
     out_dir = resolve_output_dir(cfg, args.out)
     code = run_simulate(cfg, out_dir)
     if code != EXIT_OK:
-        print("integration failed; partial trajectory flushed", file=sys.stderr)
+        print("run failed; partial trajectory flushed, see report.txt",
+              file=sys.stderr)
     return code
 
 
@@ -141,8 +143,8 @@ def main(argv=None) -> int:
     except (ConfigError, SingularParameterError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except IntegrationError as err:
-        print(f"integration error: {err}", file=sys.stderr)
+    except tuple(FAILURES) as err:
+        print(f"{FAILURES[type(err)][0]} failed: {err}", file=sys.stderr)
         return EXIT_INTEGRATION
 
 

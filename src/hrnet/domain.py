@@ -12,6 +12,7 @@ bit-for-bit regardless of call context.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,9 +57,6 @@ class Domain:
     @property
     def boundary_measure(self) -> float:
         return float(np.sum(self.face_area))
-
-    def grid_shape(self) -> tuple:
-        return self.cells
 
     def cell_center_coords(self) -> tuple:
         """Per-axis center coordinate of every cell, each shaped (n_cells,)."""
@@ -175,6 +173,15 @@ class BoundaryMatching:
                 f"{self.partner[f, i] + 1} which maps back to {back[f, i] + 1}"
             )
 
+    @functools.cached_property
+    def matched_pairs(self) -> tuple:
+        """Pairs (i, j), i < j, matched on at least one face, in row-major order."""
+        n = self.n_neurons
+        owner = np.broadcast_to(np.arange(n), self.partner.shape)
+        above = self.partner > owner
+        codes = np.unique(owner[above] * n + self.partner[above])
+        return tuple(divmod(int(code), n) for code in codes)
+
 
 def trivial_matching(domain: Domain, n_neurons: int) -> BoundaryMatching:
     """All faces zero-flux for every neuron."""
@@ -284,11 +291,6 @@ def full_boundary_matching(domain: Domain, n_neurons: int, pairs) -> BoundaryMat
     else:
         segments = [{"side": s, "pairs": pairs} for s in ("left", "right", "bottom", "top")]
     return parse_matching(segments, domain, n_neurons)
-
-
-def face_values(fields: np.ndarray, domain: Domain) -> np.ndarray:
-    """Sample cell-centered fields at boundary-face cells: (..., n_faces)."""
-    return fields[..., domain.face_cell]
 
 
 def apply_diffusion(

@@ -308,7 +308,8 @@ def simulate(ic, params: HRParameters, domain: Domain, matching,
     initial one and the final step) and its return values are collected in
     order.  A non-finite state aborts with :class:`IntegrationError` carrying
     the failure time, the largest finite |u| seen, and the rows recorded so
-    far, so partial output can still be flushed.
+    far, so partial output can still be flushed; a failed implicit solve
+    raises :class:`LinearSolveError` with those rows attached.
     """
     if isinstance(ic, NetworkState):
         state = ic.copy()
@@ -323,7 +324,11 @@ def simulate(ic, params: HRParameters, domain: Domain, matching,
     # a diverging state shows up as inf/nan and is reported, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stepper.n_steps + 1):
-            state = stepper.step(state)
+            try:
+                state = stepper.step(state)
+            except LinearSolveError as err:
+                err.rows = rows
+                raise
             state.t = k * stepper.dt
             peak = float(np.abs(state.u).max())
             if not (

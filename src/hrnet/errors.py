@@ -32,7 +32,11 @@ class IntegrationError(RuntimeError):
 
 
 class LinearSolveError(RuntimeError):
-    """The implicit diffusion solve did not reach the requested tolerance."""
+    """The implicit diffusion solve did not reach the requested tolerance.
+
+    Raised out of ``simulate``, it carries the observation rows recorded
+    before the failure as ``rows``, so partial output can still be flushed.
+    """
 
 
 class EigenSolveError(RuntimeError):

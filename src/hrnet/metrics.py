@@ -15,14 +15,14 @@ stimulation signal actually exceeds the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import DerivedConstants, HRParameters, entry_time
-from .domain import BoundaryMatching, Domain, integrate_domain
+from .domain import BoundaryMatching, Domain, integrate_boundary_pair, integrate_domain
 from .dynamics import InitialCondition, IntegratorConfig, NetworkState, simulate
-from .errors import IntegrationError
+from .errors import IntegrationError, LinearSolveError
 
 SYNC_FLOOR = 1e-14
 
@@ -44,23 +44,29 @@ class PairDifferences:
 
 def pair_differences(state: NetworkState, domain: Domain, g: float) -> PairDifferences:
     n = state.n_neurons
-    u_sq = np.zeros((n, n))
-    v_sq = np.zeros((n, n))
-    w_sq = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            du = state.u[i] - state.u[j]
-            dv = state.v[i] - state.v[j]
-            dw = state.w[i] - state.w[j]
-            u_sq[i, j] = integrate_domain(du * du, domain)
-            v_sq[i, j] = integrate_domain(dv * dv, domain)
-            w_sq[i, j] = integrate_domain(dw * dw, domain)
+    # C order: a row reduction over another layout sums in another order
+    fields = np.ascontiguousarray([state.u, state.v, state.w])
+    sq = np.zeros((3, n, n))
+    for i in range(n - 1):
+        diff = fields[:, i, None] - fields[:, i + 1:]
+        sq[:, i, i + 1:] = integrate_domain(diff * diff, domain)
+    # u_j - u_i is exactly -(u_i - u_j): the lower triangle mirrors the upper
+    u_sq, v_sq, w_sq = sq + sq.transpose(0, 2, 1)
     plain = u_sq + v_sq + w_sq
     diff_g = g * u_sq + v_sq + w_sq
     return PairDifferences(u_sq=u_sq, v_sq=v_sq, w_sq=w_sq,
                            diff_plain=plain, diff_g=diff_g)
+
+
+def _boundary_gather(state: NetworkState, matching: BoundaryMatching):
+    """Face values ``uf`` (N, F) and coupling residuals u_i - u_partner(i).
+
+    The gather comes back Fortran-ordered; ``uf`` is made C-ordered so that
+    its row sums add in the same order as 1-D sums.
+    """
+    uf = np.ascontiguousarray(state.u[:, matching.face_cell])
+    resid = uf - uf[matching.partner.T, np.arange(uf.shape[1])]
+    return uf, resid
 
 
 def stimulation_signal(state: NetworkState, matching: BoundaryMatching, p: float) -> float:
@@ -69,15 +75,11 @@ def stimulation_signal(state: NetworkState, matching: BoundaryMatching, p: float
     Sums over unordered pairs i < j; faces where a neuron is matched to
     itself contribute nothing.
     """
-    uf = state.u[:, matching.face_cell]
+    _, resid = _boundary_gather(state, matching)
     total = 0.0
-    n = matching.n_neurons
-    for i in range(n):
-        for j in range(i + 1, n):
-            mask = matching.partner[:, i] == j
-            if mask.any():
-                du = uf[i, mask] - uf[j, mask]
-                total += float(np.sum(du * du * matching.face_area[mask]))
+    for i, j in matching.matched_pairs:
+        # on the faces where i is matched to j, resid[i] is u_i - u_j
+        total += integrate_boundary_pair(resid[i] * resid[i], matching, i, j)
     return p * total
 
 
@@ -105,22 +107,17 @@ class KResult:
 
 def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
     n = matching.n_neurons
-    n_faces = matching.face_cell.shape[0]
-    uf = state.u[:, matching.face_cell]
-    face_idx = np.arange(n_faces)
-    resid = np.empty_like(uf)
-    for i in range(n):
-        resid[i] = uf[i] - uf[matching.partner[:, i], face_idx]
+    uf, resid = _boundary_gather(state, matching)
     area = matching.face_area
-    k = np.zeros((n, n))
-    boundary_diff_full = 0.0
+    k = np.empty((n, n))
+    gap = np.empty((n, n))
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            du = uf[i] - uf[j]
-            k[i, j] = float(np.sum((resid[i] - resid[j]) * du * area))
-            boundary_diff_full += float(np.sum(du * du * area))
+        du = uf[i] - uf
+        k[i] = np.sum((resid[i] - resid) * du * area, axis=1)
+        gap[i] = np.sum(du * du * area, axis=1)
+    # ordered pairs summed left to right in row-major order; the zero
+    # diagonal leaves the running sum unchanged
+    boundary_diff_full = float(np.cumsum(gap)[-1])
     return KResult(k=k, k_sum=float(k.sum()), boundary_diff_full=boundary_diff_full)
 
 
@@ -185,15 +182,7 @@ class TrajectoryRecord:
         diff_g = np.array([row["diff_g"] for row in rows], dtype=np.float64)
         diff_plain = np.array([row["diff_plain"] for row in rows], dtype=np.float64)
         return cls(
-            t=cols["t"],
-            total_energy=cols["total_energy"],
-            weighted_energy=cols["weighted_energy"],
-            gronwall_envelope=cols["gronwall_envelope"],
-            stimulation_s=cols["stimulation_s"],
-            threshold_literal=cols["threshold_literal"],
-            threshold_perpair=cols["threshold_perpair"],
-            boundary_diff_full=cols["boundary_diff_full"],
-            k_sum=cols["k_sum"],
+            **cols,
             diff_energy_g=diff_g,
             diff_energy_plain=diff_plain,
             pairs=tuple(pairs),
@@ -219,6 +208,7 @@ class TrajectoryObserver:
         self.rho0 = None
         n = params.n_neurons
         self.pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        self._upper = np.triu_indices(n, 1)
 
     def __call__(self, state: NetworkState) -> dict:
         c = self.consts
@@ -246,8 +236,8 @@ class TrajectoryObserver:
             "threshold_perpair": c.big_r_alt * c.omega_measure,
             "boundary_diff_full": kres.boundary_diff_full,
             "k_sum": kres.k_sum,
-            "diff_g": tuple(diffs.diff_g[i, j] for i, j in self.pairs),
-            "diff_plain": tuple(diffs.diff_plain[i, j] for i, j in self.pairs),
+            "diff_g": tuple(diffs.diff_g[self._upper]),
+            "diff_plain": tuple(diffs.diff_plain[self._upper]),
         }
 
 
@@ -256,13 +246,13 @@ def record_trajectory(ic, params: HRParameters, domain: Domain,
                       consts: DerivedConstants) -> TrajectoryRecord:
     """Run one simulation and collect the full observable record.
 
-    On integration failure the partial record (rows up to the failure) is
-    attached to the raised error as ``partial_record``.
+    On integration or linear-solve failure the partial record (rows up to
+    the failure) is attached to the raised error as ``partial_record``.
     """
     observer = TrajectoryObserver(params, domain, matching, consts)
     try:
         result = simulate(ic, params, domain, matching, cfg, observer=observer)
-    except IntegrationError as err:
+    except (IntegrationError, LinearSolveError) as err:
         err.partial_record = (
             TrajectoryRecord.from_rows(err.rows, observer.pairs,
                                        params.n_neurons, consts)

@@ -21,7 +21,7 @@ import numpy as np
 from .config import MetricsOptions, RunConfig
 from .core import DerivedConstants, HRParameters, derive_constants
 from .domain import poincare_constants
-from .errors import ConfigError, IntegrationError
+from .errors import ConfigError, EigenSolveError, IntegrationError, LinearSolveError
 from .metrics import (
     TrajectoryRecord,
     energy_monitor,
@@ -37,6 +37,13 @@ SWEEPABLE = ("a", "b", "alpha", "beta", "q", "r", "c", "J", "d", "p")
 
 SWEEP_COLUMNS = ("value", "tail_dE_G", "rate", "mu",
                  "crossed_literal", "crossed_perpair", "status")
+
+# run failures by error type: what report.txt says failed, and the sweep status
+FAILURES = {
+    IntegrationError: ("integration", "failed"),
+    LinearSolveError: ("linear solve", "failed(linear-solve)"),
+    EigenSolveError: ("eigen solve", "failed(eigen)"),
+}
 
 
 def fmt_float(x) -> str:
@@ -158,16 +165,9 @@ def trajectory_csv(record: TrajectoryRecord | None, n_neurons: int) -> str:
     lines = [trajectory_header(n_neurons)]
     if record is not None:
         for k in range(len(record)):
-            cells = [
-                fmt_float(record.t[k]),
-                fmt_float(record.total_energy[k]),
-                fmt_float(record.gronwall_envelope[k]),
-                fmt_float(record.stimulation_s[k]),
-                fmt_float(record.threshold_literal[k]),
-                fmt_float(record.threshold_perpair[k]),
-                fmt_float(record.boundary_diff_full[k]),
-                fmt_float(record.k_sum[k]),
-            ]
+            # the scalar columns, in header order
+            cells = [fmt_float(getattr(record, name)[k])
+                     for name in TrajectoryRecord.SCALAR_FIELDS]
             cells += [fmt_float(v) for v in record.diff_energy_g[k]]
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -201,19 +201,20 @@ def simulation_report(record: TrajectoryRecord, consts: DerivedConstants,
 def run_simulate(cfg: RunConfig, out_dir) -> int:
     """Simulate per config, writing trajectory.csv and report.txt.
 
-    Returns the process exit code: 0 on completion, 3 on integration
-    failure (with partial trajectory rows flushed).
+    Returns the process exit code: 0 on completion, 3 on an integration,
+    linear-solve or eigensolver failure (with the trajectory rows recorded
+    so far flushed and the failure named in report.txt).
     """
-    setup = build_setup(cfg)
     csv_path = os.path.join(out_dir, "trajectory.csv")
     report_path = os.path.join(out_dir, "report.txt")
     try:
+        setup = build_setup(cfg)
         record = record_trajectory(cfg.ic, cfg.params, cfg.domain, cfg.matching,
                                    cfg.integrator, setup.consts)
-    except IntegrationError as err:
+    except tuple(FAILURES) as err:
         partial = getattr(err, "partial_record", None)
         atomic_write_text(csv_path, trajectory_csv(partial, cfg.params.n_neurons))
-        atomic_write_text(report_path, f"integration failed: {err}\n")
+        atomic_write_text(report_path, f"{FAILURES[type(err)][0]} failed: {err}\n")
         return 3
     atomic_write_text(csv_path, trajectory_csv(record, cfg.params.n_neurons))
     atomic_write_text(report_path,
@@ -235,20 +236,32 @@ def sweep_values(text) -> tuple:
     return values
 
 
-def _sweep_one(payload):
+def map_jobs(fn, arg_tuples, jobs: int) -> list:
+    """``[fn(*args) for args in arg_tuples]``, in a process pool when jobs > 1.
+
+    ``fn`` must be a module-level function so the pool can pickle it.
+    """
+    if jobs > 1 and len(arg_tuples) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*arg_tuples)))
+    return [fn(*args) for args in arg_tuples]
+
+
+def _sweep_one(cfg, param, value):
     """One sweep run; module-level so process pools can pickle it."""
-    cfg, param, value = payload
     try:
         params = cfg.params.replace(**{param: value})
         setup = build_setup(dataclasses.replace(cfg, params=params))
     except ValueError as err:
         return {"value": value, "status": f"invalid({err})"}
+    except EigenSolveError as err:
+        return {"value": value, "status": FAILURES[type(err)][1], "error": str(err)}
     try:
         record = record_trajectory(cfg.ic, params, cfg.domain, cfg.matching,
                                    cfg.integrator, setup.consts)
-    except IntegrationError as err:
-        return {"value": value, "status": "failed", "mu": setup.consts.mu,
-                "error": str(err)}
+    except (IntegrationError, LinearSolveError) as err:
+        return {"value": value, "status": FAILURES[type(err)][1],
+                "mu": setup.consts.mu, "error": str(err)}
     sync = record.sync_total()
     tail_start = record.t[-1] - cfg.metrics.tail_fraction * (record.t[-1] - record.t[0])
     tail = sync[record.t >= tail_start]
@@ -273,11 +286,7 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
         raise ConfigError(
             f"--param: {param!r} is not sweepable; choose one of "
             f"{', '.join(SWEEPABLE)}")
-    payloads = [(cfg, param, value) for value in values]
-    if jobs > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_one, payloads))
-    return [_sweep_one(p) for p in payloads]
+    return map_jobs(_sweep_one, [(cfg, param, value) for value in values], jobs)
 
 
 def sweep_csv(rows) -> str:

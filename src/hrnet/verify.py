@@ -43,7 +43,7 @@ from .metrics import (
     fit_sync_rate,
     record_trajectory,
 )
-from .runner import run_simulate, sweep_csv, sweep_rows
+from .runner import map_jobs, run_simulate, sweep_csv, sweep_rows
 
 SWEEP_P_VALUES = (0.0, 0.5, 2.0, 8.0, 32.0)
 ENVELOPE_SEEDS = tuple(range(100, 110))
@@ -93,7 +93,8 @@ class VerifyContext:
                  params, domain, matching, cfg, consts)
                 for seed in ENVELOPE_SEEDS
             ]
-            self._cache["envelope"] = (_map_records(payloads, self.jobs), consts)
+            self._cache["envelope"] = (
+                map_jobs(record_trajectory, payloads, self.jobs), consts)
         return self._cache["envelope"]
 
     def sweep_records(self):
@@ -110,23 +111,9 @@ class VerifyContext:
                 consts = derive_constants(params, domain.omega_measure,
                                           pc.eta1, pc.eta2)
                 payloads.append((ic, params, domain, matching, cfg, consts))
-            records = _map_records(payloads, self.jobs)
+            records = map_jobs(record_trajectory, payloads, self.jobs)
             self._cache["sweep"] = list(zip(SWEEP_P_VALUES, records))
         return self._cache["sweep"]
-
-
-def _record_worker(payload):
-    ic, params, domain, matching, cfg, consts = payload
-    return record_trajectory(ic, params, domain, matching, cfg, consts)
-
-
-def _map_records(payloads, jobs):
-    if jobs > 1 and len(payloads) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_record_worker, payloads))
-    return [_record_worker(p) for p in payloads]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import pytest
 
+from hrnet import runner
 from hrnet.cli import main
+from hrnet.errors import EigenSolveError
 
 FAST = """\
 [parameters]
@@ -150,6 +152,72 @@ def test_simulate_blowup_exit_3_with_partial_rows(tmp_path, capsys):
     assert lines[0] == TRAJ_HEADER
     assert len(lines) >= 2  # at least the initial record survived
     assert "integration failed" in (out / "report.txt").read_text()
+
+
+def test_simulate_linear_solve_failure_exit_3_with_artifacts(tmp_path, capsys):
+    # no backward Euler residual meets 1e-30, so the first step fails
+    text = replace_line(FAST, "record_every = 5", "record_every = 5\nlinear_tol = 1e-30")
+    path, out = write_config(tmp_path, text)
+    assert main(["simulate", "--config", str(path)]) == 3
+    assert "partial trajectory flushed" in capsys.readouterr().err
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == TRAJ_HEADER
+    assert len(lines) == 2  # the initial record
+    report = (out / "report.txt").read_text()
+    assert report.startswith("linear solve failed: backward Euler solve at t=0:")
+
+
+def test_sweep_linear_solve_failure_marks_rows_and_continues(tmp_path):
+    text = replace_line(FAST, "record_every = 5", "record_every = 5\nlinear_tol = 1e-30")
+    path, out = write_config(tmp_path, text)
+    assert main(["sweep", "--config", str(path), "--param", "p",
+                 "--values", "0.0,1.0"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[1:3] == ["nan", "nan"]
+        assert cells[3] != "nan"  # mu is known before stepping
+        assert cells[-1] == "failed(linear-solve)"
+
+
+@pytest.fixture
+def stalled_eigensolve(monkeypatch):
+    real = runner.poincare_constants
+
+    def stalled(domain, mode="discrete"):
+        if mode == "discrete":
+            raise EigenSolveError(iterations=10000, residual=1e-3, tol=1e-10)
+        return real(domain, mode=mode)
+
+    monkeypatch.setattr(runner, "poincare_constants", stalled)
+
+
+def test_simulate_eigensolve_failure_exit_3_with_artifacts(tmp_path, capsys,
+                                                           stalled_eigensolve):
+    path, out = write_config(tmp_path)
+    assert main(["simulate", "--config", str(path)]) == 3
+    assert "partial trajectory flushed" in capsys.readouterr().err
+    assert (out / "trajectory.csv").read_text().splitlines() == [TRAJ_HEADER]
+    report = (out / "report.txt").read_text()
+    assert report.startswith("eigen solve failed: eigenvalue iteration stalled")
+
+
+def test_constants_eigensolve_failure_exit_3(tmp_path, capsys, stalled_eigensolve):
+    path, out = write_config(tmp_path)
+    assert main(["constants", "--config", str(path)]) == 3
+    assert "eigen solve failed: eigenvalue iteration" in capsys.readouterr().err
+    assert not (out / "constants.csv").exists()
+
+
+def test_sweep_eigensolve_failure_marks_rows(tmp_path, stalled_eigensolve):
+    path, out = write_config(tmp_path)
+    assert main(["sweep", "--config", str(path), "--param", "p",
+                 "--values", "1.0,2.0"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        assert line.split(",")[1:] == ["nan", "nan", "nan", "0", "0", "failed(eigen)"]
 
 
 def test_sweep_duplicate_values_identical_rows(tmp_path):

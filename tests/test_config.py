@@ -1,5 +1,8 @@
 """Strict config parsing: typed sections, located diagnostics, defaults."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -200,6 +203,18 @@ def test_matching_segment_with_span_2d(tmp_path):
     left_faces = (cfg.domain.face_axis == 0) & (cfg.domain.face_side == 0)
     left = cfg.matching.partner[left_faces]
     assert np.all(left[:, 0] == 1)
+
+
+def test_readme_segment_matching_example_loads(tmp_path):
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+    example = next(block for block in blocks if "side=left" in block)
+    text = (BASE.replace("full = 1-2\n", example)
+            .replace("n_neurons = 2", "n_neurons = 3")
+            .replace("dim = 1\nextents = 1.0\ncells = 16",
+                     "dim = 2\nextents = 1.0, 1.0\ncells = 8, 8"))
+    cfg = load_config(write(tmp_path, text))
+    assert cfg.matching.matched_pairs == ((0, 1), (0, 2), (1, 2))
 
 
 def test_matching_segment_bad_token(tmp_path):

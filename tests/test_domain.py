@@ -16,7 +16,6 @@ from hrnet.domain import (
     BoundaryMatching,
     apply_diffusion,
     build_domain,
-    face_values,
     full_boundary_matching,
     integrate_boundary_pair,
     integrate_domain,
@@ -364,12 +363,12 @@ def test_integrate_boundary_pair_selects_matched_faces():
         integrate_boundary_pair(np.ones(3), m, 0, 1)
 
 
-def test_face_values_samples_boundary_cells():
+def test_matched_pairs_lists_each_unordered_pair_once_in_row_major_order():
     d = build_domain(1, [1.0], [8])
-    u = np.arange(8.0)[None, :]
-    fv = face_values(u, d)
-    assert fv.shape == (1, 2)
-    assert list(fv[0]) == [0.0, 7.0]
+    m = parse_matching([{"side": "left", "pairs": "3-4, 1-2"},
+                        {"side": "right", "pairs": "4-1, 2-2"}], d, 5)
+    assert m.matched_pairs == ((0, 1), (0, 3), (2, 3))
+    assert trivial_matching(d, 3).matched_pairs == ()
 
 
 # ---------------------------------------------------------------------------
