@@ -19,21 +19,27 @@ from hrnet import (
     fit_sync_rate,
     full_boundary_matching,
     poincare_constants,
-    record_trajectory,
+    record_trajectories,
 )
 
-# 1. fixed scenario, only p varies; every run uses the same seed
+# 1. fixed scenario, only p varies; every run uses the same seed.  The four
+#    runs form one ensemble: they advance through one time loop together,
+#    and each is bit for bit the run it would be on its own.
 domain = build_domain(1, [1.0], [64])
 matching = full_boundary_matching(domain, 2, "1-2")
 pc = poincare_constants(domain, mode="discrete")
 ic = InitialCondition(kind="uniform-random", seed=42, offset=1.0, noise=0.1)
 cfg = IntegratorConfig(t_end=60.0, scheme="imex-euler", dt=2e-3, record_every=200)
 
+couplings = (0.0, 0.5, 2.0, 8.0)
+params_list = [HRParameters.default(p=p) for p in couplings]
+consts_list = [derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
+               for params in params_list]
+records = record_trajectories([ic] * len(couplings), params_list, domain,
+                              matching, cfg, consts_list)
+
 print("    p    tail diff energy    fitted rate    2r")
-for p in (0.0, 0.5, 2.0, 8.0):
-    params = HRParameters.default(p=p)
-    consts = derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
-    record = record_trajectory(ic, params, domain, matching, cfg, consts)
+for p, params, record in zip(couplings, params_list, records):
     sync = record.sync_total()
     tail = sync[record.t >= record.t[-1] - 0.2 * record.t[-1]]
     fit = fit_sync_rate(record)

@@ -69,13 +69,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated list of values")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="number of parallel runs")
+                         help="number of worker processes, each running one "
+                              "batch of the sweep's members")
 
     p_verify = sub.add_parser(
         "verify", help="run the acceptance-criteria suite")
     _add_common(p_verify, config_required=False)
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="number of parallel runs inside criteria")
+                          help="number of worker processes for the criteria's "
+                               "ensembles, one batch of members each")
     p_verify.add_argument("--list", action="store_true",
                           help="print criterion names without running them")
     return parser

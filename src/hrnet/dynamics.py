@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,7 +32,10 @@ IC_KINDS = ("constant-per-neuron", "smooth-bump", "uniform-random", "file")
 
 @dataclass
 class NetworkState:
-    """Full network state at one time: arrays of shape (N, n_cells)."""
+    """Full network state at one time: arrays of shape (N, n_cells).
+
+    A batch of ensemble members holds C-contiguous (B, N, n_cells) arrays.
+    """
 
     t: float
     u: np.ndarray
@@ -40,10 +44,7 @@ class NetworkState:
 
     @property
     def n_neurons(self) -> int:
-        return self.u.shape[0]
-
-    def copy(self) -> "NetworkState":
-        return NetworkState(self.t, self.u.copy(), self.v.copy(), self.w.copy())
+        return self.u.shape[-2]
 
     def is_finite(self) -> bool:
         return bool(
@@ -203,6 +204,10 @@ def reaction_rhs(state: NetworkState, params: HRParameters):
     du = a u^2 - b u^3 + v - w + J
     dv = alpha - v - beta u^2
     dw = q (u - c) - r w
+
+    ``params`` may also carry one constant per ensemble member as (B, 1, 1)
+    columns broadcast over (B, N, cells) fields; the arithmetic is
+    elementwise, so each member gets the bits of its own serial run.
     """
     u, v, w = state.u, state.v, state.w
     u2 = u * u
@@ -220,32 +225,143 @@ def full_rhs(state: NetworkState, params: HRParameters, domain: Domain, matching
     return du, dv, dw
 
 
-class Integrator:
-    """Prepared stepper: operators are assembled and factorized once."""
+REACTION_FIELDS = ("a", "b", "alpha", "beta", "q", "r", "c", "J")
 
-    def __init__(self, params: HRParameters, domain: Domain, matching,
-                 cfg: IntegratorConfig):
+
+def _reaction_constants(members):
+    """One member's parameters, or per-member (B, 1, 1) columns where they differ."""
+    first = members[0]
+    if all(getattr(m, name) == getattr(first, name)
+           for m in members for name in REACTION_FIELDS):
+        return first
+    return SimpleNamespace(**{
+        name: np.array([getattr(m, name) for m in members])[:, None, None]
+        for name in REACTION_FIELDS
+    })
+
+
+def _nonfinite_members(peak, v, w) -> list:
+    """Positions of the batch members whose state is not finite; ``peak``
+    holds each member's max |u|."""
+    # max() propagates nan, so one scalar test covers every member's peak
+    if math.isfinite(peak.max()) and np.isfinite(v).all() and np.isfinite(w).all():
+        return []
+    n = peak.shape[0]
+    ok = (np.isfinite(peak)
+          & np.isfinite(v).reshape(n, -1).all(axis=1)
+          & np.isfinite(w).reshape(n, -1).all(axis=1))
+    return [int(i) for i in np.flatnonzero(~ok)]
+
+
+class MemberFailures(Exception):
+    """Raised by a batched :meth:`Integrator.step` when members failed.
+
+    ``errors`` maps batch position to the member's error; ``state`` is the
+    step's result, valid for every other member.
+    """
+
+    def __init__(self, errors: dict, state: NetworkState):
+        super().__init__(f"{len(errors)} member(s) failed")
+        self.errors = errors
+        self.state = state
+
+
+class Integrator:
+    """Prepared stepper: operators are assembled and factorized once.
+
+    ``params`` is one :class:`HRParameters`, stepping states of shape
+    (N, cells), or a sequence of them, stepping a batch of shape
+    (B, N, cells) whose member b follows ``params[b]``.  Batch members must
+    resolve to the same step size and step count.
+
+    Members with equal (d, p) share one factorization.  In 1D they also share
+    one multi-column solve; in 2D each member is solved on its own, because
+    the wide supernodes of a 2D factor go through BLAS block kernels whose
+    rounding depends on the number of right-hand sides.  A 1D factor's
+    supernodes stay narrow, and a multi-column solve is bitwise equal per
+    column.  Members with different operators get one factorization and one
+    solve each.
+    """
+
+    def __init__(self, params, domain: Domain, matching, cfg: IntegratorConfig):
+        self._single = isinstance(params, HRParameters)
+        members = (params,) if self._single else tuple(params)
+        if not members:
+            raise ValueError("an integrator needs at least one member")
         self.params = params
         self.domain = domain
         self.matching = matching
         self.cfg = cfg
-        self.dt, self.n_steps = resolve_dt(cfg, domain, params)
+        steps = {resolve_dt(cfg, domain, m) for m in members}
+        if len(steps) != 1:
+            raise ValueError("batched members must share the step size and step count")
+        ((self.dt, self.n_steps),) = steps
+        self.members = members
+        # per member: its backward Euler system and that system's factorization
+        self._operators = ()
+        if cfg.scheme == "imex-euler" and self.n_steps > 0:
+            factors = {}
+            for m in members:
+                if (m.d, m.p) not in factors:
+                    n_total = m.n_neurons * domain.n_cells
+                    a = network_diffusion_matrix(domain, matching, m.d, m.p, m.n_neurons)
+                    system = (sp.identity(n_total, format="csc") - self.dt * a).tocsc()
+                    factors[m.d, m.p] = (system, spla.splu(system))
+            self._operators = tuple(factors[m.d, m.p] for m in members)
+        self._keep(range(len(members)))
+
+    def _keep(self, positions):
+        """Restrict the batch to the members at ``positions``, in that order.
+
+        Factorizations are kept, never recomputed.
+        """
+        positions = list(positions)
+        self.members = tuple(self.members[i] for i in positions)
+        if not self._single:
+            self.params = self.members
+        self._reaction = _reaction_constants(self.members)
         self._lu = None
         self._system = None
-        if cfg.scheme == "imex-euler" and self.n_steps > 0:
-            n_total = params.n_neurons * domain.n_cells
-            a = network_diffusion_matrix(
-                domain, matching, params.d, params.p, params.n_neurons
-            )
-            system = (sp.identity(n_total, format="csc") - self.dt * a).tocsc()
-            self._system = system
-            self._lu = spla.splu(system)
+        self._solves = []
+        if not self._operators:
+            return
+        self._operators = tuple(self._operators[i] for i in positions)
+        systems = [system for system, _ in self._operators]
+        self._system = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csc")
+        groups = []  # (factorization, positions solved together)
+        for b, (_, lu) in enumerate(self._operators):
+            shared = [rows for factor, rows in groups if factor is lu]
+            if shared and self.domain.dim == 1:
+                shared[0].append(b)
+            else:
+                groups.append((lu, [b]))
+        # a lone member is indexed by position, so its rows stay 1-D views
+        self._solves = [(lu, rows[0] if len(rows) == 1 else rows) for lu, rows in groups]
+        # the factorization, when every member shares it
+        if len({id(lu) for _, lu in self._operators}) == 1:
+            self._lu = self._operators[0][1]
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Backward Euler solves of the rows of ``rhs`` (B, N * cells)."""
+        if len(self._solves) == 1:
+            lu, _ = self._solves[0]
+            return lu.solve(rhs.T).T
+        out = np.empty_like(rhs)
+        for lu, index in self._solves:
+            out[index] = lu.solve(rhs[index].T).T
+        return out
+
+    def _diffusion(self, u: np.ndarray) -> np.ndarray:
+        return np.stack([
+            apply_diffusion(ub, self.domain, self.matching, m.d, m.p)
+            for ub, m in zip(u, self.members)
+        ])
 
     def _rhs(self, t, u, v, w):
-        state = NetworkState(t, u, v, w)
-        return full_rhs(state, self.params, self.domain, self.matching)
+        du, dv, dw = reaction_rhs(NetworkState(t, u, v, w), self._reaction)
+        return du + self._diffusion(u), dv, dw
 
-    def _step_rk4(self, state: NetworkState) -> NetworkState:
+    def _step_rk4(self, state: NetworkState):
         dt = self.dt
         t, u, v, w = state.t, state.u, state.v, state.w
         k1 = self._rhs(t, u, v, w)
@@ -255,31 +371,52 @@ class Integrator:
         u2 = u + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         v2 = v + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         w2 = w + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        return NetworkState(t + dt, u2, v2, w2)
+        return NetworkState(t + dt, u2, v2, w2), {}
 
-    def _step_imex(self, state: NetworkState) -> NetworkState:
+    def _step_imex(self, state: NetworkState):
         dt = self.dt
-        du, dv, dw = reaction_rhs(state, self.params)
-        ustar = (state.u + dt * du).ravel()
-        u2 = self._lu.solve(ustar)
-        residual = np.linalg.norm(self._system @ u2 - ustar)
-        scale = max(float(np.linalg.norm(ustar)), 1.0)
-        if not residual <= self.cfg.linear_tol * scale:
-            raise LinearSolveError(
+        du, dv, dw = reaction_rhs(state, self._reaction)
+        ustar = state.u + dt * du
+        v2 = state.v + dt * dv
+        w2 = state.w + dt * dw
+        rhs = ustar.reshape(ustar.shape[0], -1)
+        u2 = self._solve(rhs)
+        residuals = (self._system @ u2.ravel() - rhs.ravel()).reshape(rhs.shape)
+        errors = {}
+        for b in range(rhs.shape[0]):
+            residual = np.linalg.norm(residuals[b])
+            scale = max(float(np.linalg.norm(rhs[b])), 1.0)
+            if residual <= self.cfg.linear_tol * scale:
+                continue
+            if not (np.isfinite(rhs[b]).all() and np.isfinite(v2[b]).all()
+                    and np.isfinite(w2[b]).all()):
+                # the explicit update had already blown up: an integration
+                # failure, not the solve's
+                errors[b] = IntegrationError(state.t + dt, float(np.abs(state.u[b]).max()))
+                continue
+            errors[b] = LinearSolveError(
                 f"backward Euler solve at t={state.t:.6g}: residual {residual:.3e} "
                 f"exceeds tolerance {self.cfg.linear_tol:.3e} (scale {scale:.3e})"
             )
-        return NetworkState(
-            state.t + dt,
-            u2.reshape(state.u.shape),
-            state.v + dt * dv,
-            state.w + dt * dw,
-        )
+        return NetworkState(state.t + dt, u2.reshape(state.u.shape), v2, w2), errors
 
     def step(self, state: NetworkState) -> NetworkState:
-        if self.cfg.scheme == "explicit-rk4":
-            return self._step_rk4(state)
-        return self._step_imex(state)
+        """Advance the state (or the whole batch) by one step.
+
+        A single member's failure raises its :class:`IntegrationError` or
+        :class:`LinearSolveError`; in a batch, failed members raise
+        :class:`MemberFailures`, which carries the other members' result.
+        """
+        advance = self._step_rk4 if self.cfg.scheme == "explicit-rk4" else self._step_imex
+        if not self._single:
+            new, errors = advance(state)
+            if errors:
+                raise MemberFailures(errors, new)
+            return new
+        new, errors = advance(NetworkState(state.t, state.u[None], state.v[None], state.w[None]))
+        if errors:
+            raise errors[0]
+        return NetworkState(new.t, new.u[0], new.v[0], new.w[0])
 
 
 def step(state: NetworkState, params: HRParameters, domain: Domain, matching,
@@ -306,41 +443,114 @@ def simulate(ic, params: HRParameters, domain: Domain, matching,
     ``ic`` is an InitialCondition or a prebuilt NetworkState (taken as t=0
     data).  The observer is called with each recorded state (including the
     initial one and the final step) and its return values are collected in
-    order.  A non-finite state aborts with :class:`IntegrationError` carrying
-    the failure time, the largest finite |u| seen, and the rows recorded so
-    far, so partial output can still be flushed; a failed implicit solve
-    raises :class:`LinearSolveError` with those rows attached.
+    order.  A non-finite state, or a non-finite explicit update ahead of the
+    implicit solve, aborts with :class:`IntegrationError` carrying the
+    failure time, the largest finite |u| seen, and the rows recorded so far,
+    so partial output can still be flushed; a failed implicit solve raises
+    :class:`LinearSolveError` with those rows attached.
+
+    This is the one-member case of :func:`simulate_ensemble`.
     """
+    (result,) = simulate_ensemble([ic], [params], domain, matching, cfg, [observer])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def simulate_ensemble(ics, params_list, domain: Domain, matching,
+                      cfg: IntegratorConfig, observers=None) -> list:
+    """Integrate every member to t_end, all members of a batch in one time loop.
+
+    Member b starts from ``ics[b]`` (as in :func:`simulate`) and follows
+    ``params_list[b]``, observed by ``observers[b]`` (None or absent: no
+    rows).  Returns, per member and in order, its :class:`SimulationResult`
+    or the :class:`IntegrationError` / :class:`LinearSolveError` it failed
+    with, rows attached; a failed member leaves the batch and the others
+    go on.  Every member is bitwise equal to its own serial run.
+
+    Members that resolve to one step size and step count form one batch.  In
+    2D each distinct operator (d, p) also forms its own batch, and batches run
+    one after another, so a 2D ensemble holds one factorization at a time; a
+    1D factor's fill is linear in the cell count, so 1D keeps all of them.
+    """
+    params_list = list(params_list)
+    observers = [None] * len(params_list) if observers is None else list(observers)
+    if not len(ics) == len(params_list) == len(observers):
+        raise ValueError("need one initial condition, parameter set and observer per member")
+    batches = {}
+    for b, params in enumerate(params_list):
+        key = resolve_dt(cfg, domain, params)
+        if domain.dim == 2:
+            key += (params.d, params.p)
+        batches.setdefault(key, []).append(b)
+    results = [None] * len(params_list)
+    for members in batches.values():
+        _run_batch(members, ics, params_list, domain, matching, cfg, observers, results)
+    return results
+
+
+def _start_state(ic, domain: Domain, n_neurons: int) -> NetworkState:
     if isinstance(ic, NetworkState):
-        state = ic.copy()
-        state.t = 0.0
-    else:
-        state = initial_state(ic, domain, params.n_neurons)
-    stepper = Integrator(params, domain, matching, cfg)
+        return ic
+    return initial_state(ic, domain, n_neurons)
+
+
+def _member(state: NetworkState, i: int) -> NetworkState:
+    return NetworkState(state.t, state.u[i], state.v[i], state.w[i])
+
+
+def _observe(observer, state: NetworkState, i: int):
+    return observer(_member(state, i)) if observer is not None else None
+
+
+def _run_batch(members, ics, params_list, domain, matching, cfg, observers, results):
+    """The time loop of one batch; writes each member's outcome into ``results``."""
+    stepper = Integrator([params_list[b] for b in members], domain, matching, cfg)
+    starts = [_start_state(ics[b], domain, params_list[b].n_neurons) for b in members]
+    # C-contiguous (B, N, cells) copies: the inputs are never mutated
+    state = NetworkState(0.0, *(np.stack([getattr(s, name) for s in starts])
+                                for name in ("u", "v", "w")))
+    live = list(members)
+    watch = [observers[b] for b in members]
     # exact, accumulation-free timestamps
     times = [0.0]
-    rows = [observer(state) if observer is not None else None]
-    max_abs_u = float(np.abs(state.u).max())
+    rows = [[_observe(watch[i], state, i)] for i in range(len(live))]
+    max_abs_u = np.abs(state.u).reshape(len(live), -1).max(axis=1)
     # a diverging state shows up as inf/nan and is reported, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stepper.n_steps + 1):
             try:
                 state = stepper.step(state)
-            except LinearSolveError as err:
-                err.rows = rows
-                raise
+                errors = {}
+            except MemberFailures as failure:
+                state, errors = failure.state, failure.errors
             state.t = k * stepper.dt
-            peak = float(np.abs(state.u).max())
-            if not (
-                math.isfinite(peak)
-                and np.isfinite(state.v).all()
-                and np.isfinite(state.w).all()
-            ):
-                raise IntegrationError(state.t, max_abs_u, rows=rows)
-            max_abs_u = max(max_abs_u, peak)
+            peak = np.abs(state.u).reshape(len(live), -1).max(axis=1)
+            for i in _nonfinite_members(peak, state.v, state.w):
+                errors.setdefault(i, None)
+            if errors:
+                for i, err in errors.items():
+                    if isinstance(err, LinearSolveError):
+                        err.rows = rows[i]
+                    else:
+                        err = IntegrationError(state.t, float(max_abs_u[i]), rows=rows[i])
+                    results[live[i]] = err
+                keep = [i for i in range(len(live)) if i not in errors]
+                if not keep:
+                    return
+                stepper._keep(keep)
+                state = NetworkState(state.t, state.u[keep], state.v[keep], state.w[keep])
+                live = [live[i] for i in keep]
+                watch = [watch[i] for i in keep]
+                rows = [rows[i] for i in keep]
+                max_abs_u = max_abs_u[keep]
+                peak = peak[keep]
+            np.maximum(max_abs_u, peak, out=max_abs_u)
             if k % cfg.record_every == 0 or k == stepper.n_steps:
                 times.append(state.t)
-                rows.append(observer(state) if observer is not None else None)
-    return SimulationResult(
-        state=state, times=times, rows=rows, dt=stepper.dt, n_steps=stepper.n_steps
-    )
+                for i in range(len(live)):
+                    rows[i].append(_observe(watch[i], state, i))
+    for i, b in enumerate(live):
+        results[b] = SimulationResult(state=_member(state, i), times=list(times),
+                                      rows=rows[i], dt=stepper.dt,
+                                      n_steps=stepper.n_steps)

@@ -30,6 +30,11 @@ class IntegrationError(RuntimeError):
         self.rows = rows if rows is not None else []
         self.note = note
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error (and any
+        # attribute attached later) survives a process pool
+        return (type(self), (self.t, self.max_abs_u, self.rows, self.note), self.__dict__)
+
 
 class LinearSolveError(RuntimeError):
     """The implicit diffusion solve did not reach the requested tolerance.

@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import DerivedConstants, HRParameters, entry_time
 from .domain import BoundaryMatching, Domain, integrate_boundary_pair, integrate_domain
-from .dynamics import InitialCondition, IntegratorConfig, NetworkState, simulate
-from .errors import IntegrationError, LinearSolveError
+from .dynamics import InitialCondition, IntegratorConfig, NetworkState, simulate_ensemble
+from .errors import IntegrationError
 
 SYNC_FLOOR = 1e-14
 
@@ -248,19 +248,41 @@ def record_trajectory(ic, params: HRParameters, domain: Domain,
 
     On integration or linear-solve failure the partial record (rows up to
     the failure) is attached to the raised error as ``partial_record``.
+    This is the one-member case of :func:`record_trajectories`.
     """
-    observer = TrajectoryObserver(params, domain, matching, consts)
-    try:
-        result = simulate(ic, params, domain, matching, cfg, observer=observer)
-    except (IntegrationError, LinearSolveError) as err:
-        err.partial_record = (
-            TrajectoryRecord.from_rows(err.rows, observer.pairs,
-                                       params.n_neurons, consts)
-            if err.rows else None
-        )
-        raise
-    return TrajectoryRecord.from_rows(result.rows, observer.pairs,
-                                      params.n_neurons, consts)
+    (record,) = record_trajectories([ic], [params], domain, matching, cfg, [consts])
+    if isinstance(record, Exception):
+        raise record
+    return record
+
+
+def record_trajectories(ics, params_list, domain: Domain,
+                        matching: BoundaryMatching, cfg: IntegratorConfig,
+                        consts_list) -> list:
+    """Run an ensemble (see :func:`~hrnet.dynamics.simulate_ensemble`) and
+    collect each member's observable record.
+
+    Returns, per member in order, its :class:`TrajectoryRecord` or the
+    :class:`IntegrationError` / :class:`LinearSolveError` it failed with, the
+    partial record attached as ``partial_record`` (None without rows).
+    """
+    observers = [TrajectoryObserver(params, domain, matching, consts)
+                 for params, consts in zip(params_list, consts_list)]
+    results = simulate_ensemble(ics, params_list, domain, matching, cfg, observers)
+    records = []
+    for observer, params, consts, result in zip(observers, params_list,
+                                                consts_list, results):
+        if isinstance(result, Exception):
+            result.partial_record = (
+                TrajectoryRecord.from_rows(result.rows, observer.pairs,
+                                           params.n_neurons, consts)
+                if result.rows else None
+            )
+            records.append(result)
+        else:
+            records.append(TrajectoryRecord.from_rows(
+                result.rows, observer.pairs, params.n_neurons, consts))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -562,22 +584,24 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
     if ic is None:
         ic = InitialCondition(kind="uniform-random", offset=1.0, noise=0.1)
     run_cfg = cfg.replace(t_end=float(horizon))
+    ics = [replace(ic, seed=seed + k) if ic.kind != "file" else ic
+           for k in range(sample_count)]
+
+    def observer(state):
+        return pair_differences(state, domain, 1.0).diff_plain
+
+    results = simulate_ensemble(ics, [params] * sample_count, domain, matching,
+                                run_cfg, [observer] * sample_count)
     n = params.n_neurons
     worst_sq = np.zeros((n, n))
-    for k in range(sample_count):
-        sample_ic = replace(ic, seed=seed + k) if ic.kind != "file" else ic
-
-        def observer(state):
-            return pair_differences(state, domain, 1.0).diff_plain
-
-        try:
-            result = simulate(sample_ic, params, domain, matching, run_cfg,
-                              observer=observer)
-        except IntegrationError as err:
+    for k, result in enumerate(results):
+        if isinstance(result, IntegrationError):
             raise IntegrationError(
-                err.t, err.max_abs_u,
+                result.t, result.max_abs_u,
                 note=f"asynchronous-degree sample {k} (seed {seed + k})",
-            ) from err
+            ) from result
+        if isinstance(result, Exception):
+            raise result
         times = np.asarray(result.times)
         tail_start = times[-1] - tail_fraction * (times[-1] - times[0])
         tail_rows = [row for tk, row in zip(times, result.rows) if tk >= tail_start]

@@ -12,7 +12,6 @@ so repeated runs of the same config produce byte-identical artifacts.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import os
 from dataclasses import dataclass, fields
 
@@ -27,6 +26,7 @@ from .metrics import (
     energy_monitor,
     envelope_check,
     fit_sync_rate,
+    record_trajectories,
     record_trajectory,
 )
 
@@ -83,9 +83,14 @@ class Setup:
     eta_analytic: float
 
 
+def domain_poincare(cfg: RunConfig) -> tuple:
+    """The configured and the analytic Poincare constants of ``cfg.domain``."""
+    return (poincare_constants(cfg.domain, mode=cfg.eta_mode),
+            poincare_constants(cfg.domain, mode="analytic"))
+
+
 def build_setup(cfg: RunConfig) -> Setup:
-    pc = poincare_constants(cfg.domain, mode=cfg.eta_mode)
-    analytic = poincare_constants(cfg.domain, mode="analytic")
+    pc, analytic = domain_poincare(cfg)
     consts = derive_constants(cfg.params, cfg.domain.omega_measure, pc.eta1, pc.eta2)
     return Setup(params=cfg.params, consts=consts, eta1=pc.eta1, eta2=pc.eta2,
                  eta_analytic=analytic.eta1)
@@ -247,21 +252,27 @@ def map_jobs(fn, arg_tuples, jobs: int) -> list:
     return [fn(*args) for args in arg_tuples]
 
 
-def _sweep_one(cfg, param, value):
-    """One sweep run; module-level so process pools can pickle it."""
-    try:
-        params = cfg.params.replace(**{param: value})
-        setup = build_setup(dataclasses.replace(cfg, params=params))
-    except ValueError as err:
-        return {"value": value, "status": f"invalid({err})"}
-    except EigenSolveError as err:
-        return {"value": value, "status": FAILURES[type(err)][1], "error": str(err)}
-    try:
-        record = record_trajectory(cfg.ic, params, cfg.domain, cfg.matching,
-                                   cfg.integrator, setup.consts)
-    except (IntegrationError, LinearSolveError) as err:
-        return {"value": value, "status": FAILURES[type(err)][1],
-                "mu": setup.consts.mu, "error": str(err)}
+def job_chunks(n_members: int, jobs: int) -> list:
+    """At most ``jobs`` contiguous slices of near-equal size covering the
+    members, one ensemble batch per worker."""
+    k = min(max(jobs, 1), n_members)
+    return [slice(n_members * i // k, n_members * (i + 1) // k) for i in range(k)]
+
+
+def _sweep_chunk(cfg, members):
+    """Sweep rows of (value, params, consts) members, run as one ensemble;
+    module-level so process pools can pickle it."""
+    values, params_list, consts_list = zip(*members)
+    records = record_trajectories([cfg.ic] * len(members), params_list, cfg.domain,
+                                  cfg.matching, cfg.integrator, consts_list)
+    return [_sweep_row(cfg, value, consts, record)
+            for value, consts, record in zip(values, consts_list, records)]
+
+
+def _sweep_row(cfg, value, consts, record):
+    if isinstance(record, Exception):
+        return {"value": value, "status": FAILURES[type(record)][1],
+                "mu": consts.mu, "error": str(record)}
     sync = record.sync_total()
     tail_start = record.t[-1] - cfg.metrics.tail_fraction * (record.t[-1] - record.t[0])
     tail = sync[record.t >= tail_start]
@@ -272,7 +283,7 @@ def _sweep_one(cfg, param, value):
         "status": "ok",
         "tail": float(tail.max()),
         "rate": fit.rate,
-        "mu": setup.consts.mu,
+        "mu": consts.mu,
         "crossed_literal": bool(
             np.any(record.stimulation_s > record.threshold_literal)),
         "crossed_perpair": bool(
@@ -281,12 +292,43 @@ def _sweep_one(cfg, param, value):
 
 
 def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
-    """Run the sweep and return one result mapping per value, in order."""
+    """Run the sweep and return one result mapping per value, in order.
+
+    No sweepable parameter changes the domain, so its Poincare constants are
+    computed once.  The runnable values form one ensemble, split into
+    ``jobs`` contiguous per-worker batches; every row is the same as from a
+    run of its own.
+    """
     if param not in SWEEPABLE:
         raise ConfigError(
             f"--param: {param!r} is not sweepable; choose one of "
             f"{', '.join(SWEEPABLE)}")
-    return map_jobs(_sweep_one, [(cfg, param, value) for value in values], jobs)
+    try:
+        pc, _ = domain_poincare(cfg)
+        eigen_error = None
+    except EigenSolveError as err:
+        eigen_error = err
+    rows = [None] * len(values)
+    members, positions = [], []
+    for k, value in enumerate(values):
+        try:
+            params = cfg.params.replace(**{param: value})
+            # an invalid value is reported as such even if the eigensolve failed
+            if eigen_error is not None:
+                rows[k] = {"value": value, "status": FAILURES[EigenSolveError][1],
+                           "error": str(eigen_error)}
+                continue
+            consts = derive_constants(params, cfg.domain.omega_measure, pc.eta1, pc.eta2)
+        except ValueError as err:
+            rows[k] = {"value": value, "status": f"invalid({err})"}
+            continue
+        members.append((value, params, consts))
+        positions.append(k)
+    chunks = job_chunks(len(members), jobs)
+    done = map_jobs(_sweep_chunk, [(cfg, members[c]) for c in chunks], jobs)
+    for k, row in zip(positions, (row for part in done for row in part)):
+        rows[k] = row
+    return rows
 
 
 def sweep_csv(rows) -> str:

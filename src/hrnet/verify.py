@@ -41,9 +41,10 @@ from .metrics import (
     energy_monitor,
     envelope_check,
     fit_sync_rate,
+    record_trajectories,
     record_trajectory,
 )
-from .runner import map_jobs, run_simulate, sweep_csv, sweep_rows
+from .runner import job_chunks, map_jobs, run_simulate, sweep_csv, sweep_rows
 
 SWEEP_P_VALUES = (0.0, 0.5, 2.0, 8.0, 32.0)
 ENVELOPE_SEEDS = tuple(range(100, 110))
@@ -87,14 +88,13 @@ class VerifyContext:
             consts = derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
             cfg = IntegratorConfig(t_end=20.0, scheme="imex-euler", dt=2e-3,
                                    record_every=50)
-            payloads = [
-                (InitialCondition(kind="uniform-random", seed=seed,
-                                  offset=1.0, noise=0.1),
-                 params, domain, matching, cfg, consts)
-                for seed in ENVELOPE_SEEDS
-            ]
-            self._cache["envelope"] = (
-                map_jobs(record_trajectory, payloads, self.jobs), consts)
+            ics = [InitialCondition(kind="uniform-random", seed=seed,
+                                    offset=1.0, noise=0.1)
+                   for seed in ENVELOPE_SEEDS]
+            n = len(ics)
+            records = self.ensemble(ics, [params] * n, domain, matching, cfg,
+                                    [consts] * n)
+            self._cache["envelope"] = (records, consts)
         return self._cache["envelope"]
 
     def sweep_records(self):
@@ -105,15 +105,27 @@ class VerifyContext:
                                   offset=1.0, noise=0.1)
             cfg = IntegratorConfig(t_end=200.0, scheme="imex-euler", dt=2e-3,
                                    record_every=100)
-            payloads = []
-            for p in SWEEP_P_VALUES:
-                params = HRParameters.default(p=p)
-                consts = derive_constants(params, domain.omega_measure,
-                                          pc.eta1, pc.eta2)
-                payloads.append((ic, params, domain, matching, cfg, consts))
-            records = map_jobs(record_trajectory, payloads, self.jobs)
+            params_list = [HRParameters.default(p=p) for p in SWEEP_P_VALUES]
+            consts_list = [derive_constants(params, domain.omega_measure,
+                                            pc.eta1, pc.eta2)
+                           for params in params_list]
+            records = self.ensemble([ic] * len(params_list), params_list,
+                                    domain, matching, cfg, consts_list)
             self._cache["sweep"] = list(zip(SWEEP_P_VALUES, records))
         return self._cache["sweep"]
+
+    def ensemble(self, ics, params_list, domain, matching, cfg, consts_list):
+        """Records of one ensemble in ``jobs`` per-worker batches; a failed
+        member's error is raised."""
+        chunks = job_chunks(len(ics), self.jobs)
+        parts = map_jobs(record_trajectories,
+                         [(ics[c], params_list[c], domain, matching, cfg,
+                           consts_list[c]) for c in chunks], self.jobs)
+        records = [record for part in parts for record in part]
+        for record in records:
+            if isinstance(record, Exception):
+                raise record
+        return records
 
 
 # ---------------------------------------------------------------------------

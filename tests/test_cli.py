@@ -1,5 +1,7 @@
 """Command-line behavior: artifacts, exit codes, output-dir precedence."""
 
+import pathlib
+
 import pytest
 
 from hrnet import runner
@@ -167,6 +169,55 @@ def test_simulate_linear_solve_failure_exit_3_with_artifacts(tmp_path, capsys):
     assert report.startswith("linear solve failed: backward Euler solve at t=0:")
 
 
+STOCK = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+         / "default.ini").read_text().replace("directory = out", "directory = {out}")
+
+# an explicit update that overflows: stock config at dt = 0.5, or a huge
+# input current at the stock dt
+BLOWUPS = {
+    "dt": replace_line(STOCK, "dt = 2e-3", "dt = 0.5"),
+    "J": replace_line(STOCK, "J = 3.25", "J = 1e6"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOWUPS))
+def test_simulate_imex_blowup_is_an_integration_failure(tmp_path, capsys, case):
+    text = replace_line(BLOWUPS[case], "t_end = 50.0", "t_end = 10.0")
+    path, out = write_config(tmp_path, text)
+    assert main(["simulate", "--config", str(path)]) == 3
+    assert "partial trajectory flushed" in capsys.readouterr().err
+    assert len((out / "trajectory.csv").read_text().splitlines()) >= 2
+    report = (out / "report.txt").read_text()
+    assert report.startswith("integration failed: non-finite state at t=")
+    assert "max |u| seen" in report
+
+
+@pytest.mark.parametrize("case", sorted(BLOWUPS))
+def test_sweep_imex_blowup_marks_row_failed(tmp_path, case):
+    text = replace_line(BLOWUPS[case], "t_end = 50.0", "t_end = 10.0")
+    path, out = write_config(tmp_path, text)
+    # the first value is the config's own, the second couples harder
+    assert main(["sweep", "--config", str(path), "--param", "p",
+                 "--values", "1.0,4.0"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 3
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[1:3] == ["nan", "nan"]
+        assert cells[3] != "nan"
+        assert cells[-1] == "failed"
+
+
+def test_sweep_blowup_leaves_other_members_alone(tmp_path):
+    text = replace_line(STOCK, "t_end = 50.0", "t_end = 1.0")
+    path, out = write_config(tmp_path, text)
+    assert main(["sweep", "--config", str(path), "--param", "J",
+                 "--values", "3.25,1e6,3.25"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[2].endswith(",failed")
+    assert lines[1].endswith(",ok") and lines[1] == lines[3]
+
+
 def test_sweep_linear_solve_failure_marks_rows_and_continues(tmp_path):
     text = replace_line(FAST, "record_every = 5", "record_every = 5\nlinear_tol = 1e-30")
     path, out = write_config(tmp_path, text)
@@ -233,12 +284,13 @@ def test_sweep_duplicate_values_identical_rows(tmp_path):
 
 
 def test_sweep_parallel_jobs_match_serial(tmp_path):
+    # two workers get batches of one and two members; the pair shares a factor
     path, out = write_config(tmp_path)
     assert main(["sweep", "--config", str(path), "--param", "p",
-                 "--values", "0.0,1.0"]) == 0
+                 "--values", "0.0,1.0,1.0"]) == 0
     serial = (out / "sweep.csv").read_text()
     assert main(["sweep", "--config", str(path), "--param", "p",
-                 "--values", "0.0,1.0", "--jobs", "2"]) == 0
+                 "--values", "0.0,1.0,1.0", "--jobs", "2"]) == 0
     assert (out / "sweep.csv").read_text() == serial
 
 

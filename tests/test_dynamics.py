@@ -8,6 +8,7 @@ must shrink it by the scheme's order.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -405,6 +406,16 @@ def test_blowup_raises_with_context():
     assert err.max_abs_u >= 50.0
     assert len(err.rows) >= 1
     assert "non-finite" in str(err)
+
+
+def test_integration_error_survives_pickling():
+    # failed ensemble members come back from process-pool workers pickled
+    err = IntegrationError(1.5, 42.0, rows=[1, 2], note="sample 3")
+    err.partial_record = "partial"
+    back = pickle.loads(pickle.dumps(err))
+    assert str(back) == str(err)
+    assert (back.t, back.max_abs_u, back.rows, back.note, back.partial_record) == (
+        1.5, 42.0, [1, 2], "sample 3", "partial")
 
 
 def test_simulate_accepts_prebuilt_state():
