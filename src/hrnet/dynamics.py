@@ -5,8 +5,9 @@ membrane potential u diffuses and exchanges boundary flux with matched
 neurons, while v and w evolve pointwise.  Two schemes are provided: the
 classical explicit 4-stage Runge-Kutta method on the full right-hand side,
 and an implicit-explicit Euler step that treats the stiff diffusion and
-coupling operator with a backward Euler solve (one sparse factorization per
-run) and the reaction terms explicitly.
+coupling operator with a backward Euler solve (prepared once per run: a
+sparse LU factorization in 1D, a DCT and capacitance-matrix solver in 2D)
+and the reaction terms explicitly.
 
 Everything here is deterministic: fixed evaluation order, seeded generators,
 and no dependence on thread count.
@@ -23,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .core import HRParameters
-from .domain import Domain, apply_diffusion, network_diffusion_matrix
+from .domain import CapacitanceSolver, Domain, apply_diffusion, network_diffusion_matrix
 from .errors import IntegrationError, LinearSolveError
 
 SCHEMES = ("explicit-rk4", "imex-euler")
@@ -267,20 +268,22 @@ class MemberFailures(Exception):
 
 
 class Integrator:
-    """Prepared stepper: operators are assembled and factorized once.
+    """Prepared stepper: operators are assembled and their solvers built once.
 
     ``params`` is one :class:`HRParameters`, stepping states of shape
     (N, cells), or a sequence of them, stepping a batch of shape
     (B, N, cells) whose member b follows ``params[b]``.  Batch members must
     resolve to the same step size and step count.
 
-    Members with equal (d, p) share one factorization.  In 1D they also share
-    one multi-column solve; in 2D each member is solved on its own, because
-    the wide supernodes of a 2D factor go through BLAS block kernels whose
-    rounding depends on the number of right-hand sides.  A 1D factor's
-    supernodes stay narrow, and a multi-column solve is bitwise equal per
-    column.  Members with different operators get one factorization and one
-    solve each.
+    The backward Euler system is solved by a SuperLU factorization in 1D and
+    by :class:`~hrnet.domain.CapacitanceSolver` (exact DCT solve plus a
+    capacitance correction for the boundary coupling) in 2D; the residual
+    guard checks either against the assembled system.  Members with equal
+    (d, p) share one solver.  In 1D they also share one multi-column solve,
+    which is bitwise equal per column, because a 1D factor's supernodes stay
+    narrow; in 2D each member is solved on its own, as the DCT solver works
+    one right-hand side at a time.  Members with different operators get one
+    solver and one solve each.
     """
 
     def __init__(self, params, domain: Domain, matching, cfg: IntegratorConfig):
@@ -297,23 +300,28 @@ class Integrator:
             raise ValueError("batched members must share the step size and step count")
         ((self.dt, self.n_steps),) = steps
         self.members = members
-        # per member: its backward Euler system and that system's factorization
+        # per member: its backward Euler system and that system's solver
         self._operators = ()
         if cfg.scheme == "imex-euler" and self.n_steps > 0:
-            factors = {}
+            solvers = {}
             for m in members:
-                if (m.d, m.p) not in factors:
+                if (m.d, m.p) not in solvers:
                     n_total = m.n_neurons * domain.n_cells
                     a = network_diffusion_matrix(domain, matching, m.d, m.p, m.n_neurons)
                     system = (sp.identity(n_total, format="csc") - self.dt * a).tocsc()
-                    factors[m.d, m.p] = (system, spla.splu(system))
-            self._operators = tuple(factors[m.d, m.p] for m in members)
+                    if domain.dim == 2:
+                        solver = CapacitanceSolver(domain, matching, m.d, m.p,
+                                                   m.n_neurons, self.dt)
+                    else:
+                        solver = spla.splu(system)
+                    solvers[m.d, m.p] = (system, solver)
+            self._operators = tuple(solvers[m.d, m.p] for m in members)
         self._keep(range(len(members)))
 
     def _keep(self, positions):
         """Restrict the batch to the members at ``positions``, in that order.
 
-        Factorizations are kept, never recomputed.
+        Solvers are kept, never rebuilt.
         """
         positions = list(positions)
         self.members = tuple(self.members[i] for i in positions)
@@ -328,7 +336,7 @@ class Integrator:
         self._operators = tuple(self._operators[i] for i in positions)
         systems = [system for system, _ in self._operators]
         self._system = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csc")
-        groups = []  # (factorization, positions solved together)
+        groups = []  # (solver, positions solved together)
         for b, (_, lu) in enumerate(self._operators):
             shared = [rows for factor, rows in groups if factor is lu]
             if shared and self.domain.dim == 1:
@@ -337,7 +345,7 @@ class Integrator:
                 groups.append((lu, [b]))
         # a lone member is indexed by position, so its rows stay 1-D views
         self._solves = [(lu, rows[0] if len(rows) == 1 else rows) for lu, rows in groups]
-        # the factorization, when every member shares it
+        # the solver, when every member shares it
         if len({id(lu) for _, lu in self._operators}) == 1:
             self._lu = self._operators[0][1]
 
@@ -406,7 +414,11 @@ class Integrator:
         A single member's failure raises its :class:`IntegrationError` or
         :class:`LinearSolveError`; in a batch, failed members raise
         :class:`MemberFailures`, which carries the other members' result.
+        A run of zero steps (``t_end = 0``) prepares no solver and has
+        nothing to step: it raises :class:`ValueError`.
         """
+        if self.n_steps == 0:
+            raise ValueError("nothing to step: t_end = 0 gives a run of zero steps")
         advance = self._step_rk4 if self.cfg.scheme == "explicit-rk4" else self._step_imex
         if not self._single:
             new, errors = advance(state)
@@ -468,10 +480,8 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
     with, rows attached; a failed member leaves the batch and the others
     go on.  Every member is bitwise equal to its own serial run.
 
-    Members that resolve to one step size and step count form one batch.  In
-    2D each distinct operator (d, p) also forms its own batch, and batches run
-    one after another, so a 2D ensemble holds one factorization at a time; a
-    1D factor's fill is linear in the cell count, so 1D keeps all of them.
+    Members that resolve to one step size and step count form one batch;
+    batches run one after another.
     """
     params_list = list(params_list)
     observers = [None] * len(params_list) if observers is None else list(observers)
@@ -479,10 +489,7 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
         raise ValueError("need one initial condition, parameter set and observer per member")
     batches = {}
     for b, params in enumerate(params_list):
-        key = resolve_dt(cfg, domain, params)
-        if domain.dim == 2:
-            key += (params.d, params.p)
-        batches.setdefault(key, []).append(b)
+        batches.setdefault(resolve_dt(cfg, domain, params), []).append(b)
     results = [None] * len(params_list)
     for members in batches.values():
         _run_batch(members, ics, params_list, domain, matching, cfg, observers, results)

@@ -55,3 +55,7 @@ class EigenSolveError(RuntimeError):
         self.iterations = iterations
         self.residual = residual
         self.tol = tol
+
+    def __reduce__(self):
+        # as for IntegrationError: ``args`` holds only the message
+        return (type(self), (self.iterations, self.residual, self.tol), self.__dict__)

@@ -8,6 +8,7 @@ iterative solver must reproduce to near machine precision.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -430,6 +431,16 @@ def test_poincare_nonconvergence_reports_residual():
     assert err.iterations == 3
     assert err.tol == 1e-30
     assert math.isfinite(err.residual) and err.residual > 1e-30
+
+
+def test_eigen_solve_error_survives_pickling():
+    # a process-pool worker that raises it sends it back pickled
+    err = EigenSolveError(10, 1e-3, 1e-10)
+    err.note = "attached later"
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is EigenSolveError and str(back) == str(err)
+    assert (back.iterations, back.residual, back.tol, back.note) == (
+        10, 1e-3, 1e-10, "attached later")
 
 
 def test_neumann_laplacian_annihilates_constants():

@@ -418,6 +418,22 @@ def test_integration_error_survives_pickling():
         1.5, 42.0, [1, 2], "sample 3", "partial")
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_zero_horizon_has_nothing_to_step(dim):
+    domain = build_domain(dim, [1.0] * dim, [8] * dim)
+    matching = full_boundary_matching(domain, 2, "1-2")
+    params = HRParameters.default()
+    cfg = IntegratorConfig(t_end=0.0, scheme="imex-euler", dt=1e-3)
+    stepper = Integrator(params, domain, matching, cfg)
+    # simulate never steps such a run, and nothing is assembled or factorized
+    assert stepper._lu is None and stepper._system is None
+    state = constant_state(domain, 2, u=0.5)
+    with pytest.raises(ValueError, match="nothing to step"):
+        stepper.step(state)
+    with pytest.raises(ValueError, match="nothing to step"):
+        step(state, params, domain, matching, cfg)
+
+
 def test_simulate_accepts_prebuilt_state():
     params, domain, matching = default_setup()
     state = constant_state(domain, 2, u=0.3)

@@ -8,11 +8,13 @@ residual matvec).  Every member must still get exactly the bits of its own
 error type, time, message and rows, while its batch-mates are unaffected.
 
 The operator tests check the assembled network matrix that the residual
-guard applies: exactly symmetric, and equal to the ``apply_diffusion``
-stencil up to rounding.
+guard applies: exactly symmetric, equal to the ``apply_diffusion`` stencil
+up to rounding, and stored exactly as the per-face ``lil`` loop it replaced
+(kept here as the oracle) stores it.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_metrics_properties import networks
@@ -23,6 +25,7 @@ from hrnet.domain import (
     build_domain,
     full_boundary_matching,
     network_diffusion_matrix,
+    neumann_laplacian,
 )
 from hrnet.dynamics import (
     SCHEMES,
@@ -146,9 +149,8 @@ def test_blown_up_member_fails_as_serially_and_leaves_batch_mates_alone():
 
 
 def test_shared_2d_factor_solves_members_bitwise_like_serial():
-    # on a 64 x 64 grid a five-column solve differs from single solves in
-    # the last bits for some columns (BLAS block kernels), so 2D members
-    # sharing a factor are solved one by one
+    # 2D members sharing a solver are solved one by one, each with its
+    # serial run's bits
     domain = build_domain(2, [1.0, 1.0], [64, 64])
     matching = full_boundary_matching(domain, 2, "1-2")
     cfg = IntegratorConfig(t_end=4e-3, scheme="imex-euler", dt=2e-3)
@@ -192,3 +194,46 @@ def test_network_matrix_is_symmetric_and_matches_stencil(network, d, p, seed):
     # both sum the same few terms per cell in different orders
     bound = 32 * np.finfo(float).eps * (abs(a) @ np.abs(u).ravel()).reshape(u.shape)
     assert np.all(np.abs(got - want) <= bound)
+
+
+def oracle_network_matrix(domain, matching, d, p, n_neurons):
+    """The per-face ``lil`` assembly that ``network_diffusion_matrix`` replaced."""
+    lap = d * neumann_laplacian(domain)
+    blocks = sp.block_diag([lap] * n_neurons, format="lil")
+    if p != 0.0 and matching is not None:
+        nc = domain.n_cells
+        coef = (d * p / domain.cell_volume) * domain.face_area
+        for f in range(domain.n_faces):
+            cell = domain.face_cell[f]
+            for i in range(n_neurons):
+                j = matching.partner[f, i]
+                if j != i:
+                    blocks[i * nc + cell, j * nc + cell] += coef[f]
+                    blocks[i * nc + cell, i * nc + cell] -= coef[f]
+    return blocks.tocsr()
+
+
+def assert_same_storage(got, want):
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@PROPERTY
+@given(networks(), st.floats(0.1, 3.0),
+       st.one_of(st.just(0.0), st.floats(0.1, 50.0)))
+def test_network_matrix_equals_per_face_loop(network, d, p):
+    domain, matching, n = network
+    assert_same_storage(network_diffusion_matrix(domain, matching, d, p, n),
+                        oracle_network_matrix(domain, matching, d, p, n))
+
+
+def test_network_matrix_sums_corner_faces_in_face_order():
+    # every corner cell is coupled through both its faces; with arbitrary
+    # mantissas the two terms, summed out of face order, round differently
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        domain = build_domain(2, rng.uniform(0.3, 2.0, 2), rng.integers(4, 13, 2))
+        matching = full_boundary_matching(domain, 3, "1-2")
+        d, p = rng.uniform(0.1, 3.0), rng.uniform(0.1, 50.0)
+        assert_same_storage(network_diffusion_matrix(domain, matching, d, p, 3),
+                            oracle_network_matrix(domain, matching, d, p, 3))
