@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -49,6 +50,11 @@ class MetricsOptions:
     floor: float = 1e-14
 
     def __post_init__(self):
+        # nan fails every comparison, so it would slip past the range checks
+        # below and switch the monitors' checks off
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("tolerance", "entry_slack", "decay_tolerance"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -265,7 +271,7 @@ def _build_matching(sec, domain, n_neurons) -> BoundaryMatching:
         raise ConfigError(f"{sec.path}: [matching]: {err}") from err
 
 
-def _build_initial(sec) -> InitialCondition:
+def _build_initial(sec, n_neurons, dim) -> InitialCondition:
     kwargs = {}
     if "kind" in sec.mapping:
         kwargs["kind"] = sec.choice("kind", IC_KINDS)
@@ -274,9 +280,13 @@ def _build_initial(sec) -> InitialCondition:
             kwargs[key] = sec.float(key)
     if "seed" in sec.mapping:
         kwargs["seed"] = sec.int("seed")
-    for key in ("u_values", "v_values", "w_values", "center"):
+    lengths = {"u_values": n_neurons, "v_values": n_neurons, "w_values": n_neurons,
+               "center": dim}
+    for key, length in lengths.items():
         if key in sec.mapping:
             kwargs[key] = sec.float_list(key)
+            if len(kwargs[key]) != length:
+                sec._fail(key, f"expected {length} values, got {len(kwargs[key])}")
     if "path" in sec.mapping:
         kwargs["path"] = sec.text("path")
     try:
@@ -322,7 +332,7 @@ def load_config(path, seed=None) -> RunConfig:
     domain, eta_mode = _build_domain(_section(path, parser, "domain"))
     matching = _build_matching(_section(path, parser, "matching"), domain,
                                params.n_neurons)
-    ic = _build_initial(_section(path, parser, "initial"))
+    ic = _build_initial(_section(path, parser, "initial"), params.n_neurons, domain.dim)
     integrator = _build_integrator(_section(path, parser, "integrator"))
     metrics = _build_metrics(_section(path, parser, "metrics"))
     output_dir = _section(path, parser, "output").text("directory", default="out")

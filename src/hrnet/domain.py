@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import EigenSolveError, MatchingError
+from .errors import MatchingError
 
 _SIDES_1D = {"left": (0, 0), "right": (0, 1)}
 _SIDES_2D = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
@@ -90,6 +89,8 @@ def build_domain(dim: int, extents, cells) -> Domain:
     h = tuple(e / n for e, n in zip(extents, cells))
     cell_volume = math.prod(h)
     n_cells = math.prod(cells)
+    if n_cells > np.iinfo(np.intp).max:
+        raise ValueError(f"a grid of {n_cells} cells is too large to index")
     omega_measure = n_cells * cell_volume
 
     face_cell, face_axis, face_side, face_area, face_pos = [], [], [], [], []
@@ -371,6 +372,11 @@ def integrate_boundary_pair(f_faces: np.ndarray, matching: BoundaryMatching, i: 
     return float(np.sum(f_faces[..., mask] * matching.face_area[mask], axis=-1))
 
 
+def _axis_eigenvalues(n: int, h: float) -> np.ndarray:
+    # spectrum of -_axis_laplacian(n, h), eigenvector k the DCT-II mode k
+    return (2.0 * np.sin(np.pi * np.arange(n) / (2 * n)) / h) ** 2
+
+
 def _axis_laplacian(n: int, h: float) -> sp.csr_matrix:
     # zero-flux second-difference operator, negative semidefinite
     main = np.full(n, -2.0)
@@ -466,8 +472,7 @@ class CapacitanceSolver:
 
         self._fft = scipy.fft
         (nx, ny), (hx, hy) = domain.cells, domain.h
-        kx = (2.0 * np.sin(np.pi * np.arange(nx) / (2 * nx)) / hx) ** 2
-        ky = (2.0 * np.sin(np.pi * np.arange(ny) / (2 * ny)) / hy) ** 2
+        kx, ky = _axis_eigenvalues(nx, hx), _axis_eigenvalues(ny, hy)
         self._eigenvalues = 1.0 + dt * d * (kx[:, None] + ky[None, :])
         self._shape = (n_neurons, nx, ny)
         # DCT-II basis vectors evaluated at the first and last cell of an axis
@@ -549,61 +554,30 @@ class CapacitanceSolver:
 
 @dataclass(frozen=True)
 class PoincareConstants:
-    """First nonzero Neumann eigenvalue and its measure-normalized companion."""
+    """First nonzero Neumann eigenvalue and its measure-normalized companion.
+
+    Both modes are closed forms, so ``iterations`` and ``residual`` are 0.
+    """
 
     eta1: float
     eta2: float
     mode: str
-    iterations: int
-    residual: float
+    iterations: int = 0
+    residual: float = 0.0
 
 
-def poincare_constants(
-    domain: Domain,
-    mode: str = "discrete",
-    rtol: float = 1e-10,
-    max_iterations: int = 10000,
-) -> PoincareConstants:
+def poincare_constants(domain: Domain, mode: str = "discrete") -> PoincareConstants:
     """eta1 = first nonzero eigenvalue of the zero-flux Laplacian; eta2 = eta1/|Omega|.
 
-    ``discrete`` runs shifted inverse iteration on the mean-free subspace of
-    the grid operator (the constant kernel vector is projected out every
-    step); ``analytic`` returns the continuum value (pi / longest extent)^2.
-    Non-convergence within ``max_iterations`` raises
-    :class:`EigenSolveError` carrying the last residual.
+    ``discrete`` is the exact eigenvalue of the grid operator
+    :func:`neumann_laplacian`, min over the axes of (2 sin(pi/2n) / h)^2
+    (its eigenvectors are the DCT-II modes); ``analytic`` is the continuum
+    value (pi / longest extent)^2.
     """
     if mode == "analytic":
         eta1 = (math.pi / max(domain.extents)) ** 2
-        return PoincareConstants(
-            eta1=eta1, eta2=eta1 / domain.omega_measure,
-            mode=mode, iterations=0, residual=0.0,
-        )
-    if mode != "discrete":
+    elif mode == "discrete":
+        eta1 = min(float(_axis_eigenvalues(n, h)[1]) for n, h in zip(domain.cells, domain.h))
+    else:
         raise ValueError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
-
-    a = (-neumann_laplacian(domain)).tocsc()  # positive semidefinite
-    n = a.shape[0]
-    sigma = 1e-6 * float(a.diagonal().max())
-    lu = spla.splu((a + sigma * sp.identity(n, format="csc")).tocsc())
-
-    # smooth deterministic start with strong overlap on the first mode
-    coord = domain.cell_center_coords()[int(np.argmax(domain.extents))]
-    x = np.cos(math.pi * coord / max(domain.extents))
-    x -= x.mean()
-    x /= np.linalg.norm(x)
-
-    lam = 0.0
-    residual = math.inf
-    for it in range(1, max_iterations + 1):
-        x = lu.solve(x)
-        x -= x.mean()
-        x /= np.linalg.norm(x)
-        ax = a @ x
-        lam = float(x @ ax)
-        residual = float(np.linalg.norm(ax - lam * x)) / lam
-        if residual <= rtol:
-            return PoincareConstants(
-                eta1=lam, eta2=lam / domain.omega_measure,
-                mode=mode, iterations=it, residual=residual,
-            )
-    raise EigenSolveError(iterations=max_iterations, residual=residual, tol=rtol)
+    return PoincareConstants(eta1=eta1, eta2=eta1 / domain.omega_measure, mode=mode)

@@ -16,6 +16,7 @@ and no dependence on thread count.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -25,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from .core import HRParameters
 from .domain import CapacitanceSolver, Domain, apply_diffusion, network_diffusion_matrix
-from .errors import IntegrationError, LinearSolveError
+from .errors import ConfigError, IntegrationError, LinearSolveError
 
 SCHEMES = ("explicit-rk4", "imex-euler")
 IC_KINDS = ("constant-per-neuron", "smooth-bump", "uniform-random", "file")
@@ -84,6 +85,10 @@ class InitialCondition:
         if self.kind not in IC_KINDS:
             raise ValueError(f"unknown initial-condition kind {self.kind!r}; "
                              f"expected one of {IC_KINDS}")
+        for name in ("offset", "noise", "width", "amplitude",
+                     "u_values", "v_values", "w_values", "center"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.kind == "smooth-bump" and self.width <= 0:
             raise ValueError("smooth-bump width must be > 0")
         if self.kind == "file" and not self.path:
@@ -96,6 +101,25 @@ def _per_neuron_values(values, n: int, what: str) -> np.ndarray:
     if len(values) != n:
         raise ValueError(f"{what} must list one value per neuron ({n}), got {len(values)}")
     return np.asarray(values, dtype=np.float64)
+
+
+def _read_initial_file(path: str, shape: tuple) -> list:
+    """Arrays u, v, w of an npz archive; a file that is missing, unreadable,
+    or holds arrays of the wrong shape or non-finite values is a ConfigError."""
+    try:
+        with np.load(path) as data:
+            fields = [np.asarray(data[name], dtype=np.float64) for name in "uvw"]
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
+        raise ConfigError(f"initial-condition file {path}: cannot read arrays "
+                          f"u, v, w: {err}") from err
+    for name, arr in zip("uvw", fields):
+        if arr.shape != shape:
+            raise ConfigError(f"initial-condition file {path}: field {name} has shape "
+                              f"{arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ConfigError(f"initial-condition file {path}: field {name} "
+                              f"has non-finite values")
+    return fields
 
 
 def initial_state(ic: InitialCondition, domain: Domain, n_neurons: int) -> NetworkState:
@@ -124,18 +148,10 @@ def initial_state(ic: InitialCondition, domain: Domain, n_neurons: int) -> Netwo
             v[i] = ic.noise * rng.uniform(-1.0, 1.0, nc)
             w[i] = ic.noise * rng.uniform(-1.0, 1.0, nc)
     else:  # file
-        with np.load(ic.path) as data:
-            for name, target in (("u", u), ("v", v), ("w", w)):
-                arr = np.asarray(data[name], dtype=np.float64)
-                if arr.shape != (n_neurons, nc):
-                    raise ValueError(
-                        f"file field {name} has shape {arr.shape}, "
-                        f"expected ({n_neurons}, {nc})"
-                    )
-                target[:] = arr
+        u[:], v[:], w[:] = _read_initial_file(ic.path, (n_neurons, nc))
     state = NetworkState(t=0.0, u=u, v=v, w=w)
-    if not state.is_finite():
-        raise ValueError("initial condition contains non-finite values")
+    if not state.is_finite():  # finite settings can still overflow (i * offset)
+        raise ConfigError("initial condition overflows to non-finite values")
     return state
 
 
@@ -171,8 +187,8 @@ class IntegratorConfig:
                 raise ValueError(f"dt must be a positive number or 'auto', got {self.dt!r}")
         elif not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be a positive number or 'auto', got {self.dt!r}")
-        if self.linear_tol <= 0:
-            raise ValueError("linear_tol must be > 0")
+        if not (math.isfinite(self.linear_tol) and self.linear_tol > 0):
+            raise ValueError("linear_tol must be positive and finite")
 
     def replace(self, **changes) -> "IntegratorConfig":
         from dataclasses import asdict

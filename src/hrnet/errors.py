@@ -42,20 +42,3 @@ class LinearSolveError(RuntimeError):
     Raised out of ``simulate``, it carries the observation rows recorded
     before the failure as ``rows``, so partial output can still be flushed.
     """
-
-
-class EigenSolveError(RuntimeError):
-    """Inverse iteration for the Neumann spectrum did not converge."""
-
-    def __init__(self, iterations: int, residual: float, tol: float):
-        super().__init__(
-            f"eigenvalue iteration stalled after {iterations} iterations: "
-            f"residual {residual:.3e} > tol {tol:.3e}"
-        )
-        self.iterations = iterations
-        self.residual = residual
-        self.tol = tol
-
-    def __reduce__(self):
-        # as for IntegrationError: ``args`` holds only the message
-        return (type(self), (self.iterations, self.residual, self.tol), self.__dict__)

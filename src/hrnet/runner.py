@@ -20,7 +20,7 @@ import numpy as np
 from .config import MetricsOptions, RunConfig
 from .core import DerivedConstants, HRParameters, derive_constants
 from .domain import poincare_constants
-from .errors import ConfigError, EigenSolveError, IntegrationError, LinearSolveError
+from .errors import ConfigError, IntegrationError, LinearSolveError
 from .metrics import (
     TrajectoryRecord,
     energy_monitor,
@@ -42,7 +42,6 @@ SWEEP_COLUMNS = ("value", "tail_dE_G", "rate", "mu",
 FAILURES = {
     IntegrationError: ("integration", "failed"),
     LinearSolveError: ("linear solve", "failed(linear-solve)"),
-    EigenSolveError: ("eigen solve", "failed(eigen)"),
 }
 
 
@@ -83,14 +82,9 @@ class Setup:
     eta_analytic: float
 
 
-def domain_poincare(cfg: RunConfig) -> tuple:
-    """The configured and the analytic Poincare constants of ``cfg.domain``."""
-    return (poincare_constants(cfg.domain, mode=cfg.eta_mode),
-            poincare_constants(cfg.domain, mode="analytic"))
-
-
 def build_setup(cfg: RunConfig) -> Setup:
-    pc, analytic = domain_poincare(cfg)
+    pc = poincare_constants(cfg.domain, mode=cfg.eta_mode)
+    analytic = poincare_constants(cfg.domain, mode="analytic")
     consts = derive_constants(cfg.params, cfg.domain.omega_measure, pc.eta1, pc.eta2)
     return Setup(params=cfg.params, consts=consts, eta1=pc.eta1, eta2=pc.eta2,
                  eta_analytic=analytic.eta1)
@@ -206,9 +200,9 @@ def simulation_report(record: TrajectoryRecord, consts: DerivedConstants,
 def run_simulate(cfg: RunConfig, out_dir) -> int:
     """Simulate per config, writing trajectory.csv and report.txt.
 
-    Returns the process exit code: 0 on completion, 3 on an integration,
-    linear-solve or eigensolver failure (with the trajectory rows recorded
-    so far flushed and the failure named in report.txt).
+    Returns the process exit code: 0 on completion, 3 on an integration or
+    linear-solve failure (with the trajectory rows recorded so far flushed
+    and the failure named in report.txt).
     """
     csv_path = os.path.join(out_dir, "trajectory.csv")
     report_path = os.path.join(out_dir, "report.txt")
@@ -303,21 +297,12 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
         raise ConfigError(
             f"--param: {param!r} is not sweepable; choose one of "
             f"{', '.join(SWEEPABLE)}")
-    try:
-        pc, _ = domain_poincare(cfg)
-        eigen_error = None
-    except EigenSolveError as err:
-        eigen_error = err
+    pc = poincare_constants(cfg.domain, mode=cfg.eta_mode)
     rows = [None] * len(values)
     members, positions = [], []
     for k, value in enumerate(values):
         try:
             params = cfg.params.replace(**{param: value})
-            # an invalid value is reported as such even if the eigensolve failed
-            if eigen_error is not None:
-                rows[k] = {"value": value, "status": FAILURES[EigenSolveError][1],
-                           "error": str(eigen_error)}
-                continue
             consts = derive_constants(params, cfg.domain.omega_measure, pc.eta1, pc.eta2)
         except ValueError as err:
             rows[k] = {"value": value, "status": f"invalid({err})"}

@@ -2,11 +2,10 @@
 
 import pathlib
 
+import numpy as np
 import pytest
 
-from hrnet import runner
 from hrnet.cli import main
-from hrnet.errors import EigenSolveError
 
 FAST = """\
 [parameters]
@@ -88,6 +87,90 @@ def test_constants_singular_parameter_exit_2(tmp_path, capsys):
 def test_missing_config_file_exit_2(tmp_path, capsys):
     assert main(["constants", "--config", str(tmp_path / "nope.ini")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# non-finite settings once slipped past the range checks: tolerance or
+# floor = nan switched the report's checks off, linear_tol = nan failed every
+# run with exit 3, and non-finite initial data crashed with exit 1
+NON_FINITE = {
+    "tolerance": ("[output]", "[metrics]\ntolerance = nan\n\n[output]"),
+    "floor": ("[output]", "[metrics]\nfloor = nan\n\n[output]"),
+    "entry_slack": ("[output]", "[metrics]\nentry_slack = inf\n\n[output]"),
+    "linear_tol": ("record_every = 5", "record_every = 5\nlinear_tol = nan"),
+    "noise": ("noise = 0.1", "noise = nan"),
+    "offset": ("offset = 1.0", "offset = -inf"),
+    "amplitude": ("noise = 0.1", "noise = 0.1\namplitude = inf"),
+    "width": ("noise = 0.1", "noise = 0.1\nwidth = nan"),
+    "u_values": ("noise = 0.1", "noise = 0.1\nu_values = 0.5, nan"),
+    "center": ("noise = 0.1", "noise = 0.1\ncenter = inf"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("key", sorted(NON_FINITE))
+def test_non_finite_setting_exit_2(tmp_path, capsys, key, command):
+    path, out = write_config(tmp_path, replace_line(FAST, *NON_FINITE[key]))
+    argv = [command, "--config", str(path)]
+    if command == "sweep":
+        argv += ["--param", "p", "--values", "1.0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+def test_per_neuron_values_of_wrong_length_exit_2(tmp_path, capsys):
+    text = replace_line(FAST, "kind = uniform-random",
+                        "kind = constant-per-neuron\nu_values = 0.5")
+    path, _ = write_config(tmp_path, text)
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "u_values: expected 2 values, got 1" in capsys.readouterr().err
+
+
+def test_initial_data_overflow_exit_2(tmp_path, capsys):
+    # every setting is finite, but neuron 3 starts at 2 * offset = inf
+    text = replace_line(FAST, "n_neurons = 2", "n_neurons = 3")
+    path, _ = write_config(tmp_path, replace_line(text, "offset = 1.0", "offset = 1e308"))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def write_initial_file(tmp_path, name, **arrays):
+    target = tmp_path / name
+    if arrays:
+        np.savez(target, **arrays)
+    text = replace_line(FAST, "kind = uniform-random", f"kind = file\npath = {target}")
+    return write_config(tmp_path, text)
+
+
+@pytest.mark.parametrize("case", ["missing", "not-an-archive", "no-w", "shape", "nan"])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_bad_initial_file_exit_2(tmp_path, capsys, case, command):
+    good = np.zeros((2, 16))
+    arrays = {"missing": {}, "not-an-archive": {}, "no-w": {"u": good, "v": good},
+              "shape": {"u": good, "v": good, "w": good[:, :8]},
+              "nan": {"u": good, "v": good, "w": np.where(good == 0, np.nan, good)}}
+    path, _ = write_initial_file(tmp_path, "state.npz", **arrays[case])
+    if case == "not-an-archive":
+        (tmp_path / "state.npz").write_text("not numpy data")
+    argv = [command, "--config", str(path)]
+    if command == "sweep":
+        argv += ["--param", "p", "--values", "1.0,2.0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: initial-condition file" in err
+    expected = {"missing": "No such file", "not-an-archive": "cannot read",
+                "no-w": "cannot read", "shape": "has shape (2, 8), expected (2, 16)",
+                "nan": "non-finite"}[case]
+    assert expected in err
+
+
+def test_initial_file_round_trip_runs(tmp_path):
+    rng = np.random.default_rng(1)
+    path, out = write_initial_file(tmp_path, "state.npz",
+                                   **{k: 0.1 * rng.normal(size=(2, 16)) for k in "uvw"})
+    assert main(["simulate", "--config", str(path)]) == 0
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_simulate_writes_trajectory_and_report(tmp_path):
@@ -230,45 +313,6 @@ def test_sweep_linear_solve_failure_marks_rows_and_continues(tmp_path):
         assert cells[1:3] == ["nan", "nan"]
         assert cells[3] != "nan"  # mu is known before stepping
         assert cells[-1] == "failed(linear-solve)"
-
-
-@pytest.fixture
-def stalled_eigensolve(monkeypatch):
-    real = runner.poincare_constants
-
-    def stalled(domain, mode="discrete"):
-        if mode == "discrete":
-            raise EigenSolveError(iterations=10000, residual=1e-3, tol=1e-10)
-        return real(domain, mode=mode)
-
-    monkeypatch.setattr(runner, "poincare_constants", stalled)
-
-
-def test_simulate_eigensolve_failure_exit_3_with_artifacts(tmp_path, capsys,
-                                                           stalled_eigensolve):
-    path, out = write_config(tmp_path)
-    assert main(["simulate", "--config", str(path)]) == 3
-    assert "partial trajectory flushed" in capsys.readouterr().err
-    assert (out / "trajectory.csv").read_text().splitlines() == [TRAJ_HEADER]
-    report = (out / "report.txt").read_text()
-    assert report.startswith("eigen solve failed: eigenvalue iteration stalled")
-
-
-def test_constants_eigensolve_failure_exit_3(tmp_path, capsys, stalled_eigensolve):
-    path, out = write_config(tmp_path)
-    assert main(["constants", "--config", str(path)]) == 3
-    assert "eigen solve failed: eigenvalue iteration" in capsys.readouterr().err
-    assert not (out / "constants.csv").exists()
-
-
-def test_sweep_eigensolve_failure_marks_rows(tmp_path, stalled_eigensolve):
-    path, out = write_config(tmp_path)
-    assert main(["sweep", "--config", str(path), "--param", "p",
-                 "--values", "1.0,2.0"]) == 0
-    lines = (out / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 3
-    for line in lines[1:]:
-        assert line.split(",")[1:] == ["nan", "nan", "nan", "0", "0", "failed(eigen)"]
 
 
 def test_sweep_duplicate_values_identical_rows(tmp_path):

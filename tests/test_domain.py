@@ -3,12 +3,11 @@
 The diffusion operator is verified two ways against each other (direct
 stencil evaluation versus assembled sparse matrix) and against manufactured
 solutions with closed-form Laplacians.  The discrete eigenvalue has an exact
-closed form on a uniform zero-flux grid, (4/h^2) sin^2(pi/(2n)), which the
-iterative solver must reproduce to near machine precision.
+closed form on a uniform zero-flux grid, (4/h^2) sin^2(pi/(2n)), which
+``poincare_constants`` must reproduce to near machine precision.
 """
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from hrnet.domain import (
     poincare_constants,
     trivial_matching,
 )
-from hrnet.errors import EigenSolveError, MatchingError
+from hrnet.errors import MatchingError
 
 
 def lambda1_exact(n_cells: int, h: float) -> float:
@@ -421,26 +420,6 @@ def test_poincare_rejects_unknown_mode():
     d = build_domain(1, [1.0], [16])
     with pytest.raises(ValueError):
         poincare_constants(d, mode="exact")
-
-
-def test_poincare_nonconvergence_reports_residual():
-    d = build_domain(1, [1.0], [32])
-    with pytest.raises(EigenSolveError) as exc:
-        poincare_constants(d, rtol=1e-30, max_iterations=3)
-    err = exc.value
-    assert err.iterations == 3
-    assert err.tol == 1e-30
-    assert math.isfinite(err.residual) and err.residual > 1e-30
-
-
-def test_eigen_solve_error_survives_pickling():
-    # a process-pool worker that raises it sends it back pickled
-    err = EigenSolveError(10, 1e-3, 1e-10)
-    err.note = "attached later"
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is EigenSolveError and str(back) == str(err)
-    assert (back.iterations, back.residual, back.tol, back.note) == (
-        10, 1e-3, 1e-10, "attached later")
 
 
 def test_neumann_laplacian_annihilates_constants():

@@ -28,7 +28,7 @@ from hrnet.dynamics import (
     simulate,
     step,
 )
-from hrnet.errors import IntegrationError, LinearSolveError
+from hrnet.errors import ConfigError, IntegrationError, LinearSolveError
 
 
 def default_setup(n_cells=32, n_neurons=2, pairs="1-2", **overrides):
@@ -325,7 +325,7 @@ def test_file_initial_condition_round_trip(tmp_path):
     assert np.array_equal(state.w, w)
     bad = tmp_path / "bad.npz"
     np.savez(bad, u=u[:1], v=v, w=w)
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ConfigError, match="shape"):
         initial_state(InitialCondition(kind="file", path=str(bad)), domain, 2)
 
 
@@ -336,6 +336,15 @@ def test_initial_condition_validation():
         InitialCondition(kind="smooth-bump", width=0.0)
     with pytest.raises(ValueError):
         InitialCondition(kind="file")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("offset", math.nan), ("noise", math.inf), ("width", -math.inf),
+    ("amplitude", math.nan), ("u_values", (0.0, math.nan)), ("center", (math.inf,)),
+])
+def test_initial_condition_rejects_non_finite_settings(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        InitialCondition(**{name: value})
 
 
 # ---------------------------------------------------------------------------
