@@ -304,45 +304,47 @@ def apply_diffusion(
 ) -> np.ndarray:
     """Finite-volume diffusion with boundary-coupling fluxes.
 
-    ``u_all`` has shape (N, n_cells).  Interior face flux is
+    ``u_all`` has shape (N, n_cells), or (B, N, n_cells) for a batch whose
+    member b has its own ``d[b]`` and ``p[b]``, given as (B, 1, 1) columns
+    (or scalars shared by every member).  Interior face flux is
     d (u_next - u_cell) / h * area; a boundary face matched to neuron j
     contributes d p (u_j - u_i) * area; each cell's net flux is divided by
-    the cell volume.  Fixed-point faces contribute exactly zero.
+    the cell volume, and a cell's faces are added in face order.  Fixed-point
+    faces contribute exactly zero.  The arithmetic is elementwise, so every
+    batch member gets the bits of its own (N, n_cells) call.
     """
     u_all = np.asarray(u_all, dtype=np.float64)
-    if u_all.ndim != 2 or u_all.shape[1] != domain.n_cells:
+    if u_all.ndim not in (2, 3) or u_all.shape[-1] != domain.n_cells:
         raise ValueError(
-            f"u_all must have shape (N, {domain.n_cells}), got {u_all.shape}"
+            f"u_all must have shape ([B,] N, {domain.n_cells}), got {u_all.shape}"
         )
-    n = u_all.shape[0]
     out = np.zeros_like(u_all)
     vol = domain.cell_volume
 
-    g = u_all.reshape((n,) + domain.cells)
-    og = out.reshape((n,) + domain.cells)
+    g = u_all.reshape(u_all.shape[:-1] + domain.cells)
+    og = out.reshape(g.shape)
     if domain.dim == 1:
         (hx,) = domain.h
-        flux = (d / (hx * vol)) * (g[:, 1:] - g[:, :-1])  # already times area (=1)
-        og[:, :-1] += flux
-        og[:, 1:] -= flux
+        flux = (d / (hx * vol)) * (g[..., 1:] - g[..., :-1])  # already times area (=1)
+        og[..., :-1] += flux
+        og[..., 1:] -= flux
     else:
         hx, hy = domain.h
-        fx = (d * hy / (hx * vol)) * (g[:, 1:, :] - g[:, :-1, :])
-        og[:, :-1, :] += fx
-        og[:, 1:, :] -= fx
-        fy = (d * hx / (hy * vol)) * (g[:, :, 1:] - g[:, :, :-1])
-        og[:, :, :-1] += fy
-        og[:, :, 1:] -= fy
+        dg = np.reshape(d, np.shape(d) + (1,))  # per-member columns span both axes
+        fx = (dg * hy / (hx * vol)) * (g[..., 1:, :] - g[..., :-1, :])
+        og[..., :-1, :] += fx
+        og[..., 1:, :] -= fx
+        fy = (dg * hx / (hy * vol)) * (g[..., :, 1:] - g[..., :, :-1])
+        og[..., :, :-1] += fy
+        og[..., :, 1:] -= fy
 
-    if p != 0.0 and matching is not None:
+    if matching is not None and np.any(p != 0.0):
         fc = domain.face_cell
         coef = (d * p / vol) * domain.face_area
-        uf = u_all[:, fc]  # (N, F)
-        rows = np.arange(fc.shape[0])
-        for i in range(n):
-            j = matching.partner[:, i]
-            contrib = coef * (uf[j, rows] - uf[i])
-            np.add.at(out[i], fc, contrib)
+        uf = u_all[..., fc]  # ([B,] N, F)
+        partner = uf[..., matching.partner.T, np.arange(fc.shape[0])]
+        # ufunc.at applies repeated cells one after another, in face order
+        np.add.at(out, (..., fc), coef * (partner - uf))
     return out
 
 

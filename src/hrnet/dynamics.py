@@ -7,7 +7,9 @@ classical explicit 4-stage Runge-Kutta method on the full right-hand side,
 and an implicit-explicit Euler step that treats the stiff diffusion and
 coupling operator with a backward Euler solve (prepared once per run: a
 sparse LU factorization in 1D, a DCT and capacitance-matrix solver in 2D)
-and the reaction terms explicitly.
+and the reaction terms explicitly.  :class:`Integrator` steps batches of
+(B, N, cells) arrays, one member per ensemble run; :func:`step` is the one
+wrapper for a single (N, cells) state.
 
 Everything here is deterministic: fixed evaluation order, seeded generators,
 and no dependence on thread count.
@@ -235,26 +237,18 @@ def reaction_rhs(state: NetworkState, params: HRParameters):
     return du, dv, dw
 
 
-def full_rhs(state: NetworkState, params: HRParameters, domain: Domain, matching):
-    """Reaction terms plus diffusion/coupling on the u components only."""
-    du, dv, dw = reaction_rhs(state, params)
-    du = du + apply_diffusion(state.u, domain, matching, params.d, params.p)
-    return du, dv, dw
-
-
 REACTION_FIELDS = ("a", "b", "alpha", "beta", "q", "r", "c", "J")
 
 
-def _reaction_constants(members):
-    """One member's parameters, or per-member (B, 1, 1) columns where they differ."""
-    first = members[0]
-    if all(getattr(m, name) == getattr(first, name)
-           for m in members for name in REACTION_FIELDS):
-        return first
-    return SimpleNamespace(**{
-        name: np.array([getattr(m, name) for m in members])[:, None, None]
-        for name in REACTION_FIELDS
-    })
+def _member_constants(members, names):
+    """The members' parameters ``names``, each a scalar where every member has
+    the same value, else a (B, 1, 1) column with one entry per member."""
+    values = {}
+    for name in names:
+        column = [getattr(m, name) for m in members]
+        same = all(value == column[0] for value in column)
+        values[name] = column[0] if same else np.array(column)[:, None, None]
+    return SimpleNamespace(**values)
 
 
 def _nonfinite_members(peak, v, w) -> list:
@@ -270,44 +264,31 @@ def _nonfinite_members(peak, v, w) -> list:
     return [int(i) for i in np.flatnonzero(~ok)]
 
 
-class MemberFailures(Exception):
-    """Raised by a batched :meth:`Integrator.step` when members failed.
-
-    ``errors`` maps batch position to the member's error; ``state`` is the
-    step's result, valid for every other member.
-    """
-
-    def __init__(self, errors: dict, state: NetworkState):
-        super().__init__(f"{len(errors)} member(s) failed")
-        self.errors = errors
-        self.state = state
-
-
 class Integrator:
-    """Prepared stepper: operators are assembled and their solvers built once.
+    """Prepared batch stepper: operators are assembled and solvers built once.
 
-    ``params`` is one :class:`HRParameters`, stepping states of shape
-    (N, cells), or a sequence of them, stepping a batch of shape
-    (B, N, cells) whose member b follows ``params[b]``.  Batch members must
-    resolve to the same step size and step count.
+    ``params`` is a sequence of :class:`HRParameters`, one per batch member,
+    or one of them for a batch of one.  :meth:`step` advances (B, N, cells)
+    arrays whose member b follows ``params[b]``; members must resolve to the
+    same step size and step count.  Parameters that differ between members
+    enter the arithmetic as (B, 1, 1) columns, so each member gets the bits
+    of its own serial run.
 
-    The backward Euler system is solved by a SuperLU factorization in 1D and
-    by :class:`~hrnet.domain.CapacitanceSolver` (exact DCT solve plus a
+    RK4 applies the :func:`~hrnet.domain.apply_diffusion` stencil to the
+    whole batch at each stage.  The backward Euler system is solved by a
+    SuperLU factorization in 1D and by
+    :class:`~hrnet.domain.CapacitanceSolver` (exact DCT solve plus a
     capacitance correction for the boundary coupling) in 2D; the residual
     guard checks either against the assembled system.  Members with equal
-    (d, p) share one solver.  In 1D they also share one multi-column solve,
-    which is bitwise equal per column, because a 1D factor's supernodes stay
-    narrow; in 2D each member is solved on its own, as the DCT solver works
-    one right-hand side at a time.  Members with different operators get one
-    solver and one solve each.
+    (d, p) share one solver and one multi-column solve, which is bitwise
+    equal per column: a 1D factor's supernodes stay narrow, and the DCT
+    solver works one column at a time.
     """
 
     def __init__(self, params, domain: Domain, matching, cfg: IntegratorConfig):
-        self._single = isinstance(params, HRParameters)
-        members = (params,) if self._single else tuple(params)
+        members = (params,) if isinstance(params, HRParameters) else tuple(params)
         if not members:
             raise ValueError("an integrator needs at least one member")
-        self.params = params
         self.domain = domain
         self.matching = matching
         self.cfg = cfg
@@ -341,10 +322,8 @@ class Integrator:
         """
         positions = list(positions)
         self.members = tuple(self.members[i] for i in positions)
-        if not self._single:
-            self.params = self.members
-        self._reaction = _reaction_constants(self.members)
-        self._lu = None
+        self._reaction = _member_constants(self.members, REACTION_FIELDS)
+        self._coupling = _member_constants(self.members, ("d", "p"))
         self._system = None
         self._solves = []
         if not self._operators:
@@ -352,38 +331,27 @@ class Integrator:
         self._operators = tuple(self._operators[i] for i in positions)
         systems = [system for system, _ in self._operators]
         self._system = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csc")
-        groups = []  # (solver, positions solved together)
-        for b, (_, lu) in enumerate(self._operators):
-            shared = [rows for factor, rows in groups if factor is lu]
-            if shared and self.domain.dim == 1:
-                shared[0].append(b)
-            else:
-                groups.append((lu, [b]))
+        groups = {}  # solver -> positions solved together
+        for b, (_, solver) in enumerate(self._operators):
+            groups.setdefault(solver, []).append(b)
         # a lone member is indexed by position, so its rows stay 1-D views
-        self._solves = [(lu, rows[0] if len(rows) == 1 else rows) for lu, rows in groups]
-        # the solver, when every member shares it
-        if len({id(lu) for _, lu in self._operators}) == 1:
-            self._lu = self._operators[0][1]
+        self._solves = [(solver, rows[0] if len(rows) == 1 else rows)
+                        for solver, rows in groups.items()]
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """Backward Euler solves of the rows of ``rhs`` (B, N * cells)."""
         if len(self._solves) == 1:
-            lu, _ = self._solves[0]
-            return lu.solve(rhs.T).T
+            solver, _ = self._solves[0]
+            return solver.solve(rhs.T).T
         out = np.empty_like(rhs)
-        for lu, index in self._solves:
-            out[index] = lu.solve(rhs[index].T).T
+        for solver, index in self._solves:
+            out[index] = solver.solve(rhs[index].T).T
         return out
-
-    def _diffusion(self, u: np.ndarray) -> np.ndarray:
-        return np.stack([
-            apply_diffusion(ub, self.domain, self.matching, m.d, m.p)
-            for ub, m in zip(u, self.members)
-        ])
 
     def _rhs(self, t, u, v, w):
         du, dv, dw = reaction_rhs(NetworkState(t, u, v, w), self._reaction)
-        return du + self._diffusion(u), dv, dw
+        c = self._coupling
+        return du + apply_diffusion(u, self.domain, self.matching, c.d, c.p), dv, dw
 
     def _step_rk4(self, state: NetworkState):
         dt = self.dt
@@ -424,33 +392,32 @@ class Integrator:
             )
         return NetworkState(state.t + dt, u2.reshape(state.u.shape), v2, w2), errors
 
-    def step(self, state: NetworkState) -> NetworkState:
-        """Advance the state (or the whole batch) by one step.
+    def step(self, state: NetworkState):
+        """Advance the batch ``state`` of (B, N, cells) arrays by one step.
 
-        A single member's failure raises its :class:`IntegrationError` or
-        :class:`LinearSolveError`; in a batch, failed members raise
-        :class:`MemberFailures`, which carries the other members' result.
-        A run of zero steps (``t_end = 0``) prepares no solver and has
-        nothing to step: it raises :class:`ValueError`.
+        Returns ``(state, errors)``: ``errors`` maps the batch position of
+        each member whose implicit step failed to its
+        :class:`IntegrationError` or :class:`LinearSolveError`; the returned
+        state is valid for every other member.  A run of zero steps
+        (``t_end = 0``) prepares no solver and has nothing to step: it
+        raises :class:`ValueError`.
         """
         if self.n_steps == 0:
             raise ValueError("nothing to step: t_end = 0 gives a run of zero steps")
-        advance = self._step_rk4 if self.cfg.scheme == "explicit-rk4" else self._step_imex
-        if not self._single:
-            new, errors = advance(state)
-            if errors:
-                raise MemberFailures(errors, new)
-            return new
-        new, errors = advance(NetworkState(state.t, state.u[None], state.v[None], state.w[None]))
-        if errors:
-            raise errors[0]
-        return NetworkState(new.t, new.u[0], new.v[0], new.w[0])
+        if self.cfg.scheme == "explicit-rk4":
+            return self._step_rk4(state)
+        return self._step_imex(state)
 
 
 def step(state: NetworkState, params: HRParameters, domain: Domain, matching,
          cfg: IntegratorConfig) -> NetworkState:
-    """Single prepared step; build an Integrator directly for long runs."""
-    return Integrator(params, domain, matching, cfg).step(state)
+    """One step of a single (N, cells) state, raising its error if the step
+    fails; build an :class:`Integrator` directly for long runs."""
+    batch = NetworkState(state.t, state.u[None], state.v[None], state.w[None])
+    new, errors = Integrator(params, domain, matching, cfg).step(batch)
+    if errors:
+        raise errors[0]
+    return _member(new, 0)
 
 
 @dataclass
@@ -503,19 +470,21 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
     observers = [None] * len(params_list) if observers is None else list(observers)
     if not len(ics) == len(params_list) == len(observers):
         raise ValueError("need one initial condition, parameter set and observer per member")
+    # each initial condition object is materialized (a file read) once per
+    # network size, before any solver is built, so bad initial data fail first
+    made = {}
+    for ic, params in zip(ics, params_list):
+        if not isinstance(ic, NetworkState) and (id(ic), params.n_neurons) not in made:
+            made[id(ic), params.n_neurons] = initial_state(ic, domain, params.n_neurons)
+    starts = [ic if isinstance(ic, NetworkState) else made[id(ic), params.n_neurons]
+              for ic, params in zip(ics, params_list)]
     batches = {}
     for b, params in enumerate(params_list):
         batches.setdefault(resolve_dt(cfg, domain, params), []).append(b)
     results = [None] * len(params_list)
     for members in batches.values():
-        _run_batch(members, ics, params_list, domain, matching, cfg, observers, results)
+        _run_batch(members, starts, params_list, domain, matching, cfg, observers, results)
     return results
-
-
-def _start_state(ic, domain: Domain, n_neurons: int) -> NetworkState:
-    if isinstance(ic, NetworkState):
-        return ic
-    return initial_state(ic, domain, n_neurons)
 
 
 def _member(state: NetworkState, i: int) -> NetworkState:
@@ -526,12 +495,11 @@ def _observe(observer, state: NetworkState, i: int):
     return observer(_member(state, i)) if observer is not None else None
 
 
-def _run_batch(members, ics, params_list, domain, matching, cfg, observers, results):
+def _run_batch(members, starts, params_list, domain, matching, cfg, observers, results):
     """The time loop of one batch; writes each member's outcome into ``results``."""
     stepper = Integrator([params_list[b] for b in members], domain, matching, cfg)
-    starts = [_start_state(ics[b], domain, params_list[b].n_neurons) for b in members]
     # C-contiguous (B, N, cells) copies: the inputs are never mutated
-    state = NetworkState(0.0, *(np.stack([getattr(s, name) for s in starts])
+    state = NetworkState(0.0, *(np.stack([getattr(starts[b], name) for b in members])
                                 for name in ("u", "v", "w")))
     live = list(members)
     watch = [observers[b] for b in members]
@@ -542,11 +510,7 @@ def _run_batch(members, ics, params_list, domain, matching, cfg, observers, resu
     # a diverging state shows up as inf/nan and is reported, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stepper.n_steps + 1):
-            try:
-                state = stepper.step(state)
-                errors = {}
-            except MemberFailures as failure:
-                state, errors = failure.state, failure.errors
+            state, errors = stepper.step(state)
             state.t = k * stepper.dt
             peak = np.abs(state.u).reshape(len(live), -1).max(axis=1)
             for i in _nonfinite_members(peak, state.v, state.w):

@@ -2,8 +2,10 @@
 
 The full registry runs once (shared scenario cache) against the stock
 config; each criterion then asserts its own result, so the -v output shows
-one line per criterion.  The step-size guard's failing branch is exercised
-separately with a deliberately unstable configuration.
+one line per criterion, and the report lines together must equal the pinned
+``tests/golden/verify/verify_report.txt`` byte for byte (``python
+tests/test_golden.py`` re-pins it).  The step-size guard's failing branch is
+exercised separately with a deliberately unstable configuration.
 """
 
 import dataclasses
@@ -14,7 +16,9 @@ import pytest
 from hrnet.config import load_config
 from hrnet.verify import CRITERIA, VerifyContext, format_result, run_all, run_criterion
 
-STOCK_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default.ini"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+STOCK_CONFIG = ROOT / "configs" / "default.ini"
+VERIFY_GOLDEN = ROOT / "tests" / "golden" / "verify" / "verify_report.txt"
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +39,12 @@ def test_criterion(results, number, name):
     result = results[number]
     print(format_result(result))
     assert result.passed, format_result(result)
+
+
+def test_verify_report_matches_golden(results):
+    # the lines `hrnet verify` writes, from the results the criteria share
+    text = "".join(format_result(results[number]) + "\n" for number in sorted(results))
+    assert text.encode("utf-8") == VERIFY_GOLDEN.read_bytes()
 
 
 def test_step_size_guard_flags_unstable_config():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_metrics_properties import involution_pairs
 
+import hrnet.dynamics as dynamics
 from hrnet.core import HRParameters
 from hrnet.domain import (
     CapacitanceSolver,
@@ -24,7 +25,14 @@ from hrnet.domain import (
     network_diffusion_matrix,
     parse_matching,
 )
-from hrnet.dynamics import InitialCondition, Integrator, IntegratorConfig, simulate
+from hrnet.dynamics import (
+    InitialCondition,
+    Integrator,
+    IntegratorConfig,
+    NetworkState,
+    initial_state,
+    simulate,
+)
 from hrnet.errors import LinearSolveError
 
 # a fixed example sequence keeps tier-1 reproducible and writes no database
@@ -86,10 +94,18 @@ def ring_2d():
     return HRParameters.default(p=2.0), domain, matching, cfg
 
 
-def test_integrator_solves_2d_without_lu():
+def test_integrator_solves_2d_without_lu(monkeypatch):
     params, domain, matching, cfg = ring_2d()
-    stepper = Integrator(params, domain, matching, cfg)
-    assert isinstance(stepper._lu, CapacitanceSolver)
+    monkeypatch.setattr(dynamics.spla, "splu", lambda *args: pytest.fail("factorized"))
+    built = []
+    monkeypatch.setattr(dynamics, "CapacitanceSolver",
+                        lambda *args: built.append(CapacitanceSolver(*args)) or built[-1])
+    stepper = Integrator([params, params.replace(p=0.5)], domain, matching, cfg)
+    assert len(built) == 2
+    state = initial_state(InitialCondition(kind="uniform-random", seed=2), domain, 2)
+    batch = NetworkState(0.0, *(np.stack([x, x]) for x in (state.u, state.v, state.w)))
+    new, errors = stepper.step(batch)
+    assert errors == {} and np.isfinite(new.u).all()
 
 
 def test_wrong_2d_solve_fails_the_residual_guard(monkeypatch):

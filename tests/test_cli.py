@@ -173,6 +173,18 @@ def test_initial_file_round_trip_runs(tmp_path):
     assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 3
 
 
+def test_sweep_reads_initial_file_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(1)
+    path, out = write_initial_file(tmp_path, "state.npz",
+                                   **{k: 0.1 * rng.normal(size=(2, 16)) for k in "uvw"})
+    load, calls = np.load, []
+    monkeypatch.setattr(np, "load", lambda *args, **kw: calls.append(args) or load(*args, **kw))
+    argv = ["sweep", "--config", str(path), "--param", "p", "--values", "0,0.5,2,8,32"]
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert (out / "sweep.csv").read_text().count(",ok\n") == 5
+
+
 def test_simulate_writes_trajectory_and_report(tmp_path):
     path, out = write_config(tmp_path)
     assert main(["simulate", "--config", str(path)]) == 0

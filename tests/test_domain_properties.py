@@ -1,4 +1,11 @@
-"""Property tests: the closed-form Poincare constant and mass conservation.
+"""Property tests: segment matchings, the closed-form Poincare constant and
+mass conservation.
+
+``parse_matching`` turns random non-overlapping segments into a partner table
+that must be an involution and must pair exactly the listed neurons on
+exactly the faces each segment covers (found here from the face layout, not
+from face positions); a segment that overlaps an earlier one must be
+rejected.
 
 ``poincare_constants(domain, "discrete")`` is the closed form
 min over the axes of (2 sin(pi/2n) / h)^2.  Here it is checked against a
@@ -15,10 +22,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_metrics_properties import networks
+from test_metrics_properties import involution_pairs, networks, segmented_networks
 
 from hrnet.core import HRParameters
-from hrnet.domain import build_domain, integrate_domain, neumann_laplacian, poincare_constants
+from hrnet.domain import (
+    build_domain,
+    integrate_domain,
+    neumann_laplacian,
+    parse_matching,
+    parse_pairs,
+    poincare_constants,
+)
+from hrnet.errors import MatchingError
 from hrnet.dynamics import SCHEMES, IntegratorConfig, NetworkState, simulate
 
 # a fixed example sequence keeps tier-1 reproducible and writes no database
@@ -26,6 +41,53 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
 
 EXTENTS = [0.5, 1.0, 1.7, 2.3]
+
+
+SIDES = ("left", "right", "bottom", "top")
+
+
+def covered_faces(segment, domain):
+    """Faces a generated segment covers.  Faces are laid out edge by edge
+    (left, right, bottom, top), each edge in order along it; a 2D span runs
+    from one cell boundary to another."""
+    k = SIDES.index(segment["side"])
+    if domain.dim == 1:
+        return [k]
+    nx, ny = domain.cells
+    h = domain.h[1] if k < 2 else domain.h[0]
+    start = (0, ny, 2 * ny, 2 * ny + nx)[k]
+    lo, hi = (round(x / h) for x in segment["span"])
+    return list(range(start + lo, start + hi))
+
+
+@PROPERTY
+@given(segmented_networks(), st.data())
+def test_segment_matchings_are_involutions(network, data):
+    domain, segments, n = network
+    partner = parse_matching(segments, domain, n).partner
+    faces = np.arange(domain.n_faces)[:, None]
+    assert np.array_equal(partner[faces, partner], np.broadcast_to(np.arange(n), partner.shape))
+    want = np.tile(np.arange(n), (domain.n_faces, 1))
+    for segment in segments:
+        covered = covered_faces(segment, domain)
+        for i, j in parse_pairs(segment["pairs"]):
+            want[covered, i - 1] = j - 1
+            want[covered, j - 1] = i - 1
+    assert np.array_equal(partner, want)
+    if not segments:
+        return
+    # a segment over (part of) an earlier one's faces, inserted after it
+    k = data.draw(st.integers(0, len(segments) - 1))
+    overlap = dict(segments[k], pairs=data.draw(involution_pairs(n)))
+    if domain.dim == 2:
+        face = data.draw(st.sampled_from(covered_faces(segments[k], domain)))
+        center = domain.face_pos[face]
+        h = domain.face_area[face]
+        below, above = (data.draw(st.floats(0.01, 2.0)) * h for _ in range(2))
+        overlap["span"] = (center - below, center + above)
+    at = data.draw(st.integers(k + 1, len(segments)))
+    with pytest.raises(MatchingError, match=f"segment {at + 1}: overlaps"):
+        parse_matching(segments[:at] + [overlap] + segments[at:], domain, n)
 
 
 @st.composite

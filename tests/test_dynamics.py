@@ -13,19 +13,25 @@ import pickle
 import numpy as np
 import pytest
 
+import hrnet.dynamics as dynamics
 from hrnet.core import HRParameters
-from hrnet.domain import build_domain, full_boundary_matching, integrate_domain
+from hrnet.domain import (
+    apply_diffusion,
+    build_domain,
+    full_boundary_matching,
+    integrate_domain,
+)
 from hrnet.dynamics import (
     InitialCondition,
     IntegratorConfig,
     Integrator,
     NetworkState,
     cfl_bound,
-    full_rhs,
     initial_state,
     reaction_rhs,
     resolve_dt,
     simulate,
+    simulate_ensemble,
     step,
 )
 from hrnet.errors import ConfigError, IntegrationError, LinearSolveError
@@ -98,11 +104,14 @@ def test_reaction_substitution():
     assert np.all(du == 1.0)
 
 
+# the full right-hand side is the reaction plus diffusion and coupling on u
+
 def test_full_rhs_vanishes_at_equilibrium():
     params, domain, matching = default_setup()
     u, v, w = equilibrium_root(params)
     state = constant_state(domain, 2, u=u, v=v, w=w)
-    du, dv, dw = full_rhs(state, params, domain, matching)
+    du, dv, dw = reaction_rhs(state, params)
+    du = du + apply_diffusion(state.u, domain, matching, params.d, params.p)
     for arr in (du, dv, dw):
         assert np.abs(arr).max() <= 1e-9
 
@@ -110,10 +119,9 @@ def test_full_rhs_vanishes_at_equilibrium():
 def test_full_rhs_equals_reaction_when_uncoupled_constant():
     params, domain, matching = default_setup(p=0.0)
     state = constant_state(domain, 2, u=0.7, v=-0.2, w=0.4)
-    full = full_rhs(state, params, domain, matching)
-    plain = reaction_rhs(state, params)
-    for f, r in zip(full, plain):
-        assert np.array_equal(f, r)
+    du, _, _ = reaction_rhs(state, params)
+    full = du + apply_diffusion(state.u, domain, matching, params.d, params.p)
+    assert np.array_equal(full, du)
 
 
 def test_full_rhs_added_term_linear_in_u():
@@ -121,12 +129,9 @@ def test_full_rhs_added_term_linear_in_u():
     rng = np.random.default_rng(88)
     u1 = rng.normal(size=(2, domain.n_cells))
     u2 = rng.normal(size=(2, domain.n_cells))
-    v = rng.normal(size=(2, domain.n_cells))
-    w = rng.normal(size=(2, domain.n_cells))
 
     def added(u):
-        state = NetworkState(0.0, u, v, w)
-        return full_rhs(state, params, domain, matching)[0] - reaction_rhs(state, params)[0]
+        return apply_diffusion(u, domain, matching, params.d, params.p)
 
     lhs = added(2.0 * u1 - 3.0 * u2)
     rhs = 2.0 * added(u1) - 3.0 * added(u2)
@@ -427,18 +432,23 @@ def test_integration_error_survives_pickling():
         1.5, 42.0, [1, 2], "sample 3", "partial")
 
 
+def unexpected_call(*args, **kwargs):
+    raise AssertionError("called unexpectedly")
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-def test_zero_horizon_has_nothing_to_step(dim):
+def test_zero_horizon_has_nothing_to_step(dim, monkeypatch):
     domain = build_domain(dim, [1.0] * dim, [8] * dim)
     matching = full_boundary_matching(domain, 2, "1-2")
     params = HRParameters.default()
     cfg = IntegratorConfig(t_end=0.0, scheme="imex-euler", dt=1e-3)
-    stepper = Integrator(params, domain, matching, cfg)
     # simulate never steps such a run, and nothing is assembled or factorized
-    assert stepper._lu is None and stepper._system is None
+    monkeypatch.setattr(dynamics, "network_diffusion_matrix", unexpected_call)
+    stepper = Integrator(params, domain, matching, cfg)
     state = constant_state(domain, 2, u=0.5)
+    batch = NetworkState(0.0, state.u[None], state.v[None], state.w[None])
     with pytest.raises(ValueError, match="nothing to step"):
-        stepper.step(state)
+        stepper.step(batch)
     with pytest.raises(ValueError, match="nothing to step"):
         step(state, params, domain, matching, cfg)
 
@@ -454,11 +464,33 @@ def test_simulate_accepts_prebuilt_state():
     assert state.t == 0.0
 
 
-def test_integrator_reuses_factorization():
+def test_integrator_reuses_factorization(monkeypatch):
     params, domain, matching = default_setup()
     cfg = IntegratorConfig(t_end=1.0, scheme="imex-euler", dt=1e-3)
-    stepper = Integrator(params, domain, matching, cfg)
-    assert stepper._lu is not None
-    state = constant_state(domain, 2, u=0.5)
-    out = stepper.step(stepper.step(state))
+    splu = dynamics.spla.splu
+    factored = []
+    monkeypatch.setattr(dynamics.spla, "splu", lambda a: factored.append(a) or splu(a))
+    # two members with one operator share one factorization
+    stepper = Integrator([params, params], domain, matching, cfg)
+    assert len(factored) == 1
+    u = np.stack([np.full((2, domain.n_cells), 0.5), np.full((2, domain.n_cells), -0.5)])
+    state = NetworkState(0.0, u, np.zeros_like(u), np.zeros_like(u))
+    out, errors = stepper.step(state)
+    out, more = stepper.step(out)
+    assert errors == more == {}
     assert out.t == pytest.approx(2e-3)
+    assert len(factored) == 1
+    # each member of the batch gets the single-member step's bits
+    for b in range(2):
+        one = step(step(constant_state(domain, 2, u=u[b, 0, 0]), params, domain, matching, cfg),
+                   params, domain, matching, cfg)
+        assert np.array_equal(out.u[b], one.u) and np.array_equal(out.w[b], one.w)
+
+
+def test_initial_file_is_read_before_the_solver_is_built(tmp_path, monkeypatch):
+    params, domain, matching = default_setup()
+    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=1e-2)
+    monkeypatch.setattr(dynamics, "network_diffusion_matrix", unexpected_call)
+    ic = InitialCondition(kind="file", path=str(tmp_path / "missing.npz"))
+    with pytest.raises(ConfigError, match="initial-condition file"):
+        simulate_ensemble([ic, ic], [params, params.replace(p=2.0)], domain, matching, cfg)

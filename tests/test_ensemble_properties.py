@@ -1,8 +1,8 @@
 """Property tests: a batched ensemble run equals each member's serial run.
 
 ``simulate_ensemble`` advances all members of a batch through one time loop
-(one reaction evaluation on the (B, N, cells) stack, one factorization and,
-in 1D, one multi-column solve per shared operator, one block-diagonal
+(one reaction evaluation on the (B, N, cells) stack, one solver and one
+multi-column solve per shared operator, one block-diagonal
 residual matvec).  Every member must still get exactly the bits of its own
 ``simulate`` call: rows, times, final state, and for a failed member the
 error type, time, message and rows, while its batch-mates are unaffected.
@@ -10,7 +10,10 @@ error type, time, message and rows, while its batch-mates are unaffected.
 The operator tests check the assembled network matrix that the residual
 guard applies: exactly symmetric, equal to the ``apply_diffusion`` stencil
 up to rounding, and stored exactly as the per-face ``lil`` loop it replaced
-(kept here as the oracle) stores it.
+(kept here as the oracle) stores it.  The stencil itself, applied to a
+(B, N, cells) batch with per-member d and p as RK4 applies it, must give
+each member the bits of its own call and of the per-neuron coupling loop it
+replaced.
 """
 
 import numpy as np
@@ -181,19 +184,48 @@ def test_record_trajectories_equal_record_trajectory():
 # the network operator
 # ---------------------------------------------------------------------------
 
+def oracle_apply_diffusion(u, domain, matching, d, p):
+    """The stencil with the per-neuron coupling loop the batched one replaced."""
+    out = apply_diffusion(u, domain, None, d, 0.0)
+    if p != 0.0:
+        fc = domain.face_cell
+        coef = (d * p / domain.cell_volume) * domain.face_area
+        uf = u[:, fc]
+        for i in range(u.shape[0]):
+            partner = uf[matching.partner[:, i], np.arange(fc.shape[0])]
+            np.add.at(out[i], fc, coef * (partner - uf[i]))
+    return out
+
+
+D_VALUES, P_VALUES = [0.3, 1.0, 2.5], [0.0, 0.7, 4.0]
+
+
 @PROPERTY
-@given(networks(), st.sampled_from([0.3, 1.0, 2.5]), st.sampled_from([0.0, 0.7, 4.0]),
-       st.integers(0, 2**32 - 1))
-def test_network_matrix_is_symmetric_and_matches_stencil(network, d, p, seed):
+@given(networks(), st.sampled_from(D_VALUES), st.sampled_from(P_VALUES),
+       st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(D_VALUES), st.sampled_from(P_VALUES)),
+                max_size=3))
+def test_network_matrix_is_symmetric_and_matches_stencil(network, d, p, seed, others):
     domain, matching, n = network
     a = network_diffusion_matrix(domain, matching, d, p, n).tocsr()
     assert (a != a.T).nnz == 0
-    u = np.random.default_rng(seed).normal(size=(n, domain.n_cells))
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(n, domain.n_cells))
     got = (a @ u.ravel()).reshape(u.shape)
     want = apply_diffusion(u, domain, matching, d, p)
     # both sum the same few terms per cell in different orders
     bound = 32 * np.finfo(float).eps * (abs(a) @ np.abs(u).ravel()).reshape(u.shape)
     assert np.all(np.abs(got - want) <= bound)
+    # a batch with per-member d and p, one member uncoupled: each row has
+    # the bits of its member's own call, and of the per-neuron loop
+    members = [(d, p), (d + 1.0, 0.0)] + others
+    ds, ps = (np.array(column)[:, None, None] for column in zip(*members))
+    batch = rng.normal(size=(len(members), n, domain.n_cells))
+    rows = apply_diffusion(batch, domain, matching, ds, ps)
+    for row, ub, (db, pb) in zip(rows, batch, members):
+        one = apply_diffusion(ub, domain, matching, db, pb)
+        assert np.array_equal(row, one)
+        assert np.array_equal(one, oracle_apply_diffusion(ub, domain, matching, db, pb))
 
 
 def oracle_network_matrix(domain, matching, d, p, n_neurons):

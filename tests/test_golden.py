@@ -5,6 +5,10 @@ with the files under ``tests/golden/<case>/``.  The stock cases derive their
 config from ``configs/default.ini`` with a shorter ``t_end``; the others keep
 theirs next to the pinned files as ``run.ini``.
 
+``verify/verify_report.txt`` is the stock config's ``hrnet verify`` report;
+``tests/test_acceptance.py`` compares it with the results it already has, so
+verify runs once per test session.
+
 Re-pin only for an intended change of numbers, and log it in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden.py
@@ -67,3 +71,9 @@ if __name__ == "__main__":
             for name in artifacts:
                 shutil.copyfile(pathlib.Path(tmp) / name, GOLDEN / case / name)
         print(f"pinned {case}: {', '.join(artifacts)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        main(["verify", "--config", str(ROOT / "configs" / "default.ini"), "--out", tmp])
+        (GOLDEN / "verify").mkdir(exist_ok=True)
+        shutil.copyfile(pathlib.Path(tmp) / "verify_report.txt",
+                        GOLDEN / "verify" / "verify_report.txt")
+    print("pinned verify: verify_report.txt")

@@ -89,8 +89,9 @@ def involution_pairs(draw, n):
 
 
 @st.composite
-def networks(draw):
-    """(domain, matching, n) on a random 1D or 2D grid, 4-12 cells per axis."""
+def segmented_networks(draw):
+    """(domain, segments, n) on a random 1D or 2D grid, 4-12 cells per axis:
+    segment descriptors for ``parse_matching`` that do not overlap."""
     n = draw(st.integers(2, 6))
     dim = draw(st.integers(1, 2))
     cells = [draw(st.integers(4, 12)) for _ in range(dim)]
@@ -112,7 +113,13 @@ def networks(draw):
                 if draw(st.booleans()):
                     segments.append({"side": side, "span": (lo * h, hi * h),
                                      "pairs": draw(involution_pairs(n))})
-    return domain, parse_matching(segments, domain, n), n
+    return domain, segments, n
+
+
+def networks():
+    """(domain, matching, n) on a random 1D or 2D grid, 4-12 cells per axis."""
+    return segmented_networks().map(
+        lambda net: (net[0], parse_matching(net[1], net[0], net[2]), net[2]))
 
 
 @st.composite
