@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import MatchingError
@@ -380,11 +379,13 @@ def _axis_eigenvalues(n: int, h: float) -> np.ndarray:
 
 
 def _axis_laplacian(n: int, h: float) -> sp.csr_matrix:
-    # zero-flux second-difference operator, negative semidefinite
-    main = np.full(n, -2.0)
-    main[0] = main[-1] = -1.0
-    off = np.ones(n - 1)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr") / (h * h)
+    # zero-flux second-difference operator, negative semidefinite, built
+    # straight into compressed rows (sp.diags takes several times as long)
+    values = np.full((n, 3), (1.0, -2.0, 1.0))
+    values[0, 1] = values[-1, 1] = -1.0
+    columns = (np.arange(n)[:, None] + np.arange(-1, 2)).ravel()[1:-1]
+    starts = np.clip(np.arange(-1, 3 * n, 3), 0, 3 * n - 2)
+    return sp.csr_matrix((values.ravel()[1:-1] / (h * h), columns, starts), shape=(n, n))
 
 
 def neumann_laplacian(domain: Domain) -> sp.csr_matrix:
@@ -433,125 +434,6 @@ def network_diffusion_matrix(
         data = np.concatenate([data, coupling])
     # positions are distinct, so the conversion only sorts and sums nothing
     return sp.csr_matrix((data, (rows, cols)), shape=(n_total, n_total))
-
-
-class CapacitanceSolver:
-    """Exact solver of the 2D backward Euler system ``I - dt A``, where ``A``
-    is :func:`network_diffusion_matrix` of the same arguments.
-
-    The system splits into the uncoupled part ``S0 = I - dt d L``, one block
-    per neuron, plus a rank-one term ``dt coef_f w w^T`` with
-    ``w = e_(i,c) - e_(j,c)`` per face f and pair i < j matched there (c is
-    the face's cell; terms of one cell and pair are merged).  ``S0`` is
-    diagonalized by the orthonormal 2D DCT-II.  The terms are corrected for
-    with the capacitance matrix ``K = I + U^T S0^-1 U``, ``U = W D^1/2`` (the
-    matrix ``D^-1 + W^T S0^-1 W`` scaled by ``D^1/2`` on both sides), which
-    is symmetric positive definite for p >= 0 and d > 0 and is
-    Cholesky-factored once (Buzbee, Golub & Nielson 1970; Proskurowski &
-    Widlund 1976).
-
-    Coupled cells lie on the first and last row and column of the grid, and
-    on those "edges" the DCT needs no full transform: a field that is zero
-    off the edges has a rank-four spectrum, and the values of a field on the
-    edges are four rows of partial inverse transforms.  A solve is therefore
-    one forward and one inverse 2D DCT plus edge work and one small dense
-    solve, and the Green's block of ``S0`` on the coupled cells costs no full
-    transform at all.
-
-    ``solve`` takes a vector of length N * n_cells laid out like the
-    operator, or a matrix of such columns, as a SuperLU factorization does.
-    """
-
-    # unit vectors per batch when building the Green's block
-    GREEN_CHUNK = 32
-
-    def __init__(self, domain: Domain, matching, d: float, p: float,
-                 n_neurons: int, dt: float):
-        if domain.dim != 2:
-            raise ValueError("the DCT solver is for 2D grids")
-        # imported here, on first 2D use: 1D runs never need its memory
-        import scipy.fft
-
-        self._fft = scipy.fft
-        (nx, ny), (hx, hy) = domain.cells, domain.h
-        kx, ky = _axis_eigenvalues(nx, hx), _axis_eigenvalues(ny, hy)
-        self._eigenvalues = 1.0 + dt * d * (kx[:, None] + ky[None, :])
-        self._shape = (n_neurons, nx, ny)
-        # DCT-II basis vectors evaluated at the first and last cell of an axis
-        self._ends_x = scipy.fft.dct(np.eye(nx)[:, [0, nx - 1]], axis=0, norm="ortho")
-        self._ends_y = scipy.fft.dct(np.eye(ny)[:, [0, ny - 1]], axis=0, norm="ortho")
-        self._terms = None
-        if p == 0.0 or matching is None:
-            return
-        f, i = np.nonzero(matching.partner > np.arange(n_neurons))
-        weight = (dt * d * p / domain.cell_volume) * domain.face_area[f]
-        key = (domain.face_cell[f] * n_neurons + i) * n_neurons + matching.partner[f, i]
-        key, slot = np.unique(key, return_inverse=True)
-        cell, pair = np.divmod(key, n_neurons * n_neurons)
-        i, j = np.divmod(pair, n_neurons)
-        scale = np.sqrt(np.bincount(slot, weights=weight))
-        # edge position of each term's cell: the first and last row, then the
-        # first and last column (corner cells count as row cells)
-        ix, iy = np.divmod(cell, ny)
-        side_x, side_y = (ix == nx - 1).astype(np.intp), (iy == ny - 1).astype(np.intp)
-        at = np.where((ix == 0) | (ix == nx - 1), side_x * ny + iy, 2 * ny + 2 * ix + side_y)
-        # Green's block of S0 on the coupled cells, chunked to bound memory
-        cells, rank = np.unique(at, return_inverse=True)
-        green = np.empty((cells.size, cells.size))
-        for start in range(0, cells.size, self.GREEN_CHUNK):
-            chunk = cells[start:start + self.GREEN_CHUNK]
-            units = np.zeros((chunk.size, 2 * (nx + ny)))
-            units[np.arange(chunk.size), chunk] = 1.0
-            solved = self._edge_values(self._edge_spectrum(units) / self._eigenvalues)
-            green[start:start + chunk.size] = solved[:, cells]
-        incidence = np.zeros((key.size, n_neurons))
-        incidence[np.arange(key.size), i] = 1.0
-        incidence[np.arange(key.size), j] = -1.0
-        capacitance = ((incidence @ incidence.T) * green[np.ix_(rank, rank)]
-                       * np.outer(scale, scale))
-        capacitance[np.diag_indices_from(capacitance)] += 1.0
-        self._cholesky = sla.cholesky(capacitance)  # upper triangular R, K = R^T R
-        self._terms = (i, j, at, scale)
-
-    def _edge_values(self, spectrum: np.ndarray) -> np.ndarray:
-        """Edge values of the fields whose 2D DCT is ``spectrum`` (..., nx, ny)."""
-        rows = self._fft.idct(self._ends_x.T @ spectrum, axis=-1, norm="ortho")
-        cols = self._fft.idct(spectrum @ self._ends_y, axis=-2, norm="ortho")
-        lead = spectrum.shape[:-2]
-        return np.concatenate([rows.reshape(lead + (-1,)), cols.reshape(lead + (-1,))],
-                              axis=-1)
-
-    def _edge_spectrum(self, values: np.ndarray) -> np.ndarray:
-        """2D DCT of the fields that equal ``values`` on the edges, 0 elsewhere."""
-        _, nx, ny = self._shape
-        lead = values.shape[:-1]
-        rows = values[..., :2 * ny].reshape(lead + (2, ny))
-        cols = values[..., 2 * ny:].reshape(lead + (nx, 2))
-        return (self._ends_x @ self._fft.dct(rows, axis=-1, norm="ortho")
-                + self._fft.dct(cols, axis=-2, norm="ortho") @ self._ends_y.T)
-
-    def _solve_vector(self, b: np.ndarray) -> np.ndarray:
-        b = np.ascontiguousarray(b, dtype=np.float64).reshape(self._shape)
-        spectrum = self._fft.dctn(b, axes=(-2, -1), norm="ortho") / self._eigenvalues
-        if self._terms is not None:
-            i, j, at, scale = self._terms
-            edges = self._edge_values(spectrum)
-            # two triangular solves (LAPACK's potrs is ~2x slower at this size)
-            z = sla.solve_triangular(self._cholesky, scale * (edges[i, at] - edges[j, at]),
-                                     trans="T", check_finite=False)
-            z = scale * sla.solve_triangular(self._cholesky, z, check_finite=False)
-            # W z: +z at (i, c), -z at (j, c)
-            coupling = np.zeros_like(edges)
-            np.add.at(coupling, (i, at), z)
-            np.subtract.at(coupling, (j, at), z)
-            spectrum -= self._edge_spectrum(coupling) / self._eigenvalues
-        return self._fft.idctn(spectrum, axes=(-2, -1), norm="ortho").ravel()
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b)
-        if b.ndim == 1:
-            return self._solve_vector(b)
-        return np.stack([self._solve_vector(column) for column in b.T], axis=1)
 
 
 @dataclass(frozen=True)

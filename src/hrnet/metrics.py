@@ -164,10 +164,8 @@ class TrajectoryRecord:
             raise ValueError("empty trajectory record")
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("record times must be strictly increasing")
-        for name in self.SCALAR_FIELDS + ("weighted_energy",):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"non-finite values in column {name}")
-        for name in ("diff_energy_g", "diff_energy_plain"):
+        for name in self.SCALAR_FIELDS + ("weighted_energy", "diff_energy_g",
+                                          "diff_energy_plain"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite values in column {name}")
 
@@ -272,16 +270,12 @@ def record_trajectories(ics, params_list, domain: Domain,
     records = []
     for observer, params, consts, result in zip(observers, params_list,
                                                 consts_list, results):
+        record = (TrajectoryRecord.from_rows(result.rows, observer.pairs,
+                                             params.n_neurons, consts)
+                  if result.rows else None)
         if isinstance(result, Exception):
-            result.partial_record = (
-                TrajectoryRecord.from_rows(result.rows, observer.pairs,
-                                           params.n_neurons, consts)
-                if result.rows else None
-            )
-            records.append(result)
-        else:
-            records.append(TrajectoryRecord.from_rows(
-                result.rows, observer.pairs, params.n_neurons, consts))
+            result.partial_record, record = record, result
+        records.append(record)
     return records
 
 

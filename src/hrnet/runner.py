@@ -97,23 +97,15 @@ def build_setup(cfg: RunConfig) -> Setup:
 def constants_block(cfg: RunConfig, setup: Setup) -> str:
     c = setup.consts
     lines = ["# model parameters"]
-    for f in fields(HRParameters):
-        lines.append(f"{f.name} = {getattr(cfg.params, f.name)!r}")
+    lines += [f"{f.name} = {getattr(cfg.params, f.name)!r}" for f in fields(HRParameters)]
     lines.append("# derived constants")
-    lines.append(f"c1 = {fmt_float(c.c1)}")
-    lines.append(f"c2 = {fmt_float(c.c2)}")
-    lines.append(f"r_star = {fmt_float(c.r_star)}")
-    lines.append(f"M = {fmt_float(c.big_m)}")
-    lines.append(f"Q = {fmt_float(c.big_q)}")
-    lines.append(f"G = {fmt_float(c.g)}")
-    lines.append(
-        f"eta1 = {fmt_float(c.eta1)}  (analytic cross-check "
-        f"{fmt_float(setup.eta_analytic)})")
-    lines.append(f"eta2 = {fmt_float(c.eta2)}")
-    lines.append(f"R_literal = {fmt_float(c.big_r)}")
-    lines.append(f"R_perpair = {fmt_float(c.big_r_alt)}")
-    lines.append(f"mu = {fmt_float(c.mu)}")
-    lines.append(f"omega_measure = {fmt_float(c.omega_measure)}")
+    cross = f"  (analytic cross-check {fmt_float(setup.eta_analytic)})"
+    derived = (("c1", c.c1), ("c2", c.c2), ("r_star", c.r_star), ("M", c.big_m),
+               ("Q", c.big_q), ("G", c.g), ("eta1", c.eta1), ("eta2", c.eta2),
+               ("R_literal", c.big_r), ("R_perpair", c.big_r_alt), ("mu", c.mu),
+               ("omega_measure", c.omega_measure))
+    lines += [f"{name} = {fmt_float(value)}{cross if name == 'eta1' else ''}"
+              for name, value in derived]
     return "\n".join(lines) + "\n"
 
 
@@ -320,15 +312,9 @@ def sweep_csv(rows) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         if row["status"] == "ok":
-            cells = [
-                fmt_float(row["value"]),
-                fmt_float(row["tail"]),
-                fmt_float(row["rate"]),
-                fmt_float(row["mu"]),
-                "1" if row["crossed_literal"] else "0",
-                "1" if row["crossed_perpair"] else "0",
-                "ok",
-            ]
+            cells = [fmt_float(row[key]) for key in ("value", "tail", "rate", "mu")]
+            cells += ["1" if row[key] else "0" for key in ("crossed_literal", "crossed_perpair")]
+            cells.append("ok")
         else:
             cells = [fmt_float(row["value"]), "nan", "nan",
                      fmt_float(row.get("mu", float("nan"))), "0", "0",

@@ -1,15 +1,23 @@
-"""The 2D backward Euler solver against SuperLU, and the guard around it.
+"""The backward Euler solver against SuperLU, and the guard around it.
 
-``CapacitanceSolver`` solves ``I - dt A`` with ``A`` the assembled network
-operator, by DCT solves of the uncoupled part and a capacitance-matrix
-correction for the boundary coupling.  On random rectangles (nx != ny,
-unequal extents), random segment matchings with spans and self-matched
-neurons, no coupling and strong coupling, it must give a small relative
-residual and the solution ``splu`` gives, both to 1e-12.
+``CapacitanceSolver`` solves a batch's systems ``I - dt A_b``, ``A_b`` the
+assembled network operator with member b's d and p, by one shared solve of
+the uncoupled part per d and a capacitance-matrix correction per member for
+the boundary coupling.  On random intervals (up to 8 neurons) and random
+rectangles (nx != ny, unequal extents), random segment matchings with spans
+and self-matched neurons, no coupling and strong coupling, and members of
+mixed d, it must give each member a small relative residual and the solution
+``splu`` of the member's assembled system gives, both to 1e-12; and each
+member of a batch must get exactly the bits of its own solve.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -19,17 +27,18 @@ from test_metrics_properties import involution_pairs
 import hrnet.dynamics as dynamics
 from hrnet.core import HRParameters
 from hrnet.domain import (
-    CapacitanceSolver,
     build_domain,
     full_boundary_matching,
     network_diffusion_matrix,
     parse_matching,
 )
 from hrnet.dynamics import (
+    CapacitanceSolver,
     InitialCondition,
     Integrator,
     IntegratorConfig,
     NetworkState,
+    cholesky,
     initial_state,
     simulate,
 )
@@ -38,6 +47,18 @@ from hrnet.errors import LinearSolveError
 # a fixed example sequence keeps tier-1 reproducible and writes no database
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
+
+
+@st.composite
+def intervals(draw):
+    """(domain, matching, n): 4-40 cells, up to 8 neurons, each end paired
+    on its own or left zero-flux."""
+    n = draw(st.integers(2, 8))
+    domain = build_domain(1, [draw(st.sampled_from([0.5, 1.0, 1.7]))],
+                          [draw(st.integers(4, 40))])
+    segments = [{"side": side, "pairs": draw(involution_pairs(n))}
+                for side in ("left", "right") if draw(st.booleans())]
+    return domain, parse_matching(segments, domain, n), n
 
 
 @st.composite
@@ -61,30 +82,93 @@ def rectangles(draw):
     return domain, parse_matching(segments, domain, n), n
 
 
-@PROPERTY
-@given(rectangles(), st.sampled_from([0.3, 1.0, 2.5]),
-       st.sampled_from([0.0, 0.7, 40.0]), st.sampled_from([1e-3, 0.05]),
-       st.integers(0, 2**32 - 1))
-def test_solver_matches_splu(network, d, p, dt, seed):
+# per member: d, and p from no coupling to strong coupling
+MEMBERS = st.lists(st.tuples(st.sampled_from([0.3, 1.0, 2.5]),
+                             st.sampled_from([0.0, 0.7, 40.0])), min_size=1, max_size=4)
+
+
+def check_solver(network, members, dt, seed):
     domain, matching, n = network
-    a = network_diffusion_matrix(domain, matching, d, p, n)
-    system = (sp.identity(a.shape[0], format="csc") - dt * a).tocsc()
+    d, p = zip(*members)
     solver = CapacitanceSolver(domain, matching, d, p, n, dt)
-    b = np.random.default_rng(seed).normal(size=a.shape[0])
+    b = np.random.default_rng(seed).normal(size=(len(members), n, domain.n_cells))
     x = solver.solve(b)
-    assert np.linalg.norm(system @ x - b) <= 1e-12 * np.linalg.norm(b)
-    want = spla.splu(system).solve(b)
-    assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
-    # columns of a matrix are solved exactly as vectors are
-    both = solver.solve(np.stack([b, 2.0 * b], axis=1))
-    assert np.array_equal(both[:, 0], x)
-    assert np.array_equal(both[:, 1], solver.solve(2.0 * b))
+    assert x.shape == b.shape
+    for k, (dk, pk) in enumerate(members):
+        a = network_diffusion_matrix(domain, matching, dk, pk, n)
+        system = (sp.identity(a.shape[0], format="csc") - dt * a).tocsc()
+        got, rhs = x[k].ravel(), b[k].ravel()
+        assert np.linalg.norm(system @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        want = spla.splu(system).solve(rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # a member of a batch is solved exactly as on its own
+        alone = CapacitanceSolver(domain, matching, [dk], [pk], n, dt)
+        assert np.array_equal(alone.solve(b[k:k + 1])[0], x[k])
 
 
-def test_solver_is_for_2d_grids():
+@PROPERTY
+@given(intervals(), MEMBERS, st.sampled_from([1e-3, 0.05]), st.integers(0, 2**32 - 1))
+def test_1d_solver_matches_splu(network, members, dt, seed):
+    check_solver(network, members, dt, seed)
+
+
+@PROPERTY
+@given(rectangles(), MEMBERS, st.sampled_from([1e-3, 0.05]), st.integers(0, 2**32 - 1))
+def test_solver_matches_splu(network, members, dt, seed):
+    check_solver(network, members, dt, seed)
+
+
+class CountingLU:
+    """A SuperLU factorization that records the matrix it factors and the
+    shape of every right-hand side it solves."""
+
+    factorize = staticmethod(spla.splu)  # the original, which tests patch over
+
+    def __init__(self, a, **options):
+        self.shape, self.solves = a.shape, []
+        self._lu = self.factorize(a, **options)
+
+    def solve(self, b):
+        self.solves.append(b.shape)
+        return self._lu.solve(b)
+
+
+def test_solver_factors_one_neuron_block_per_d(monkeypatch):
     domain = build_domain(1, [1.0], [16])
-    with pytest.raises(ValueError):
-        CapacitanceSolver(domain, full_boundary_matching(domain, 2, "1-2"), 1.0, 1.0, 2, 1e-3)
+    matching = full_boundary_matching(domain, 3, "1-2")
+    factored = []
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda a, **options: factored.append(CountingLU(a, **options))
+                        or factored[-1])
+    solver = CapacitanceSolver(domain, matching, [1.0, 2.0, 1.0, 2.0], [0.5, 0.5, 3.0, 0.0],
+                               3, 1e-2)
+    assert [lu.shape for lu in factored] == [(16, 16), (16, 16)]
+    solver.solve(np.ones((4, 3, 16)))
+    # one call per d, each with every neuron of its members as a column
+    assert [lu.solves for lu in factored] == [[(16, 6)], [(16, 6)]]
+
+
+def test_cholesky_bits_do_not_depend_on_the_thread_count():
+    code = (
+        "import hashlib, numpy as np\n"
+        "from hrnet.dynamics import cholesky\n"
+        "x = np.random.default_rng(3).normal(size=(300, 300))\n"
+        "a = np.einsum('ik,jk->ij', x, x) / 300 + np.eye(300)\n"
+        "print(hashlib.sha256(cholesky(a).tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
+    x = np.random.default_rng(3).normal(size=(300, 300))
+    a = np.einsum("ik,jk->ij", x, x) / 300 + np.eye(300)
+    r = cholesky(a)
+    assert np.array_equal(r, np.triu(r))
+    assert np.abs(r - sla.cholesky(a)).max() <= 1e-13 * np.abs(r).max()
 
 
 def ring_2d():
@@ -101,7 +185,8 @@ def test_integrator_solves_2d_without_lu(monkeypatch):
     monkeypatch.setattr(dynamics, "CapacitanceSolver",
                         lambda *args: built.append(CapacitanceSolver(*args)) or built[-1])
     stepper = Integrator([params, params.replace(p=0.5)], domain, matching, cfg)
-    assert len(built) == 2
+    # one solver for the whole batch
+    assert len(built) == 1
     state = initial_state(InitialCondition(kind="uniform-random", seed=2), domain, 2)
     batch = NetworkState(0.0, *(np.stack([x, x]) for x in (state.u, state.v, state.w)))
     new, errors = stepper.step(batch)

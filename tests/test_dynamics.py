@@ -469,10 +469,11 @@ def test_integrator_reuses_factorization(monkeypatch):
     cfg = IntegratorConfig(t_end=1.0, scheme="imex-euler", dt=1e-3)
     splu = dynamics.spla.splu
     factored = []
-    monkeypatch.setattr(dynamics.spla, "splu", lambda a: factored.append(a) or splu(a))
-    # two members with one operator share one factorization
-    stepper = Integrator([params, params], domain, matching, cfg)
-    assert len(factored) == 1
+    monkeypatch.setattr(dynamics.spla, "splu",
+                        lambda a, **options: factored.append(a) or splu(a, **options))
+    # members with one d share one factorization, of one neuron's block
+    stepper = Integrator([params, params.replace(p=2.0)], domain, matching, cfg)
+    assert [a.shape for a in factored] == [(domain.n_cells, domain.n_cells)]
     u = np.stack([np.full((2, domain.n_cells), 0.5), np.full((2, domain.n_cells), -0.5)])
     state = NetworkState(0.0, u, np.zeros_like(u), np.zeros_like(u))
     out, errors = stepper.step(state)
@@ -481,9 +482,9 @@ def test_integrator_reuses_factorization(monkeypatch):
     assert out.t == pytest.approx(2e-3)
     assert len(factored) == 1
     # each member of the batch gets the single-member step's bits
-    for b in range(2):
-        one = step(step(constant_state(domain, 2, u=u[b, 0, 0]), params, domain, matching, cfg),
-                   params, domain, matching, cfg)
+    for b, member in enumerate(stepper.members):
+        one = step(step(constant_state(domain, 2, u=u[b, 0, 0]), member, domain, matching, cfg),
+                   member, domain, matching, cfg)
         assert np.array_equal(out.u[b], one.u) and np.array_equal(out.w[b], one.w)
 
 
