@@ -105,8 +105,6 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config, seed=args.seed)
     out_dir = resolve_output_dir(cfg, args.out)
     values = sweep_values(args.values)
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
     return run_sweep(cfg, out_dir, args.param, values, jobs=args.jobs)
 
 
@@ -141,6 +139,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError("--jobs must be >= 1")
         return _COMMANDS[args.command](args)
     except (ConfigError, SingularParameterError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -4,8 +4,10 @@ One INI-style file fully determines a run.  Sections: ``[parameters]``
 (model constants; omitted keys fall back to the documented default profile),
 ``[domain]`` (required), ``[matching]`` (required), ``[initial]``,
 ``[integrator]`` (required; ``t_end`` must be present), ``[metrics]`` and
-``[output]``.  Parsing is strict: unknown sections or keys are errors, and
-every diagnostic names the file, section, and key it refers to.
+``[output]``.  ``[parameters]``, ``[initial]``, ``[integrator]`` and
+``[metrics]`` take exactly the fields of the dataclass they fill, each typed
+by its annotation.  Parsing is strict: unknown sections or keys are errors,
+and every diagnostic names the file, section, and key it refers to.
 """
 
 from __future__ import annotations
@@ -20,22 +22,6 @@ from .core import DEFAULT_PROFILE, HRParameters
 from .domain import BoundaryMatching, Domain, build_domain, full_boundary_matching, parse_matching
 from .dynamics import IC_KINDS, SCHEMES, InitialCondition, IntegratorConfig
 from .errors import ConfigError, MatchingError
-
-_ETA_MODES = ("discrete", "analytic")
-
-_ALLOWED_KEYS = {
-    "parameters": {"a", "b", "alpha", "beta", "q", "r", "c", "J", "d", "p", "n_neurons"},
-    "domain": {"dim", "extents", "cells", "eta_mode"},
-    "matching": None,  # full | segment* (validated separately)
-    "initial": {"kind", "seed", "offset", "noise", "u_values", "v_values",
-                "w_values", "center", "width", "amplitude", "path"},
-    "integrator": {"t_end", "scheme", "dt", "cfl_safety", "record_every", "linear_tol"},
-    "metrics": {"tolerance", "entry_slack", "decay_tolerance", "window_fraction",
-                "tail_fraction", "floor"},
-    "output": {"directory"},
-}
-
-_REQUIRED_SECTIONS = ("domain", "matching", "integrator")
 
 
 @dataclass(frozen=True)
@@ -81,8 +67,34 @@ class RunConfig:
     eta_mode: str
 
 
+_ALLOWED_KEYS = {
+    **{name: {f.name for f in dataclasses.fields(cls)} for name, cls in (
+        ("parameters", HRParameters), ("initial", InitialCondition),
+        ("integrator", IntegratorConfig), ("metrics", MetricsOptions))},
+    "domain": {"dim", "extents", "cells", "eta_mode"},
+    "matching": None,  # full | segment* (validated separately)
+    "output": {"directory"},
+}
+
+_REQUIRED_SECTIONS = ("domain", "matching", "integrator")
+
+# parser of a value and what its error says was expected, by type name;
+# ``object`` is IntegratorConfig.dt, ``auto`` or a number
+_PARSERS = {
+    "str": (str, None),
+    "float": (float, "a number"),
+    "int": (int, "an integer"),
+    "object": (lambda s: s if s == "auto" else float(s), "a number"),
+    "tuple": (lambda s: tuple(float(tok) for tok in s.split(",")), "comma-separated numbers"),
+    "tuple[int]": (lambda s: tuple(int(tok) for tok in s.split(",")),
+                   "comma-separated integers"),
+}
+
+_CHOICES = {"kind": IC_KINDS, "scheme": SCHEMES, "eta_mode": ("discrete", "analytic")}
+
+
 class _Section:
-    """Typed accessors over one section with located error messages."""
+    """Typed reads of one section with located error messages."""
 
     def __init__(self, path, name, mapping):
         self.path = path
@@ -92,10 +104,9 @@ class _Section:
     def _fail(self, key, problem):
         raise ConfigError(f"{self.path}: [{self.name}] {key}: {problem}")
 
-    def raw(self, key, default=None):
-        return self.mapping.get(key, default)
-
-    def text(self, key, default=None, required=False):
+    def read(self, key, kind="str", default=None, required=False):
+        """``key``'s value parsed as the type ``kind`` (its name, or the type),
+        or ``default`` where the key is absent."""
         if key not in self.mapping:
             if required:
                 self._fail(key, "required key is missing")
@@ -103,51 +114,13 @@ class _Section:
         value = self.mapping[key].strip()
         if not value:
             self._fail(key, "value is empty")
-        return value
-
-    def float(self, key, default=None, required=False):
-        value = self.text(key, required=required)
-        if value is None:
-            return default
+        if key in _CHOICES and value not in _CHOICES[key]:
+            self._fail(key, f"must be one of {', '.join(_CHOICES[key])}; got {value!r}")
+        parse, expected = _PARSERS[kind if isinstance(kind, str) else kind.__name__]
         try:
-            return float(value)
+            return parse(value)
         except ValueError:
-            self._fail(key, f"expected a number, got {value!r}")
-
-    def int(self, key, default=None, required=False):
-        value = self.text(key, required=required)
-        if value is None:
-            return default
-        try:
-            return int(value)
-        except ValueError:
-            self._fail(key, f"expected an integer, got {value!r}")
-
-    def float_list(self, key, default=None, required=False):
-        value = self.text(key, required=required)
-        if value is None:
-            return default
-        try:
-            return tuple(float(tok) for tok in value.split(","))
-        except ValueError:
-            self._fail(key, f"expected comma-separated numbers, got {value!r}")
-
-    def int_list(self, key, default=None, required=False):
-        value = self.text(key, required=required)
-        if value is None:
-            return default
-        try:
-            return tuple(int(tok) for tok in value.split(","))
-        except ValueError:
-            self._fail(key, f"expected comma-separated integers, got {value!r}")
-
-    def choice(self, key, allowed, default=None, required=False):
-        value = self.text(key, required=required)
-        if value is None:
-            return default
-        if value not in allowed:
-            self._fail(key, f"must be one of {', '.join(allowed)}; got {value!r}")
-        return value
+            self._fail(key, f"expected {expected}, got {value!r}")
 
 
 def _read_ini(path):
@@ -196,26 +169,33 @@ def _section(path, parser, name):
     return _Section(path, name, mapping)
 
 
-def _build_params(sec) -> HRParameters:
-    values = dict(DEFAULT_PROFILE)
-    for key in sorted(sec.mapping):
-        if key == "n_neurons":
-            values[key] = sec.int(key)
-        else:
-            values[key] = sec.float(key)
+def _build(sec, cls, values=(), lengths={}, check=None):
+    """``cls`` filled from ``sec``, one key per field in field order, typed by
+    the field's annotation.  ``values`` supplies base values; a field with
+    neither a base value nor a default is required.  ``lengths`` gives the
+    number of values a list field must hold, and ``check`` runs on the
+    result; every error, the dataclass's too, names the section."""
+    values = dict(values)
+    for f in dataclasses.fields(cls):
+        default = values.get(f.name, f.default)
+        values[f.name] = sec.read(f.name, f.type, default, default is dataclasses.MISSING)
+        want = lengths.get(f.name)
+        if want is not None and f.name in sec.mapping and len(values[f.name]) != want:
+            sec._fail(f.name, f"expected {want} values, got {len(values[f.name])}")
     try:
-        params = HRParameters(**values)
-        params.validate_strict()
+        built = cls(**values)
+        if check is not None:
+            check(built)
     except ValueError as err:
-        raise ConfigError(f"{sec.path}: [parameters]: {err}") from err
-    return params
+        raise ConfigError(f"{sec.path}: [{sec.name}]: {err}") from err
+    return built
 
 
 def _build_domain(sec):
-    dim = sec.int("dim", required=True)
-    extents = sec.float_list("extents", required=True)
-    cells = sec.int_list("cells", required=True)
-    eta_mode = sec.choice("eta_mode", _ETA_MODES, default="discrete")
+    dim = sec.read("dim", "int", required=True)
+    extents = sec.read("extents", "tuple", required=True)
+    cells = sec.read("cells", "tuple[int]", required=True)
+    eta_mode = sec.read("eta_mode", default="discrete")
     try:
         return build_domain(dim, extents, cells), eta_mode
     except ValueError as err:
@@ -258,9 +238,9 @@ def _build_matching(sec, domain, n_neurons) -> BoundaryMatching:
             f"{sec.path}: [matching]: 'full' cannot be combined with segment keys")
     try:
         if "full" in keys:
-            return full_boundary_matching(domain, n_neurons, sec.text("full"))
+            return full_boundary_matching(domain, n_neurons, sec.read("full"))
         segments = [
-            _parse_segment_value(sec, key, sec.text(key)) for key in keys
+            _parse_segment_value(sec, key, sec.read(key)) for key in keys
         ]
         return parse_matching(segments, domain, n_neurons)
     except MatchingError as err:
@@ -271,71 +251,23 @@ def _build_matching(sec, domain, n_neurons) -> BoundaryMatching:
         raise ConfigError(f"{sec.path}: [matching]: {err}") from err
 
 
-def _build_initial(sec, n_neurons, dim) -> InitialCondition:
-    kwargs = {}
-    if "kind" in sec.mapping:
-        kwargs["kind"] = sec.choice("kind", IC_KINDS)
-    for key in ("offset", "noise", "width", "amplitude"):
-        if key in sec.mapping:
-            kwargs[key] = sec.float(key)
-    if "seed" in sec.mapping:
-        kwargs["seed"] = sec.int("seed")
-    lengths = {"u_values": n_neurons, "v_values": n_neurons, "w_values": n_neurons,
-               "center": dim}
-    for key, length in lengths.items():
-        if key in sec.mapping:
-            kwargs[key] = sec.float_list(key)
-            if len(kwargs[key]) != length:
-                sec._fail(key, f"expected {length} values, got {len(kwargs[key])}")
-    if "path" in sec.mapping:
-        kwargs["path"] = sec.text("path")
-    try:
-        return InitialCondition(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{sec.path}: [initial]: {err}") from err
-
-
-def _build_integrator(sec) -> IntegratorConfig:
-    kwargs = {"t_end": sec.float("t_end", required=True)}
-    if "scheme" in sec.mapping:
-        kwargs["scheme"] = sec.choice("scheme", SCHEMES)
-    if "dt" in sec.mapping:
-        raw = sec.text("dt")
-        kwargs["dt"] = raw if raw == "auto" else sec.float("dt")
-    if "cfl_safety" in sec.mapping:
-        kwargs["cfl_safety"] = sec.float("cfl_safety")
-    if "record_every" in sec.mapping:
-        kwargs["record_every"] = sec.int("record_every")
-    if "linear_tol" in sec.mapping:
-        kwargs["linear_tol"] = sec.float("linear_tol")
-    try:
-        return IntegratorConfig(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{sec.path}: [integrator]: {err}") from err
-
-
-def _build_metrics(sec) -> MetricsOptions:
-    kwargs = {key: sec.float(key) for key in sorted(sec.mapping)}
-    try:
-        return MetricsOptions(**kwargs)
-    except ValueError as err:
-        raise ConfigError(f"{sec.path}: [metrics]: {err}") from err
-
-
 def load_config(path, seed=None) -> RunConfig:
     """Load and validate a run config; ``seed`` overrides the initial-data seed."""
     path = os.fspath(path)
     parser = _read_ini(path)
     _check_layout(path, parser)
 
-    params = _build_params(_section(path, parser, "parameters"))
+    params = _build(_section(path, parser, "parameters"), HRParameters, DEFAULT_PROFILE,
+                    check=HRParameters.validate_strict)
     domain, eta_mode = _build_domain(_section(path, parser, "domain"))
     matching = _build_matching(_section(path, parser, "matching"), domain,
                                params.n_neurons)
-    ic = _build_initial(_section(path, parser, "initial"), params.n_neurons, domain.dim)
-    integrator = _build_integrator(_section(path, parser, "integrator"))
-    metrics = _build_metrics(_section(path, parser, "metrics"))
-    output_dir = _section(path, parser, "output").text("directory", default="out")
+    n = params.n_neurons
+    ic = _build(_section(path, parser, "initial"), InitialCondition,
+                lengths={"u_values": n, "v_values": n, "w_values": n, "center": domain.dim})
+    integrator = _build(_section(path, parser, "integrator"), IntegratorConfig)
+    metrics = _build(_section(path, parser, "metrics"), MetricsOptions)
+    output_dir = _section(path, parser, "output").read("directory", default="out")
 
     if seed is not None:
         ic = dataclasses.replace(ic, seed=int(seed))

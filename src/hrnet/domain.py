@@ -92,36 +92,18 @@ def build_domain(dim: int, extents, cells) -> Domain:
         raise ValueError(f"a grid of {n_cells} cells is too large to index")
     omega_measure = n_cells * cell_volume
 
-    face_cell, face_axis, face_side, face_area, face_pos = [], [], [], [], []
+    # faces axis-major, low side first, each side in increasing transverse position
     if dim == 1:
-        (nx,) = cells
-        for side, cell in ((0, 0), (1, nx - 1)):
-            face_cell.append(cell)
-            face_axis.append(0)
-            face_side.append(side)
-            face_area.append(1.0)
-            face_pos.append(0.0 if side == 0 else extents[0])
+        face_cell, face_axis, face_side = [0, cells[0] - 1], [0, 0], [0, 1]
+        face_area, face_pos = [1.0, 1.0], [0.0, extents[0]]
     else:
-        nx, ny = cells
-        hx, hy = h
-        for axis in (0, 1):
-            for side in (0, 1):
-                if axis == 0:
-                    ix = 0 if side == 0 else nx - 1
-                    for iy in range(ny):
-                        face_cell.append(ix * ny + iy)
-                        face_axis.append(axis)
-                        face_side.append(side)
-                        face_area.append(hy)
-                        face_pos.append((iy + 0.5) * hy)
-                else:
-                    iy = 0 if side == 0 else ny - 1
-                    for ix in range(nx):
-                        face_cell.append(ix * ny + iy)
-                        face_axis.append(axis)
-                        face_side.append(side)
-                        face_area.append(hx)
-                        face_pos.append((ix + 0.5) * hx)
+        (nx, ny), (hx, hy) = cells, h
+        ix, iy = np.arange(nx), np.arange(ny)
+        face_cell = np.concatenate([iy, (nx - 1) * ny + iy, ix * ny, ix * ny + ny - 1])
+        face_axis = np.repeat([0, 1], [2 * ny, 2 * nx])
+        face_side = np.repeat([0, 1, 0, 1], [ny, ny, nx, nx])
+        face_area = np.repeat([hy, hx], [2 * ny, 2 * nx])
+        face_pos = np.concatenate([np.tile((iy + 0.5) * hy, 2), np.tile((ix + 0.5) * hx, 2)])
 
     return Domain(
         dim=dim,

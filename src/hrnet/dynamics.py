@@ -330,9 +330,18 @@ class CapacitanceSolver:
             if key not in built:
                 system = network_diffusion_matrix(domain, matching, *key, n_neurons) * -dt
                 system.setdiag(system.diagonal() + 1.0)
-                built[key] = (key[0], self._capacitance(domain, matching, *key, dt), system)
-        self._members = [built[key] for key in zip(d, p)]
-        self.keep(range(len(self._members)))
+                built[key] = (self._capacitance(domain, matching, *key, dt), system)
+        self._corrections, systems = zip(*(built[key] for key in zip(d, p)))
+        self.system = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csr")
+        if self._dim == 2:
+            self._eigenvalues = np.stack([self._uncoupled[dm] for dm in d])[:, None]
+            return
+        # one solve per distinct d, of its members' rows (all rows: a view)
+        rows = {dm: [b for b, db in enumerate(d) if db == dm] for dm in d}
+        self._groups = [(self._uncoupled[dm][0], b if len(rows) > 1 else slice(None))
+                        for dm, b in rows.items()]
+        self._blocks = np.stack(self._corrections)
+        self._columns = np.stack([self._uncoupled[dm][1] for dm in d])[:, None]
 
     def _capacitance(self, domain, matching, d, p, dt):
         """A member's correction: 1D ``U K^-1 U^T``; 2D ``K``'s factor and terms, or None."""
@@ -377,21 +386,6 @@ class CapacitanceSolver:
             green[start:start + chunk.size] = solved[:, cells]
         return green[np.ix_(rank, rank)]
 
-    def keep(self, positions):
-        """Restrict the batch to the members at ``positions``, in that order."""
-        self._members = [self._members[i] for i in positions]
-        d, corrections, systems = zip(*self._members)
-        self.system = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csr")
-        if self._dim == 2:
-            self._eigenvalues = np.stack([self._uncoupled[dm] for dm in d])[:, None]
-            return
-        # one solve per distinct d, of its members' rows (all rows: a view)
-        rows = {dm: [b for b, db in enumerate(d) if db == dm] for dm in d}
-        self._groups = [(self._uncoupled[dm][0], b if len(rows) > 1 else slice(None))
-                        for dm, b in rows.items()]
-        self._blocks = np.stack(corrections)
-        self._columns = np.stack([self._uncoupled[dm][1] for dm in d])[:, None]
-
     def _edge_values(self, spectrum: np.ndarray) -> np.ndarray:
         """Edge values of the fields whose 2D DCT is ``spectrum`` (..., nx, ny)."""
         rows = self._fft.idct(self._ends_x.T @ spectrum, axis=-1, norm="ortho")
@@ -426,7 +420,7 @@ class CapacitanceSolver:
     def _solve_2d(self, b):
         spectrum = self._fft.dctn(b.reshape(b.shape[:2] + self._grid), axes=(-2, -1),
                                   norm="ortho") / self._eigenvalues
-        for k, (_, member, _) in enumerate(self._members):
+        for k, member in enumerate(self._corrections):
             if member is None:
                 continue
             factor, (i, j, at, scale) = member
@@ -471,16 +465,8 @@ class Integrator:
         d, p = [m.d for m in members], [m.p for m in members]
         self._solver = (CapacitanceSolver(domain, matching, d, p, members[0].n_neurons, self.dt)
                         if cfg.scheme == "imex-euler" and self.n_steps > 0 else None)
-        self._keep(range(len(members)))
-
-    def _keep(self, positions):
-        """Restrict the batch to the members at ``positions``, in that order;
-        solvers are kept, never rebuilt."""
-        self.members = tuple(self.members[i] for i in positions)
-        self._reaction = _member_constants(self.members, REACTION_FIELDS)
-        self._coupling = _member_constants(self.members, ("d", "p"))
-        if self._solver is not None:
-            self._solver.keep(positions)
+        self._reaction = _member_constants(members, REACTION_FIELDS)
+        self._coupling = _member_constants(members, ("d", "p"))
 
     def _rhs(self, t, u, v, w):
         du, dv, dw = reaction_rhs(NetworkState(t, u, v, w), self._reaction)
@@ -662,7 +648,8 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
                 keep = [i for i in range(len(live)) if i not in errors]
                 if not keep:
                     return
-                stepper._keep(keep)
+                # a stepper serves one fixed batch: the survivors get their own
+                stepper = Integrator([stepper.members[i] for i in keep], domain, matching, cfg)
                 state = NetworkState(state.t, state.u[keep], state.v[keep], state.w[keep])
                 live = [live[i] for i in keep]
                 watch = [watch[i] for i in keep]

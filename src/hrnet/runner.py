@@ -233,7 +233,9 @@ def map_jobs(fn, arg_tuples, jobs: int) -> list:
     ``fn`` must be a module-level function so the pool can pickle it.
     """
     if jobs > 1 and len(arg_tuples) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # never more workers than tasks: the pool starts all of them at once
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(arg_tuples))) as pool:
             return list(pool.map(fn, *zip(*arg_tuples)))
     return [fn(*args) for args in arg_tuples]
 

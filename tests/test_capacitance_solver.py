@@ -156,10 +156,13 @@ def test_cholesky_bits_do_not_depend_on_the_thread_count():
         "a = np.einsum('ik,jk->ij', x, x) / 300 + np.eye(300)\n"
         "print(hashlib.sha256(cholesky(a).tobytes()).hexdigest())\n"
     )
+    # the children import the package from where this process found it
+    path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(dynamics.__file__)),
+                                         os.environ.get("PYTHONPATH")]))
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
+                   MKL_NUM_THREADS=threads, PYTHONPATH=path)
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True, timeout=120)
         digests.append(done.stdout)

@@ -350,6 +350,49 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     assert (out / "sweep.csv").read_text() == serial
 
 
+class RecordingPool:
+    """Stand-in for ProcessPoolExecutor: records the worker count, maps serially."""
+
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+    import concurrent.futures
+
+    from hrnet.runner import map_jobs
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "asked", [])
+    assert map_jobs(pow, [(2, 1), (2, 2), (2, 3)], jobs=64) == [2, 4, 8]
+    assert RecordingPool.asked == [3]
+
+
+@pytest.mark.parametrize("command", ["sweep", "verify"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command, jobs):
+    import hrnet.cli
+    import hrnet.verify
+
+    path, _ = write_config(tmp_path)
+    monkeypatch.setattr(hrnet.cli, "load_config", lambda *a, **k: pytest.fail("loaded"))
+    monkeypatch.setattr(hrnet.verify, "run_all", lambda *a, **k: pytest.fail("ran"))
+    extra = ["--param", "p", "--values", "1.0"] if command == "sweep" else []
+    assert main([command, "--config", str(path), f"--jobs={jobs}", *extra]) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_sweep_unknown_param_exit_2(tmp_path, capsys):
     path, _ = write_config(tmp_path)
     assert main(["sweep", "--config", str(path), "--param", "zeta",

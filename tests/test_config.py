@@ -1,5 +1,8 @@
 """Strict config parsing: typed sections, located diagnostics, defaults."""
 
+import configparser
+import dataclasses
+import io
 import pathlib
 import re
 
@@ -7,6 +10,8 @@ import numpy as np
 import pytest
 
 from hrnet.config import MetricsOptions, load_config
+from hrnet.core import HRParameters
+from hrnet.dynamics import InitialCondition, IntegratorConfig
 from hrnet.errors import ConfigError
 
 BASE = """\
@@ -284,3 +289,47 @@ def test_metrics_defaults_when_section_absent(tmp_path):
 def test_output_default_directory(tmp_path):
     text = BASE.replace("[output]\ndirectory = results\n", "")
     assert load_config(write(tmp_path, text)).output_dir == "out"
+
+
+# every key of the sections that fill a dataclass: one per field
+FIELDS = [(section, f.name, getattr(f.type, "__name__", f.type))
+          for section, cls in (("parameters", HRParameters), ("initial", InitialCondition),
+                               ("integrator", IntegratorConfig), ("metrics", MetricsOptions))
+          for f in dataclasses.fields(cls)]
+# a value each key takes (text, then as loaded) and one it rejects, by declared type
+GOOD = {"float": ("0.5", 0.5), "int": ("3", 3), "tuple": ("0.5, 0.25", (0.5, 0.25)),
+        "object": ("auto", "auto"), "str": ("state.npz", "state.npz")}
+BAD = {"float": "x!", "int": "1.5", "tuple": "0.5,x", "object": "x!", "str": ""}
+GOOD_BY_KEY = {"kind": ("smooth-bump", "smooth-bump"), "scheme": ("explicit-rk4", "explicit-rk4"),
+               "center": ("0.5", (0.5,))}
+BAD_BY_KEY = {"kind": "x!", "scheme": "x!"}
+
+
+def with_key(section, key, value):
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(BASE)
+    parser[section][key] = value
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+def test_fields_cover_every_declared_type():
+    assert {kind for _, _, kind in FIELDS} == set(GOOD) == set(BAD)
+
+
+@pytest.mark.parametrize("section, key, kind", FIELDS)
+def test_every_field_is_a_key(tmp_path, section, key, kind):
+    text, value = GOOD_BY_KEY.get(key, GOOD[kind])
+    cfg = load_config(write(tmp_path, with_key(section, key, text)))
+    built = {"parameters": cfg.params, "initial": cfg.ic, "integrator": cfg.integrator,
+             "metrics": cfg.metrics}[section]
+    assert getattr(built, key) == value
+
+
+@pytest.mark.parametrize("section, key, kind", FIELDS)
+def test_every_field_rejects_a_malformed_value(tmp_path, section, key, kind):
+    path = write(tmp_path, with_key(section, key, BAD_BY_KEY.get(key, BAD[kind])))
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key}: ")):
+        load_config(path)

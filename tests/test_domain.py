@@ -69,6 +69,56 @@ def test_face_enumeration_order():
     assert np.all(np.diff(left_pos) > 0)
 
 
+
+def loop_faces(extents, cells):
+    """The per-face loop that ``build_domain``'s array expressions replaced."""
+    face_cell, face_axis, face_side, face_area, face_pos = [], [], [], [], []
+    if len(cells) == 1:
+        (nx,) = cells
+        for side, cell in ((0, 0), (1, nx - 1)):
+            face_cell.append(cell)
+            face_axis.append(0)
+            face_side.append(side)
+            face_area.append(1.0)
+            face_pos.append(0.0 if side == 0 else float(extents[0]))
+    else:
+        nx, ny = cells
+        hx, hy = extents[0] / nx, extents[1] / ny
+        for axis in (0, 1):
+            for side in (0, 1):
+                if axis == 0:
+                    ix = 0 if side == 0 else nx - 1
+                    for iy in range(ny):
+                        face_cell.append(ix * ny + iy)
+                        face_axis.append(axis)
+                        face_side.append(side)
+                        face_area.append(hy)
+                        face_pos.append((iy + 0.5) * hy)
+                else:
+                    iy = 0 if side == 0 else ny - 1
+                    for ix in range(nx):
+                        face_cell.append(ix * ny + iy)
+                        face_axis.append(axis)
+                        face_side.append(side)
+                        face_area.append(hx)
+                        face_pos.append((ix + 0.5) * hx)
+    return (np.asarray(face_cell, dtype=np.intp), np.asarray(face_axis, dtype=np.int8),
+            np.asarray(face_side, dtype=np.int8), np.asarray(face_area, dtype=np.float64),
+            np.asarray(face_pos, dtype=np.float64))
+
+
+@pytest.mark.parametrize("extents, cells", [
+    ([1.0], [4]), ([0.3], [17]), ([math.pi], [128]),
+    ([1.0, 1.0], [4, 4]), ([1.0, 0.8], [12, 10]), ([0.7, 2.3], [5, 9]),
+    ([math.pi, 1.0], [33, 4]), ([2.0, 0.1], [64, 128]),
+])
+def test_face_arrays_match_the_per_face_loop(extents, cells):
+    d = build_domain(len(cells), extents, cells)
+    arrays = (d.face_cell, d.face_axis, d.face_side, d.face_area, d.face_pos)
+    for got, want in zip(arrays, loop_faces(extents, cells)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
 def test_build_domain_rejections():
     with pytest.raises(ValueError, match="out of scope"):
         build_domain(3, [1.0, 1.0, 1.0], [8, 8, 8])
