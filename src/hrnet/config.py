@@ -270,7 +270,10 @@ def load_config(path, seed=None) -> RunConfig:
     output_dir = _section(path, parser, "output").read("directory", default="out")
 
     if seed is not None:
-        ic = dataclasses.replace(ic, seed=int(seed))
+        try:
+            ic = dataclasses.replace(ic, seed=int(seed))
+        except ValueError as err:
+            raise ConfigError(f"--seed: {err}") from err
 
     return RunConfig(
         path=path, params=params, domain=domain, matching=matching, ic=ic,

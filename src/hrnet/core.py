@@ -9,6 +9,7 @@ bit-reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, fields
 
@@ -89,9 +90,7 @@ class HRParameters:
                 )
 
     def replace(self, **changes) -> "HRParameters":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(changes)
-        return HRParameters(**values)
+        return dataclasses.replace(self, **changes)
 
     @classmethod
     def default(cls, **overrides) -> "HRParameters":
@@ -146,12 +145,6 @@ class DerivedConstants:
     big_r_alt: float
     mu: float
     omega_measure: float
-
-    # declared emission order for the constants CSV row
-    FIELD_ORDER = (
-        "c1", "c2", "r_star", "big_m", "big_q", "g",
-        "eta1", "eta2", "big_r", "big_r_alt", "mu", "omega_measure",
-    )
 
 
 def compute_c1(params: HRParameters) -> float:

@@ -90,6 +90,8 @@ class InitialCondition:
         if self.kind not in IC_KINDS:
             raise ValueError(f"unknown initial-condition kind {self.kind!r}; "
                              f"expected one of {IC_KINDS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("offset", "noise", "width", "amplitude",
                      "u_values", "v_values", "w_values", "center"):
             if not np.isfinite(getattr(self, name)).all():
@@ -454,6 +456,11 @@ class Integrator:
         members = (params,) if isinstance(params, HRParameters) else tuple(params)
         if not members:
             raise ValueError("an integrator needs at least one member")
+        sizes = sorted({m.n_neurons for m in members}
+                       | ({matching.n_neurons} if matching is not None else set()))
+        if len(sizes) > 1:
+            raise ValueError(f"members and matching must share one network size, "
+                             f"got n_neurons {sizes}")
         self.domain = domain
         self.matching = matching
         self.cfg = cfg
@@ -589,14 +596,13 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
     observers = [None] * len(params_list) if observers is None else list(observers)
     if not len(ics) == len(params_list) == len(observers):
         raise ValueError("need one initial condition, parameter set and observer per member")
-    # each initial condition object is materialized (a file read) once per
-    # network size, before any solver is built, so bad initial data fail first
+    # each initial condition object is materialized (a file read) once,
+    # before any solver is built, so bad initial data fail first
     made = {}
     for ic, params in zip(ics, params_list):
-        if not isinstance(ic, NetworkState) and (id(ic), params.n_neurons) not in made:
-            made[id(ic), params.n_neurons] = initial_state(ic, domain, params.n_neurons)
-    starts = [ic if isinstance(ic, NetworkState) else made[id(ic), params.n_neurons]
-              for ic, params in zip(ics, params_list)]
+        if not isinstance(ic, NetworkState) and id(ic) not in made:
+            made[id(ic)] = initial_state(ic, domain, params.n_neurons)
+    starts = [ic if isinstance(ic, NetworkState) else made[id(ic)] for ic in ics]
     batches = {}
     for b, params in enumerate(params_list):
         batches.setdefault(resolve_dt(cfg, domain, params), []).append(b)

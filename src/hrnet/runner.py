@@ -75,10 +75,7 @@ def resolve_output_dir(cfg: RunConfig, cli_out=None, env=None) -> str:
 class Setup:
     """Everything derived from a config before any time stepping."""
 
-    params: HRParameters
     consts: DerivedConstants
-    eta1: float
-    eta2: float
     eta_analytic: float
 
 
@@ -86,8 +83,7 @@ def build_setup(cfg: RunConfig) -> Setup:
     pc = poincare_constants(cfg.domain, mode=cfg.eta_mode)
     analytic = poincare_constants(cfg.domain, mode="analytic")
     consts = derive_constants(cfg.params, cfg.domain.omega_measure, pc.eta1, pc.eta2)
-    return Setup(params=cfg.params, consts=consts, eta1=pc.eta1, eta2=pc.eta2,
-                 eta_analytic=analytic.eta1)
+    return Setup(consts=consts, eta_analytic=analytic.eta1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +107,9 @@ def constants_block(cfg: RunConfig, setup: Setup) -> str:
 
 def domain_block(cfg: RunConfig, setup: Setup) -> str:
     lines = [
-        f"eta1 = {fmt_float(setup.eta1)}  (analytic cross-check "
+        f"eta1 = {fmt_float(setup.consts.eta1)}  (analytic cross-check "
         f"{fmt_float(setup.eta_analytic)})",
-        f"eta2 = {fmt_float(setup.eta2)}",
+        f"eta2 = {fmt_float(setup.consts.eta2)}",
         f"omega_measure = {fmt_float(cfg.domain.omega_measure)}",
     ]
     return "\n".join(lines) + "\n"
@@ -121,11 +117,11 @@ def domain_block(cfg: RunConfig, setup: Setup) -> str:
 
 def constants_csv(cfg: RunConfig, setup: Setup) -> str:
     param_names = [f.name for f in fields(HRParameters)]
-    header = ",".join(param_names + list(DerivedConstants.FIELD_ORDER))
+    const_names = [f.name for f in fields(DerivedConstants)]
+    header = ",".join(param_names + const_names)
     values = [repr(getattr(cfg.params, name)) if name == "n_neurons"
               else fmt_float(getattr(cfg.params, name)) for name in param_names]
-    values += [fmt_float(getattr(setup.consts, name))
-               for name in DerivedConstants.FIELD_ORDER]
+    values += [fmt_float(getattr(setup.consts, name)) for name in const_names]
     return header + "\n" + ",".join(values) + "\n"
 
 
@@ -227,55 +223,45 @@ def sweep_values(text) -> tuple:
     return values
 
 
-def map_jobs(fn, arg_tuples, jobs: int) -> list:
-    """``[fn(*args) for args in arg_tuples]``, in a process pool when jobs > 1.
+def record_ensemble(ics, params_list, domain, matching, cfg, consts_list, jobs: int) -> list:
+    """:func:`~hrnet.metrics.record_trajectories` of an ensemble, split into
+    at most ``jobs`` contiguous batches of near-equal size.
 
-    ``fn`` must be a module-level function so the pool can pickle it.
+    One batch runs in this process; more run one per pool worker, never more
+    workers than batches, since the pool starts all of them at once.  Records
+    come back in member order and are the same for any ``jobs``.
     """
-    if jobs > 1 and len(arg_tuples) > 1:
-        # never more workers than tasks: the pool starts all of them at once
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(jobs, len(arg_tuples))) as pool:
-            return list(pool.map(fn, *zip(*arg_tuples)))
-    return [fn(*args) for args in arg_tuples]
+    n = len(ics)
+    k = min(jobs, n)
+    if k <= 1:
+        return record_trajectories(ics, params_list, domain, matching, cfg, consts_list)
+    chunks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
+        parts = pool.map(record_trajectories, [ics[c] for c in chunks],
+                         [params_list[c] for c in chunks], [domain] * k,
+                         [matching] * k, [cfg] * k, [consts_list[c] for c in chunks])
+        return [record for part in parts for record in part]
 
 
-def job_chunks(n_members: int, jobs: int) -> list:
-    """At most ``jobs`` contiguous slices of near-equal size covering the
-    members, one ensemble batch per worker."""
-    k = min(max(jobs, 1), n_members)
-    return [slice(n_members * i // k, n_members * (i + 1) // k) for i in range(k)]
-
-
-def _sweep_chunk(cfg, members):
-    """Sweep rows of (value, params, consts) members, run as one ensemble;
-    module-level so process pools can pickle it."""
-    values, params_list, consts_list = zip(*members)
-    records = record_trajectories([cfg.ic] * len(members), params_list, cfg.domain,
-                                  cfg.matching, cfg.integrator, consts_list)
-    return [_sweep_row(cfg, value, consts, record)
-            for value, consts, record in zip(values, consts_list, records)]
-
-
-def _sweep_row(cfg, value, consts, record):
+def sweep_row(metrics: MetricsOptions, value, consts, record) -> dict:
+    """One sweep row: the tail maximum of the summed difference energy, the
+    fitted rate and the threshold crossings of ``record``, or the status of
+    the error it failed with."""
     if isinstance(record, Exception):
-        return {"value": value, "status": FAILURES[type(record)][1],
-                "mu": consts.mu, "error": str(record)}
+        return {"value": value, "status": FAILURES[type(record)][1], "mu": consts.mu}
     sync = record.sync_total()
-    tail_start = record.t[-1] - cfg.metrics.tail_fraction * (record.t[-1] - record.t[0])
+    tail_start = record.t[-1] - metrics.tail_fraction * (record.t[-1] - record.t[0])
     tail = sync[record.t >= tail_start]
-    fit = fit_sync_rate(record, window_fraction=cfg.metrics.window_fraction,
-                        floor=cfg.metrics.floor)
+    fit = fit_sync_rate(record, window_fraction=metrics.window_fraction,
+                        floor=metrics.floor)
     return {
         "value": value,
         "status": "ok",
         "tail": float(tail.max()),
         "rate": fit.rate,
         "mu": consts.mu,
-        "crossed_literal": bool(
-            np.any(record.stimulation_s > record.threshold_literal)),
-        "crossed_perpair": bool(
-            np.any(record.stimulation_s > record.threshold_perpair)),
+        "crossed_literal": bool(np.any(record.stimulation_s > record.threshold_literal)),
+        "crossed_perpair": bool(np.any(record.stimulation_s > record.threshold_perpair)),
     }
 
 
@@ -283,9 +269,8 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
     """Run the sweep and return one result mapping per value, in order.
 
     No sweepable parameter changes the domain, so its Poincare constants are
-    computed once.  The runnable values form one ensemble, split into
-    ``jobs`` contiguous per-worker batches; every row is the same as from a
-    run of its own.
+    computed once.  The runnable values form one ensemble
+    (:func:`record_ensemble`); every row is the same as from a run of its own.
     """
     if param not in SWEEPABLE:
         raise ConfigError(
@@ -293,7 +278,7 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
             f"{', '.join(SWEEPABLE)}")
     pc = poincare_constants(cfg.domain, mode=cfg.eta_mode)
     rows = [None] * len(values)
-    members, positions = [], []
+    positions, params_list, consts_list = [], [], []
     for k, value in enumerate(values):
         try:
             params = cfg.params.replace(**{param: value})
@@ -301,12 +286,13 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
         except ValueError as err:
             rows[k] = {"value": value, "status": f"invalid({err})"}
             continue
-        members.append((value, params, consts))
         positions.append(k)
-    chunks = job_chunks(len(members), jobs)
-    done = map_jobs(_sweep_chunk, [(cfg, members[c]) for c in chunks], jobs)
-    for k, row in zip(positions, (row for part in done for row in part)):
-        rows[k] = row
+        params_list.append(params)
+        consts_list.append(consts)
+    records = record_ensemble([cfg.ic] * len(positions), params_list, cfg.domain,
+                              cfg.matching, cfg.integrator, consts_list, jobs)
+    for k, consts, record in zip(positions, consts_list, records):
+        rows[k] = sweep_row(cfg.metrics, values[k], consts, record)
     return rows
 
 

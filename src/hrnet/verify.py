@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import RunConfig
+from .config import MetricsOptions, RunConfig
 from .core import HRParameters, derive_constants, entry_time
 from .domain import (
     apply_diffusion,
@@ -40,11 +40,9 @@ from .metrics import (
     compute_K,
     energy_monitor,
     envelope_check,
-    fit_sync_rate,
-    record_trajectories,
     record_trajectory,
 )
-from .runner import job_chunks, map_jobs, run_simulate, sweep_csv, sweep_rows
+from .runner import record_ensemble, run_simulate, sweep_csv, sweep_row, sweep_rows
 
 SWEEP_P_VALUES = (0.0, 0.5, 2.0, 8.0, 32.0)
 ENVELOPE_SEEDS = tuple(range(100, 110))
@@ -115,13 +113,10 @@ class VerifyContext:
         return self._cache["sweep"]
 
     def ensemble(self, ics, params_list, domain, matching, cfg, consts_list):
-        """Records of one ensemble in ``jobs`` per-worker batches; a failed
+        """Records of one ensemble over ``jobs`` workers; the first failed
         member's error is raised."""
-        chunks = job_chunks(len(ics), self.jobs)
-        parts = map_jobs(record_trajectories,
-                         [(ics[c], params_list[c], domain, matching, cfg,
-                           consts_list[c]) for c in chunks], self.jobs)
-        records = [record for part in parts for record in part]
+        records = record_ensemble(ics, params_list, domain, matching, cfg,
+                                  consts_list, self.jobs)
         for record in records:
             if isinstance(record, Exception):
                 raise record
@@ -358,28 +353,23 @@ def _criterion_energy_monitor(ctx: VerifyContext):
 # ---------------------------------------------------------------------------
 
 def _criterion_coupling_sweep(ctx: VerifyContext):
-    floor = ctx.cfg.metrics.floor
-    tails = []
-    for p, record in ctx.sweep_records():
-        sync = record.sync_total()
-        tail_start = record.t[-1] - 0.2 * (record.t[-1] - record.t[0])
-        tails.append(float(sync[record.t >= tail_start].max()))
-    clamped = [max(v, floor) for v in tails]
+    # the rows hrnet sweep writes, at the default metrics options
+    metrics = MetricsOptions()
+    rows = [sweep_row(metrics, p, record.consts, record)
+            for p, record in ctx.sweep_records()]
+    clamped = [max(row["tail"], metrics.floor) for row in rows]
     monotone = all(clamped[k + 1] <= clamped[k] * 1.05
                    for k in range(len(clamped) - 1))
-    p_last, record_last = ctx.sweep_records()[-1]
-    final_sync = float(record_last.sync_total()[-1])
+    last = rows[-1]
+    final_sync = float(ctx.sweep_records()[-1][1].sync_total()[-1])
     below = final_sync <= 1e-8
-    fit = fit_sync_rate(record_last, floor=floor)
-    mu = record_last.consts.mu
-    rate_ok = fit.rate > 0
+    rate_ok = last["rate"] > 0
     passed = monotone and below and rate_ok
-    tail_text = ", ".join(f"p={p:g}: {v:.2e}"
-                          for (p, _), v in zip(ctx.sweep_records(), tails))
-    return passed, (f"tails ({tail_text}) non-increasing with floor {floor:g}: "
-                    f"{monotone}; p={p_last:g} final {final_sync:.2e} <= 1e-8: "
-                    f"{below}; fitted rate {fit.rate:.4g} > 0 "
-                    f"(rate/mu = {fit.rate / mu:.3g}, mu is a sufficient-"
+    tail_text = ", ".join(f"p={row['value']:g}: {row['tail']:.2e}" for row in rows)
+    return passed, (f"tails ({tail_text}) non-increasing with floor {metrics.floor:g}: "
+                    f"{monotone}; p={last['value']:g} final {final_sync:.2e} <= 1e-8: "
+                    f"{below}; fitted rate {last['rate']:.4g} > 0 "
+                    f"(rate/mu = {last['rate'] / last['mu']:.3g}, mu is a sufficient-"
                     f"condition rate, no hard bound)")
 
 

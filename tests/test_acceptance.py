@@ -13,8 +13,19 @@ import pathlib
 
 import pytest
 
-from hrnet.config import load_config
-from hrnet.verify import CRITERIA, VerifyContext, format_result, run_all, run_criterion
+from hrnet.config import MetricsOptions, load_config
+from hrnet.core import HRParameters, derive_constants
+from hrnet.domain import build_domain, full_boundary_matching, poincare_constants
+from hrnet.dynamics import InitialCondition, IntegratorConfig
+from hrnet.metrics import record_trajectories
+from hrnet.verify import (
+    CRITERIA,
+    SWEEP_P_VALUES,
+    VerifyContext,
+    format_result,
+    run_all,
+    run_criterion,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 STOCK_CONFIG = ROOT / "configs" / "default.ini"
@@ -56,6 +67,28 @@ def test_step_size_guard_flags_unstable_config():
     assert "exceeds" in result.detail
     # the message must carry the computed stability bound
     assert "e-05" in result.detail
+
+
+def test_coupling_sweep_ignores_the_configured_floor():
+    # simulation criteria fix their own settings: a small ensemble stands in
+    # for criterion 8's sweep, and [metrics] floor must not reach the result
+    domain = build_domain(1, [1.0], [16])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    pc = poincare_constants(domain, mode="discrete")
+    params_list = [HRParameters.default(p=p) for p in SWEEP_P_VALUES]
+    consts_list = [derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
+                   for params in params_list]
+    cfg = IntegratorConfig(t_end=2.0, scheme="imex-euler", dt=1e-2, record_every=5)
+    records = record_trajectories([InitialCondition(seed=42)] * len(params_list),
+                                  params_list, domain, matching, cfg, consts_list)
+    stock = load_config(STOCK_CONFIG)
+    details = []
+    for floor in (1e-14, 1e-3):
+        ctx = VerifyContext(cfg=dataclasses.replace(stock, metrics=MetricsOptions(floor=floor)))
+        ctx._cache["sweep"] = list(zip(SWEEP_P_VALUES, records))
+        details.append(run_criterion(8, ctx).detail)
+    assert details[0] == details[1]
+    assert "floor 1e-14" in details[0]
 
 
 def test_verify_registry_is_complete():

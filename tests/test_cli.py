@@ -234,6 +234,17 @@ def test_simulate_seed_override_changes_data(tmp_path):
     assert (out / "trajectory.csv").read_bytes() == base
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_negative_seed_exit_2(tmp_path, capsys, where):
+    text = FAST.replace("seed = 3", "seed = -1") if where == "config" else FAST
+    path, _ = write_config(tmp_path, text)
+    extra = ["--seed", "-5"] if where == "flag" else []
+    assert main(["simulate", "--config", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0" in err
+    assert ("[initial]" if where == "config" else "--seed:") in err
+
+
 def test_simulate_blowup_exit_3_with_partial_rows(tmp_path, capsys):
     text = FAST.replace(
         "kind = uniform-random\nseed = 3\noffset = 1.0\nnoise = 0.1",
@@ -368,14 +379,33 @@ class RecordingPool:
         return map(fn, *iterables)
 
 
-def test_pool_has_no_more_workers_than_tasks(monkeypatch):
+def test_record_ensemble_has_no_more_workers_than_members(monkeypatch):
     import concurrent.futures
+    import pickle
 
-    from hrnet.runner import map_jobs
+    from hrnet.core import HRParameters, derive_constants
+    from hrnet.domain import build_domain, full_boundary_matching, poincare_constants
+    from hrnet.dynamics import InitialCondition, IntegratorConfig
+    from hrnet.metrics import record_trajectories
+    from hrnet.runner import record_ensemble
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "asked", [])
-    assert map_jobs(pow, [(2, 1), (2, 2), (2, 3)], jobs=64) == [2, 4, 8]
+    domain = build_domain(1, [1.0], [16])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    pc = poincare_constants(domain, mode="discrete")
+    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=1e-2, record_every=5)
+    ics = [InitialCondition(seed=seed) for seed in (1, 2, 3)]
+    params_list = [HRParameters.default(p=p) for p in (0.0, 1.0, 2.0)]
+    consts_list = [derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
+                   for params in params_list]
+    args = (ics, params_list, domain, matching, cfg, consts_list)
+    got = record_ensemble(*args, jobs=64)
+    assert RecordingPool.asked == [3]
+    want = record_trajectories(*args)
+    assert [pickle.dumps(r) for r in got] == [pickle.dumps(r) for r in want]
+    # no member at all (an all-invalid sweep) starts no pool
+    assert record_ensemble([], [], domain, matching, cfg, [], jobs=4) == []
     assert RecordingPool.asked == [3]
 
 

@@ -341,6 +341,8 @@ def test_initial_condition_validation():
         InitialCondition(kind="smooth-bump", width=0.0)
     with pytest.raises(ValueError):
         InitialCondition(kind="file")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        InitialCondition(seed=-1)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -495,3 +497,20 @@ def test_initial_file_is_read_before_the_solver_is_built(tmp_path, monkeypatch):
     ic = InitialCondition(kind="file", path=str(tmp_path / "missing.npz"))
     with pytest.raises(ConfigError, match="initial-condition file"):
         simulate_ensemble([ic, ic], [params, params.replace(p=2.0)], domain, matching, cfg)
+
+
+def test_members_of_different_network_sizes_are_rejected():
+    params, domain, _ = default_setup()
+    three = HRParameters.default(n_neurons=3)
+    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=1e-2)
+    ics = [InitialCondition(seed=1), InitialCondition(seed=2)]
+    with pytest.raises(ValueError, match=r"network size, got n_neurons \[2, 3\]"):
+        simulate_ensemble(ics, [params, three], domain, None, cfg)
+
+
+def test_member_and_matching_of_different_network_sizes_are_rejected():
+    _, domain, matching = default_setup()
+    three = HRParameters.default(n_neurons=3)
+    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=1e-2)
+    with pytest.raises(ValueError, match=r"network size, got n_neurons \[2, 3\]"):
+        simulate(InitialCondition(), three, domain, matching, cfg)

@@ -39,7 +39,6 @@ from hrnet.dynamics import (
 )
 from hrnet.errors import IntegrationError
 from hrnet.metrics import record_trajectories, record_trajectory
-from hrnet.runner import job_chunks
 
 # a fixed example sequence keeps tier-1 reproducible and writes no database
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -121,8 +120,10 @@ def test_every_member_equals_its_serial_run(ensemble, jobs):
     n = len(ics)
     batched = simulate_ensemble(ics, params_list, domain, matching, cfg,
                                 [snapshot] * n)
+    # contiguous near-equal batches, one per worker, as record_ensemble splits
     chunked = []
-    for c in job_chunks(n, jobs):
+    k = min(jobs, n)
+    for c in (slice(n * i // k, n * (i + 1) // k) for i in range(k)):
         chunked += simulate_ensemble(ics[c], params_list[c], domain, matching,
                                      cfg, [snapshot] * len(ics[c]))
     for ic, params, got, got_chunked in zip(ics, params_list, batched, chunked):

@@ -7,6 +7,7 @@ the float implementation is checked against an independent evaluation route,
 not against itself.
 """
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -287,9 +288,9 @@ def test_derived_constants_all_finite_positive():
         )
         k = derive_constants(p, omega_measure=rng.uniform(0.1, 10.0),
                              eta1=rng.uniform(0.1, 20.0), eta2=rng.uniform(0.1, 20.0))
-        for name in k.FIELD_ORDER:
-            v = getattr(k, name)
-            assert math.isfinite(v) and v > 0, (name, v)
+        for f in dataclasses.fields(k):
+            v = getattr(k, f.name)
+            assert math.isfinite(v) and v > 0, (f.name, v)
 
 
 def test_derive_constants_is_deterministic():
