@@ -9,9 +9,8 @@ bit-reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace as _replace
 
 from .errors import SingularParameterError
 
@@ -90,7 +89,7 @@ class HRParameters:
                 )
 
     def replace(self, **changes) -> "HRParameters":
-        return dataclasses.replace(self, **changes)
+        return _replace(self, **changes)
 
     @classmethod
     def default(cls, **overrides) -> "HRParameters":

@@ -439,6 +439,12 @@ class CapacitanceSolver:
         return self._fft.idctn(spectrum, axes=(-2, -1), norm="ortho").reshape(b.shape)
 
 
+def _check_network_size(params_list, matching) -> None:
+    sizes = sorted({m.n_neurons for m in [*params_list, matching] if m is not None})
+    if len(sizes) > 1:
+        raise ValueError(f"members and matching must share one network size, got n_neurons {sizes}")
+
+
 class Integrator:
     """Prepared batch stepper: operators are assembled and solvers built once.
 
@@ -456,14 +462,8 @@ class Integrator:
         members = (params,) if isinstance(params, HRParameters) else tuple(params)
         if not members:
             raise ValueError("an integrator needs at least one member")
-        sizes = sorted({m.n_neurons for m in members}
-                       | ({matching.n_neurons} if matching is not None else set()))
-        if len(sizes) > 1:
-            raise ValueError(f"members and matching must share one network size, "
-                             f"got n_neurons {sizes}")
-        self.domain = domain
-        self.matching = matching
-        self.cfg = cfg
+        _check_network_size(members, matching)
+        self.domain, self.matching, self.cfg = domain, matching, cfg
         steps = {resolve_dt(cfg, domain, m) for m in members}
         if len(steps) != 1:
             raise ValueError("batched members must share the step size and step count")
@@ -596,8 +596,9 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
     observers = [None] * len(params_list) if observers is None else list(observers)
     if not len(ics) == len(params_list) == len(observers):
         raise ValueError("need one initial condition, parameter set and observer per member")
-    # each initial condition object is materialized (a file read) once,
-    # before any solver is built, so bad initial data fail first
+    # with one network size, each initial condition object is materialized (a
+    # file read) once, before any solver is built, so bad initial data fail first
+    _check_network_size(params_list, matching)
     made = {}
     for ic, params in zip(ics, params_list):
         if not isinstance(ic, NetworkState) and id(ic) not in made:

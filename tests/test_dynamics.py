@@ -508,6 +508,19 @@ def test_members_of_different_network_sizes_are_rejected():
         simulate_ensemble(ics, [params, three], domain, None, cfg)
 
 
+@pytest.mark.parametrize("scheme", ["explicit-rk4", "imex-euler"])
+def test_shared_initial_condition_across_network_sizes_is_rejected(scheme):
+    # dt="auto" with different d puts the two members in separate batches,
+    # so no single batch stepper sees both sizes
+    params, domain, _ = default_setup(d=1.0)
+    three = HRParameters.default(n_neurons=3, d=2.0)
+    cfg = IntegratorConfig(t_end=0.01, scheme=scheme, dt="auto")
+    assert resolve_dt(cfg, domain, params) != resolve_dt(cfg, domain, three)
+    ic = InitialCondition(seed=1)
+    with pytest.raises(ValueError, match=r"network size, got n_neurons \[2, 3\]"):
+        simulate_ensemble([ic, ic], [params, three], domain, None, cfg)
+
+
 def test_member_and_matching_of_different_network_sizes_are_rejected():
     _, domain, matching = default_setup()
     three = HRParameters.default(n_neurons=3)
