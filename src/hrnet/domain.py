@@ -165,6 +165,13 @@ class BoundaryMatching:
         codes = np.unique(owner[above] * n + self.partner[above])
         return tuple(divmod(int(code), n) for code in codes)
 
+    @functools.cached_property
+    def pair_faces(self) -> tuple:
+        """Per matched pair (i, j), in ``matched_pairs`` order: i, the faces
+        where i is matched to j, and their areas."""
+        faces = [np.flatnonzero(self.partner[:, i] == j) for i, j in self.matched_pairs]
+        return tuple((i, f, self.face_area[f]) for (i, _), f in zip(self.matched_pairs, faces))
+
 
 def trivial_matching(domain: Domain, n_neurons: int) -> BoundaryMatching:
     """All faces zero-flux for every neuron."""

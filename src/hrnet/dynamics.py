@@ -219,7 +219,7 @@ def resolve_dt(cfg: IntegratorConfig, domain: Domain, params: HRParameters):
     return cfg.t_end / n_steps, n_steps
 
 
-def reaction_rhs(state: NetworkState, params: HRParameters):
+def reaction_rhs(state: NetworkState, params: HRParameters, out=None):
     """Pointwise reaction terms; diffusion is not included.
 
     du = a u^2 - b u^3 + v - w + J
@@ -228,14 +228,28 @@ def reaction_rhs(state: NetworkState, params: HRParameters):
 
     ``params`` may also carry one constant per ensemble member as (B, 1, 1)
     columns broadcast over (B, N, cells) fields; the arithmetic is
-    elementwise, so each member gets the bits of its own serial run.
+    elementwise, so each member gets the bits of its own serial run.  The
+    terms are written into ``out=(du, dv, dw)``, float arrays of the fields'
+    shape, if given, else into new ones; either way in the order the
+    formulas read, with one temporary.
     """
     u, v, w = state.u, state.v, state.w
+    du, dv, dw = out if out is not None else (np.empty(np.shape(u)) for _ in range(3))
     u2 = u * u
-    u3 = u2 * u
-    du = params.a * u2 - params.b * u3 + v - w + params.J
-    dv = params.alpha - v - params.beta * u2
-    dw = params.q * (u - params.c) - params.r * w
+    np.multiply(u2, u, out=dw)  # u^3
+    np.multiply(params.b, dw, out=dw)
+    np.multiply(params.a, u2, out=du)
+    du -= dw
+    du += v
+    du -= w
+    du += params.J
+    np.multiply(params.beta, u2, out=u2)
+    np.subtract(params.alpha, v, out=dv)
+    dv -= u2
+    np.subtract(u, params.c, out=dw)
+    dw *= params.q  # q (u - c): the product commutes
+    np.multiply(params.r, w, out=u2)
+    dw -= u2
     return du, dv, dw
 
 
@@ -338,10 +352,9 @@ class CapacitanceSolver:
         if self._dim == 2:
             self._eigenvalues = np.stack([self._uncoupled[dm] for dm in d])[:, None]
             return
-        # one solve per distinct d, of its members' rows (all rows: a view)
+        # one solve per distinct d, of its members' rows
         rows = {dm: [b for b, db in enumerate(d) if db == dm] for dm in d}
-        self._groups = [(self._uncoupled[dm][0], b if len(rows) > 1 else slice(None))
-                        for dm, b in rows.items()]
+        self._groups = [(self._uncoupled[dm][0], b) for dm, b in rows.items()]
         self._blocks = np.stack(self._corrections)
         self._columns = np.stack([self._uncoupled[dm][1] for dm in d])[:, None]
 
@@ -409,9 +422,12 @@ class CapacitanceSolver:
         if self._dim == 2:
             return self._solve_2d(b)
         nc = b.shape[-1]
-        y = np.empty_like(b)
-        for factor, rows in self._groups:
-            y[rows] = factor.solve(b[rows].reshape(-1, nc).T).T.reshape(-1, *b.shape[1:])
+        if len(self._groups) == 1:  # one d: SuperLU's Fortran-ordered result, as is
+            y = self._groups[0][0].solve(b.reshape(-1, nc).T).T.reshape(b.shape)
+        else:
+            y = np.empty_like(b)
+            for factor, rows in self._groups:
+                y[rows] = factor.solve(b[rows].reshape(-1, nc).T).T.reshape(-1, *b.shape[1:])
         # U K^-1 U^T of the end-cell values, then S0^-1 of that: per neuron a
         # combination of S0^-1's two end-cell columns
         ends = y[..., ::nc - 1].reshape(len(y), 1, -1)
@@ -455,7 +471,8 @@ class Integrator:
     (differing parameters enter as (B, 1, 1) columns).  RK4 applies
     :func:`~hrnet.domain.apply_diffusion` to the batch at each stage; backward
     Euler solves it with one :class:`CapacitanceSolver`, every solve checked
-    against the assembled system by the residual guard.
+    against the assembled system by the residual guard, and reuses one set of
+    reaction buffers: an instance steps for one caller at a time.
     """
 
     def __init__(self, params, domain: Domain, matching, cfg: IntegratorConfig):
@@ -470,8 +487,12 @@ class Integrator:
         ((self.dt, self.n_steps),) = steps
         self.members = members
         d, p = [m.d for m in members], [m.p for m in members]
-        self._solver = (CapacitanceSolver(domain, matching, d, p, members[0].n_neurons, self.dt)
-                        if cfg.scheme == "imex-euler" and self.n_steps > 0 else None)
+        self._solver = self._buffers = None
+        if cfg.scheme == "imex-euler" and self.n_steps > 0:
+            n = members[0].n_neurons
+            self._solver = CapacitanceSolver(domain, matching, d, p, n, self.dt)
+            # the step's reaction terms, reused: no returned state refers to them
+            self._buffers = np.empty((3, len(members), n, domain.n_cells))
         self._reaction = _member_constants(members, REACTION_FIELDS)
         self._coupling = _member_constants(members, ("d", "p"))
 
@@ -494,13 +515,16 @@ class Integrator:
 
     def _step_imex(self, state: NetworkState):
         dt = self.dt
-        du, dv, dw = reaction_rhs(state, self._reaction)
-        ustar = state.u + dt * du
+        du, dv, dw = reaction_rhs(state, self._reaction, out=self._buffers)
         v2 = state.v + dt * dv
         w2 = state.w + dt * dw
+        du *= dt
+        du += state.u  # u + dt du, in du's buffer
+        ustar = du
         u2 = self._solver.solve(ustar)
         rhs = ustar.reshape(ustar.shape[0], -1)
-        residuals = (self._solver.system @ u2.ravel() - ustar.ravel()).reshape(rhs.shape)
+        residuals = (self._solver.system @ u2.ravel()).reshape(rhs.shape)
+        residuals -= rhs
         # every member's squared residual and right-hand side norms, two row reductions
         residual = np.vecdot(residuals, residuals)
         scale = np.maximum(np.vecdot(rhs, rhs), 1.0)
@@ -632,17 +656,18 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
     # exact, accumulation-free timestamps
     times = [0.0]
     rows = [[_observe(watch[i], state, i)] for i in range(len(live))]
-    max_abs_u = np.abs(state.u).reshape(len(live), -1).max(axis=1)
+    # |u| seen so far, cell by cell; a member's largest is reduced when it fails
+    seen = np.abs(state.u)
+    scratch = np.empty_like(seen)
     # a diverging state shows up as inf/nan and is reported, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, stepper.n_steps + 1):
             state, errors = stepper.step(state)
             state.t = k * stepper.dt
-            peak = np.abs(state.u).reshape(len(live), -1).max(axis=1)
             # inf or nan anywhere makes the sum non-finite (an overflow only costs the exact test)
-            if not math.isfinite(peak.max() + state.v.sum() + state.w.sum()):
-                finite = (np.isfinite(peak) & np.isfinite(state.v).all(axis=(1, 2))
-                          & np.isfinite(state.w).all(axis=(1, 2)))
+            if not math.isfinite(state.u.sum() + state.v.sum() + state.w.sum()):
+                finite = np.all([np.isfinite(x).all(axis=(1, 2))
+                                 for x in (state.u, state.v, state.w)], axis=0)
                 for i in np.flatnonzero(~finite).tolist():
                     errors.setdefault(i, None)
             if errors:
@@ -650,7 +675,7 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
                     if isinstance(err, LinearSolveError):
                         err.rows = rows[i]
                     else:
-                        err = IntegrationError(state.t, float(max_abs_u[i]), rows=rows[i])
+                        err = IntegrationError(state.t, float(seen[i].max()), rows=rows[i])
                     results[live[i]] = err
                 keep = [i for i in range(len(live)) if i not in errors]
                 if not keep:
@@ -661,9 +686,8 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
                 live = [live[i] for i in keep]
                 watch = [watch[i] for i in keep]
                 rows = [rows[i] for i in keep]
-                max_abs_u = max_abs_u[keep]
-                peak = peak[keep]
-            np.maximum(max_abs_u, peak, out=max_abs_u)
+                seen, scratch = seen[keep], scratch[keep]
+            np.maximum(seen, np.abs(state.u, out=scratch), out=seen)
             if k % cfg.record_every == 0 or k == stepper.n_steps:
                 times.append(state.t)
                 for i in range(len(live)):

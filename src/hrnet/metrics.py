@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DerivedConstants, HRParameters, entry_time
-from .domain import BoundaryMatching, Domain, integrate_boundary_pair, integrate_domain
+from .domain import BoundaryMatching, Domain, integrate_domain
 from .dynamics import InitialCondition, IntegratorConfig, NetworkState, simulate_ensemble
 from .errors import IntegrationError
 
@@ -77,9 +77,10 @@ def stimulation_signal(state: NetworkState, matching: BoundaryMatching, p: float
     """
     _, resid = _boundary_gather(state, matching)
     total = 0.0
-    for i, j in matching.matched_pairs:
+    for i, faces, area in matching.pair_faces:
         # on the faces where i is matched to j, resid[i] is u_i - u_j
-        total += integrate_boundary_pair(resid[i] * resid[i], matching, i, j)
+        gap = resid[i, faces]
+        total += float(np.sum(gap * gap * area))
     return p * total
 
 
@@ -106,15 +107,12 @@ class KResult:
 
 
 def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
-    n = matching.n_neurons
     uf, resid = _boundary_gather(state, matching)
     area = matching.face_area
-    k = np.empty((n, n))
-    gap = np.empty((n, n))
-    for i in range(n):
-        du = uf[i] - uf
-        k[i] = np.sum((resid[i] - resid) * du * area, axis=1)
-        gap[i] = np.sum(du * du * area, axis=1)
+    # (N, N, F): entry (i, j) summed over contiguous faces, as a row of its own
+    du = uf[:, None] - uf
+    k = np.sum((resid[:, None] - resid) * du * area, axis=2)
+    gap = np.sum(du * du * area, axis=2)
     # ordered pairs summed left to right in row-major order; the zero
     # diagonal leaves the running sum unchanged
     boundary_diff_full = float(np.cumsum(gap)[-1])

@@ -9,11 +9,16 @@ and self-matched neurons, no coupling and strong coupling, and members of
 mixed d, it must give each member a small relative residual and the solution
 ``splu`` of the member's assembled system gives, both to 1e-12; and each
 member of a batch must get exactly the bits of its own solve.
+
+``Integrator.step``'s IMEX step writes its reaction terms into buffers it
+reuses; it must give exactly the bits of the unfused formula written out
+here, and no state it returns may share memory with those buffers.
 """
 
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +45,7 @@ from hrnet.dynamics import (
     NetworkState,
     cholesky,
     initial_state,
+    reaction_rhs,
     simulate,
 )
 from hrnet.errors import LinearSolveError
@@ -194,6 +200,71 @@ def test_integrator_solves_2d_without_lu(monkeypatch):
     batch = NetworkState(0.0, *(np.stack([x, x]) for x in (state.u, state.v, state.w)))
     new, errors = stepper.step(batch)
     assert errors == {} and np.isfinite(new.u).all()
+
+
+# per member: d, p, and the reaction's a and J, which become (B, 1, 1)
+# columns of the batch's reaction parameters when members differ
+STEP_MEMBERS = st.lists(st.tuples(st.sampled_from([0.3, 1.0]), st.sampled_from([0.0, 0.7, 40.0]),
+                                  st.sampled_from([3.0, 2.0]), st.sampled_from([3.25, 0.5])),
+                        min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(st.one_of(intervals(), rectangles()), STEP_MEMBERS, st.sampled_from([1e-3, 0.05]),
+       st.integers(0, 2**32 - 1))
+def test_imex_step_equals_the_unfused_formula(network, members, dt, seed):
+    domain, matching, n = network
+    params = [HRParameters.default(n_neurons=n, d=d, p=p, a=a, J=j) for d, p, a, j in members]
+    cfg = IntegratorConfig(t_end=dt, scheme="imex-euler", dt=dt)
+    u, v, w = np.random.default_rng(seed).normal(size=(3, len(params), n, domain.n_cells))
+    batch = NetworkState(0.0, u, v, w)
+    new, errors = Integrator(params, domain, matching, cfg).step(batch)
+    # the reaction, unfused, with one (B, 1, 1) column per parameter
+    c = SimpleNamespace(**{name: np.array([getattr(m, name) for m in params])[:, None, None]
+                           for name in dynamics.REACTION_FIELDS})
+    u2 = u * u
+    du = c.a * u2 - c.b * (u2 * u) + v - w + c.J
+    dv = c.alpha - v - c.beta * u2
+    dw = c.q * (u - c.c) - c.r * w
+    for got in (reaction_rhs(batch, c), reaction_rhs(batch, c, out=np.empty((3,) + u.shape))):
+        assert all(np.array_equal(x, y) for x, y in zip(got, (du, dv, dw)))
+    ustar = u + dt * du
+    solved = CapacitanceSolver(domain, matching, [m.d for m in params], [m.p for m in params],
+                               n, dt).solve(ustar)
+    assert new.t == dt
+    for got, want in zip((new.u, new.v, new.w), (solved, v + dt * dv, w + dt * dw)):
+        assert np.array_equal(got, want)
+    # the guard: each member's squared residual against its squared right-hand side
+    failed = set()
+    for b, m in enumerate(params):
+        a = network_diffusion_matrix(domain, matching, m.d, m.p, n)
+        rhs = ustar[b].ravel()
+        residual = (sp.identity(a.shape[0], format="csr") - dt * a) @ solved[b].ravel() - rhs
+        if np.vecdot(residual, residual) > cfg.linear_tol ** 2 * max(np.vecdot(rhs, rhs), 1.0):
+            failed.add(b)
+    assert set(errors) == failed
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_imex_step_returns_no_buffer(dim):
+    domain = build_domain(dim, [1.0] * dim, [12] * dim)
+    matching = full_boundary_matching(domain, 2, "1-2")
+    cfg = IntegratorConfig(t_end=0.02, scheme="imex-euler", dt=2e-3)
+    params = HRParameters.default(p=2.0)
+    stepper = Integrator([params, params.replace(p=0.5, d=0.3)], domain, matching, cfg)
+    state = initial_state(InitialCondition(kind="uniform-random", seed=2), domain, 2)
+    batch = NetworkState(0.0, *(np.stack([x, -x]) for x in (state.u, state.v, state.w)))
+    inputs = [x.copy() for x in (batch.u, batch.v, batch.w)]
+    first, errors = stepper.step(batch)
+    kept = [x.copy() for x in (first.u, first.v, first.w)]
+    second, more = stepper.step(batch)
+    assert errors == more == {}
+    for x, before in zip((batch.u, batch.v, batch.w), inputs):
+        assert np.array_equal(x, before)
+    for x, y, before in zip((first.u, first.v, first.w), (second.u, second.v, second.w), kept):
+        assert np.array_equal(x, before) and np.array_equal(x, y)
+        assert not np.shares_memory(x, y)
+        assert not any(np.shares_memory(z, stepper._buffers) for z in (x, y))
 
 
 def test_wrong_2d_solve_fails_the_residual_guard(monkeypatch):

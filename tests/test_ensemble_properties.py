@@ -17,6 +17,7 @@ replaced.
 """
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,11 @@ from hrnet.domain import (
 from hrnet.dynamics import (
     SCHEMES,
     InitialCondition,
+    Integrator,
     IntegratorConfig,
+    NetworkState,
+    SimulationResult,
+    initial_state,
     simulate,
     simulate_ensemble,
 )
@@ -150,6 +155,39 @@ def test_blown_up_member_fails_as_serially_and_leaves_batch_mates_alone():
     assert 0.0 < blown.t < 0.1 and len(blown.rows) >= 1
     for ic, params, got in zip(ics, params_list, results):
         assert_same_outcome(got, serial(ic, params, domain, matching, cfg))
+
+
+@pytest.mark.parametrize("scheme, dt", [("imex-euler", 2e-3), ("explicit-rk4", "auto")])
+def test_failed_members_report_the_largest_u_before_their_failure(scheme, dt):
+    domain, matching = stock_network()
+    cfg = IntegratorConfig(t_end=0.1, scheme=scheme, dt=dt, record_every=5)
+    ics = [InitialCondition(kind="uniform-random", seed=s) for s in (1, 2, 3)]
+    params_list = [HRParameters.default(J=1e5), HRParameters.default(p=2.0),
+                   HRParameters.default(J=1e6)]
+    results = simulate_ensemble(ics, params_list, domain, matching, cfg)
+    assert isinstance(results[1], SimulationResult)
+    failed_at = []
+    for b in (0, 2):
+        # the oracle: the member stepped alone, |u| taken over every state
+        # before the step that fails
+        stepper = Integrator(params_list[b], domain, matching, cfg)
+        one = initial_state(ics[b], domain, 2)
+        state = NetworkState(0.0, one.u[None], one.v[None], one.w[None])
+        seen = np.abs(state.u).max()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, stepper.n_steps + 1):
+                state, errors = stepper.step(state)
+                if errors or not state.is_finite():
+                    break
+                seen = max(seen, np.abs(state.u).max())
+            else:
+                pytest.fail("the member did not blow up")
+        err = results[b]
+        assert isinstance(err, IntegrationError)
+        assert (err.t, err.max_abs_u) == (k * stepper.dt, seen)
+        failed_at.append(k)
+    # the batch shrank twice
+    assert failed_at[0] != failed_at[1]
 
 
 def test_shared_2d_factor_solves_members_bitwise_like_serial():
