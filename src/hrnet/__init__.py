@@ -22,14 +22,12 @@ from .domain import (
     apply_diffusion,
     build_domain,
     full_boundary_matching,
-    integrate_boundary_pair,
     integrate_domain,
     network_diffusion_matrix,
     neumann_laplacian,
     parse_matching,
     parse_pairs,
     poincare_constants,
-    trivial_matching,
 )
 from .dynamics import (
     IC_KINDS,
@@ -44,7 +42,6 @@ from .dynamics import (
     resolve_dt,
     simulate,
     simulate_ensemble,
-    step,
 )
 from .errors import (
     ConfigError,
@@ -71,67 +68,3 @@ from .metrics import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_PROFILE",
-    "IC_KINDS",
-    "SCHEMES",
-    "AbsorbingConstants",
-    "BoundaryMatching",
-    "ConfigError",
-    "DerivedConstants",
-    "Domain",
-    "HRParameters",
-    "InitialCondition",
-    "IntegrationError",
-    "IntegratorConfig",
-    "KResult",
-    "LinearSolveError",
-    "MatchingError",
-    "MetricsOptions",
-    "NetworkState",
-    "PairDifferences",
-    "PoincareConstants",
-    "RateFit",
-    "RunConfig",
-    "SimulationResult",
-    "SingularParameterError",
-    "ThresholdConstants",
-    "TrajectoryObserver",
-    "TrajectoryRecord",
-    "apply_diffusion",
-    "asynchronous_degree",
-    "build_domain",
-    "cfl_bound",
-    "compute_K",
-    "compute_absorbing",
-    "compute_c1",
-    "compute_c2",
-    "compute_mu",
-    "compute_threshold",
-    "derive_constants",
-    "energy_monitor",
-    "entry_time",
-    "envelope_check",
-    "fit_sync_rate",
-    "full_boundary_matching",
-    "initial_state",
-    "integrate_boundary_pair",
-    "integrate_domain",
-    "load_config",
-    "network_diffusion_matrix",
-    "neumann_laplacian",
-    "pair_differences",
-    "parse_matching",
-    "parse_pairs",
-    "poincare_constants",
-    "record_trajectories",
-    "record_trajectory",
-    "resolve_dt",
-    "simulate",
-    "simulate_ensemble",
-    "step",
-    "stimulation_signal",
-    "trivial_matching",
-    "__version__",
-]

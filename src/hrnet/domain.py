@@ -173,15 +173,6 @@ class BoundaryMatching:
         return tuple((i, f, self.face_area[f]) for (i, _), f in zip(self.matched_pairs, faces))
 
 
-def trivial_matching(domain: Domain, n_neurons: int) -> BoundaryMatching:
-    """All faces zero-flux for every neuron."""
-    partner = np.broadcast_to(
-        np.arange(n_neurons, dtype=np.intp), (domain.n_faces, n_neurons)
-    ).copy()
-    return BoundaryMatching(partner=partner, face_area=domain.face_area,
-                            face_cell=domain.face_cell, n_neurons=n_neurons)
-
-
 def parse_pairs(text) -> list:
     """Parse a pair list like ``1-2, 3-3`` into 1-based index tuples.
 
@@ -347,19 +338,6 @@ def integrate_domain(field: np.ndarray, domain: Domain):
         raise ValueError(f"field must have {domain.n_cells} cells, got {field.shape}")
     total = np.sum(field, axis=-1) * domain.cell_volume
     return float(total) if field.ndim == 1 else total
-
-
-def integrate_boundary_pair(f_faces: np.ndarray, matching: BoundaryMatching, i: int, j: int):
-    """Integrate per-face values over the faces where neuron i is matched to j.
-
-    Indices are 0-based.  ``i == j`` integrates over the zero-flux faces of
-    neuron i (legal; usually the zero function).
-    """
-    f_faces = np.asarray(f_faces)
-    if f_faces.shape[-1] != matching.face_area.shape[0]:
-        raise ValueError("f_faces must have one value per boundary face")
-    mask = matching.partner[:, i] == j
-    return float(np.sum(f_faces[..., mask] * matching.face_area[mask], axis=-1))
 
 
 def _axis_eigenvalues(n: int, h: float) -> np.ndarray:

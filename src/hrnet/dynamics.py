@@ -8,10 +8,9 @@ and an implicit-explicit Euler step that treats the stiff diffusion and
 coupling operator with a backward Euler solve (prepared once per run: one
 uncoupled solve shared by the batch plus a capacitance-matrix correction
 per member) and the reaction terms explicitly.  :class:`Integrator` steps
-batches of (B, N, cells) arrays, one member per ensemble run; :func:`step`
-is the one wrapper for a single (N, cells) state.  Everything here is
-deterministic: fixed evaluation order, seeded generators, and no
-dependence on thread count.
+batches of (B, N, cells) arrays, one member per ensemble run; a single
+(N, cells) state is a batch of one.  Everything here is deterministic: fixed
+evaluation order, seeded generators, and no dependence on thread count.
 """
 
 from __future__ import annotations
@@ -531,24 +530,25 @@ class Integrator:
         passed = residual <= self.cfg.linear_tol ** 2 * scale
         errors = {}
         for b in () if passed.all() else np.flatnonzero(~passed).tolist():
-            if not all(np.isfinite(x[b]).all() for x in (rhs, v2, w2)):
-                # the explicit update had already blown up: an integration
-                # failure, not the solve's
-                errors[b] = IntegrationError(state.t + dt, float(np.abs(state.u[b]).max()))
-                continue
-            errors[b] = LinearSolveError(
-                f"backward Euler solve at t={state.t:.6g}: residual {math.sqrt(residual[b]):.3e} "
-                f"exceeds tolerance {self.cfg.linear_tol:.3e} (scale {math.sqrt(scale[b]):.3e})"
-            )
+            # a non-finite explicit update leaves the member's new state
+            # non-finite: the caller's health check reports it, not the solve
+            if all(np.isfinite(x[b]).all() for x in (rhs, v2, w2)):
+                errors[b] = LinearSolveError(
+                    f"backward Euler solve at t={state.t:.6g}: residual "
+                    f"{math.sqrt(residual[b]):.3e} exceeds tolerance "
+                    f"{self.cfg.linear_tol:.3e} (scale {math.sqrt(scale[b]):.3e})"
+                )
         return NetworkState(state.t + dt, u2, v2, w2), errors
 
     def step(self, state: NetworkState):
         """Advance the batch ``state`` of (B, N, cells) arrays by one step.
 
         Returns ``(state, errors)``: ``errors`` maps the batch position of
-        each member whose implicit step failed to its
-        :class:`IntegrationError` or :class:`LinearSolveError`; the returned
-        state is valid for every other member.  A run of zero steps
+        each member whose implicit solve failed the residual guard on finite
+        data to its :class:`LinearSolveError`; the returned state is valid
+        for every other member whose values are all finite.  A member whose
+        explicit update is non-finite gets a non-finite state and no entry:
+        the caller checks the state's health.  A run of zero steps
         (``t_end = 0``) prepares no solver and has nothing to step: it
         raises :class:`ValueError`.
         """
@@ -557,17 +557,6 @@ class Integrator:
         if self.cfg.scheme == "explicit-rk4":
             return self._step_rk4(state)
         return self._step_imex(state)
-
-
-def step(state: NetworkState, params: HRParameters, domain: Domain, matching,
-         cfg: IntegratorConfig) -> NetworkState:
-    """One step of a single (N, cells) state, raising its error if the step
-    fails; build an :class:`Integrator` directly for long runs."""
-    batch = NetworkState(state.t, state.u[None], state.v[None], state.w[None])
-    new, errors = Integrator(params, domain, matching, cfg).step(batch)
-    if errors:
-        raise errors[0]
-    return _member(new, 0)
 
 
 @dataclass

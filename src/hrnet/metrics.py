@@ -58,30 +58,13 @@ def pair_differences(state: NetworkState, domain: Domain, g: float) -> PairDiffe
                            diff_plain=plain, diff_g=diff_g)
 
 
-def _boundary_gather(state: NetworkState, matching: BoundaryMatching):
-    """Face values ``uf`` (N, F) and coupling residuals u_i - u_partner(i).
-
-    The gather comes back Fortran-ordered; ``uf`` is made C-ordered so that
-    its row sums add in the same order as 1-D sums.
-    """
-    uf = np.ascontiguousarray(state.u[:, matching.face_cell])
-    resid = uf - uf[matching.partner.T, np.arange(uf.shape[1])]
-    return uf, resid
-
-
 def stimulation_signal(state: NetworkState, matching: BoundaryMatching, p: float) -> float:
     """p times the squared membrane gaps integrated over matched boundary pieces.
 
     Sums over unordered pairs i < j; faces where a neuron is matched to
     itself contribute nothing.
     """
-    _, resid = _boundary_gather(state, matching)
-    total = 0.0
-    for i, faces, area in matching.pair_faces:
-        # on the faces where i is matched to j, resid[i] is u_i - u_j
-        gap = resid[i, faces]
-        total += float(np.sum(gap * gap * area))
-    return p * total
+    return p * compute_K(state, matching).matched_gap
 
 
 @dataclass(frozen=True)
@@ -92,12 +75,15 @@ class KResult:
     coupling residuals (u_i - u_at_partner_of_i) - (u_j - u_at_partner_of_j)
     against (u_i - u_j).  ``boundary_diff_full`` is the ordered-pair sum of
     squared gaps over the whole boundary, recorded alongside ``k_sum`` so the
-    relation between the two is measured, never presumed.
+    relation between the two is measured, never presumed.  ``matched_gap``
+    integrates the squared gaps only where the pair is matched, once per
+    unordered pair: the stimulation signal before its factor p.
     """
 
     k: np.ndarray
     k_sum: float
     boundary_diff_full: float
+    matched_gap: float
 
     @property
     def ek_ratio(self) -> float:
@@ -107,7 +93,12 @@ class KResult:
 
 
 def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
-    uf, resid = _boundary_gather(state, matching)
+    """Every boundary observable of ``state``, from one gather of its face values."""
+    # the gather comes back Fortran-ordered; C order makes row sums add in
+    # the same order as 1-D sums
+    uf = np.ascontiguousarray(state.u[:, matching.face_cell])
+    # coupling residuals u_i - u_partner(i)
+    resid = uf - uf[matching.partner.T, np.arange(uf.shape[1])]
     area = matching.face_area
     # (N, N, F): entry (i, j) summed over contiguous faces, as a row of its own
     du = uf[:, None] - uf
@@ -116,7 +107,13 @@ def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
     # ordered pairs summed left to right in row-major order; the zero
     # diagonal leaves the running sum unchanged
     boundary_diff_full = float(np.cumsum(gap)[-1])
-    return KResult(k=k, k_sum=float(k.sum()), boundary_diff_full=boundary_diff_full)
+    matched_gap = 0.0
+    for i, faces, face_area in matching.pair_faces:
+        # on the faces where i is matched to j, resid[i] is u_i - u_j
+        pair_gap = resid[i, faces]
+        matched_gap += float(np.sum(pair_gap * pair_gap * face_area))
+    return KResult(k=k, k_sum=float(k.sum()), boundary_diff_full=boundary_diff_full,
+                   matched_gap=matched_gap)
 
 
 @dataclass
@@ -227,7 +224,7 @@ class TrajectoryObserver:
             "total_energy": total,
             "weighted_energy": c.c1 * u_energy + v_energy + w_energy,
             "gronwall_envelope": envelope,
-            "stimulation_s": stimulation_signal(state, self.matching, self.params.p),
+            "stimulation_s": self.params.p * kres.matched_gap,
             "threshold_literal": c.big_r * c.omega_measure,
             "threshold_perpair": c.big_r_alt * c.omega_measure,
             "boundary_diff_full": kres.boundary_diff_full,
@@ -452,9 +449,13 @@ class EnergyViolation:
 
 @dataclass
 class EnergyReport:
+    """``max_lhs`` is the largest left-hand side over all intervals (-inf
+    without intervals)."""
+
     rhs: float
     violations: list
     n_intervals: int
+    max_lhs: float
 
     @property
     def ok(self) -> bool:
@@ -484,13 +485,11 @@ def energy_monitor(record: TrajectoryRecord, consts: DerivedConstants,
     bound = rhs * (1.0 + tolerance)
     b = record.weighted_energy
     t = record.t
-    violations = []
-    for k in range(len(record) - 1):
-        dt = float(t[k + 1] - t[k])
-        lhs = float((b[k + 1] - b[k]) / dt + consts.r_star * 0.5 * (b[k] + b[k + 1]))
-        if lhs > bound:
-            violations.append(EnergyViolation(float(0.5 * (t[k] + t[k + 1])), lhs, bound))
-    return EnergyReport(rhs=rhs, violations=violations, n_intervals=max(len(record) - 1, 0))
+    lhs = (b[1:] - b[:-1]) / np.diff(t) + consts.r_star * 0.5 * (b[:-1] + b[1:])
+    violations = [EnergyViolation(float(0.5 * (t[k] + t[k + 1])), float(lhs[k]), bound)
+                  for k in np.flatnonzero(lhs > bound)]
+    return EnergyReport(rhs=rhs, violations=violations, n_intervals=lhs.size,
+                        max_lhs=float(lhs.max(initial=-math.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -334,10 +334,7 @@ def _criterion_energy_monitor(ctx: VerifyContext):
     failures = []
     for seed, record in zip(ENVELOPE_SEEDS, records):
         report = energy_monitor(record, consts, tolerance=0.05)
-        b = record.weighted_energy
-        t = record.t
-        lhs = (b[1:] - b[:-1]) / np.diff(t) + consts.r_star * 0.5 * (b[1:] + b[:-1])
-        worst = max(worst, float(lhs.max()) / report.rhs)
+        worst = max(worst, report.max_lhs / report.rhs)
         if not report.ok:
             failures.append(f"seed {seed}: {len(report.violations)} violations")
     passed = not failures

@@ -17,14 +17,12 @@ from hrnet.domain import (
     apply_diffusion,
     build_domain,
     full_boundary_matching,
-    integrate_boundary_pair,
     integrate_domain,
     network_diffusion_matrix,
     neumann_laplacian,
     parse_matching,
     parse_pairs,
     poincare_constants,
-    trivial_matching,
 )
 from hrnet.errors import MatchingError
 
@@ -272,7 +270,7 @@ def manufactured_error_1d(n: int) -> float:
     (x,) = d.cell_center_coords()
     u = np.cos(math.pi * x / length)[None, :].repeat(2, axis=0)
     want = -(math.pi / length) ** 2 * u
-    got = apply_diffusion(u, d, trivial_matching(d, 2), d=1.0, p=0.0)
+    got = apply_diffusion(u, d, parse_matching([], d, 2), d=1.0, p=0.0)
     return float(np.abs(got - want).max())
 
 
@@ -282,7 +280,7 @@ def manufactured_error_2d(n: int) -> float:
     x, y = d.cell_center_coords()
     u = (np.cos(math.pi * x / lx) * np.cos(math.pi * y / ly))[None, :]
     want = -((math.pi / lx) ** 2 + (math.pi / ly) ** 2) * u
-    got = apply_diffusion(u, d, trivial_matching(d, 1), d=1.0, p=0.0)
+    got = apply_diffusion(u, d, None, d=1.0, p=0.0)
     return float(np.abs(got - want).max())
 
 
@@ -401,24 +399,12 @@ def test_integrate_stacked_fields():
     assert np.allclose(vals, 1.0, rtol=1e-14)
 
 
-def test_integrate_boundary_pair_selects_matched_faces():
-    d = build_domain(1, [1.0], [8])
-    m = parse_matching([{"side": "left", "pairs": "1-2"}], d, 2)
-    f = np.array([5.0, 7.0])
-    assert integrate_boundary_pair(f, m, 0, 1) == pytest.approx(5.0)
-    assert integrate_boundary_pair(f, m, 1, 0) == pytest.approx(5.0)
-    # the right endpoint is a fixed point for both neurons
-    assert integrate_boundary_pair(f, m, 0, 0) == pytest.approx(7.0)
-    with pytest.raises(ValueError):
-        integrate_boundary_pair(np.ones(3), m, 0, 1)
-
-
 def test_matched_pairs_lists_each_unordered_pair_once_in_row_major_order():
     d = build_domain(1, [1.0], [8])
     m = parse_matching([{"side": "left", "pairs": "3-4, 1-2"},
                         {"side": "right", "pairs": "4-1, 2-2"}], d, 5)
     assert m.matched_pairs == ((0, 1), (0, 3), (2, 3))
-    assert trivial_matching(d, 3).matched_pairs == ()
+    assert parse_matching([], d, 3).matched_pairs == ()
 
 
 # ---------------------------------------------------------------------------

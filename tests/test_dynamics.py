@@ -32,7 +32,6 @@ from hrnet.dynamics import (
     resolve_dt,
     simulate,
     simulate_ensemble,
-    step,
 )
 from hrnet.errors import ConfigError, IntegrationError, LinearSolveError
 
@@ -146,9 +145,11 @@ def test_step_preserves_equilibrium():
     params, domain, matching = default_setup()
     u, v, w = equilibrium_root(params)
     state = constant_state(domain, 2, u=u, v=v, w=w)
+    batch = NetworkState(0.0, state.u[None], state.v[None], state.w[None])
     for scheme in ("explicit-rk4", "imex-euler"):
         cfg = IntegratorConfig(t_end=1.0, scheme=scheme, dt=1e-3)
-        new = step(state, params, domain, matching, cfg)
+        new, errors = Integrator(params, domain, matching, cfg).step(batch)
+        assert errors == {}
         assert np.abs(new.u - state.u).max() <= 1e-10
         assert np.abs(new.v - state.v).max() <= 1e-10
         assert np.abs(new.w - state.w).max() <= 1e-10
@@ -451,8 +452,6 @@ def test_zero_horizon_has_nothing_to_step(dim, monkeypatch):
     batch = NetworkState(0.0, state.u[None], state.v[None], state.w[None])
     with pytest.raises(ValueError, match="nothing to step"):
         stepper.step(batch)
-    with pytest.raises(ValueError, match="nothing to step"):
-        step(state, params, domain, matching, cfg)
 
 
 def test_simulate_accepts_prebuilt_state():
@@ -483,11 +482,13 @@ def test_integrator_reuses_factorization(monkeypatch):
     assert errors == more == {}
     assert out.t == pytest.approx(2e-3)
     assert len(factored) == 1
-    # each member of the batch gets the single-member step's bits
+    # each member of the batch gets the bits of its batch of one
     for b, member in enumerate(stepper.members):
-        one = step(step(constant_state(domain, 2, u=u[b, 0, 0]), member, domain, matching, cfg),
-                   member, domain, matching, cfg)
-        assert np.array_equal(out.u[b], one.u) and np.array_equal(out.w[b], one.w)
+        alone = Integrator(member, domain, matching, cfg)
+        one, errors = alone.step(NetworkState(0.0, *(x[b:b + 1] for x in (state.u, state.v, state.w))))
+        one, more = alone.step(one)
+        assert errors == more == {}
+        assert np.array_equal(out.u[b], one.u[0]) and np.array_equal(out.w[b], one.w[0])
 
 
 def test_initial_file_is_read_before_the_solver_is_built(tmp_path, monkeypatch):

@@ -12,12 +12,13 @@ import math
 import numpy as np
 import pytest
 
+import hrnet.metrics as metrics
 from hrnet.core import DerivedConstants, HRParameters, derive_constants, entry_time
 from hrnet.domain import (
     build_domain,
     full_boundary_matching,
+    parse_matching,
     poincare_constants,
-    trivial_matching,
 )
 from hrnet.dynamics import (
     InitialCondition,
@@ -159,7 +160,7 @@ def test_stimulation_signal_constant_gap_1d():
 def test_stimulation_signal_trivial_matching_is_zero():
     domain = build_domain(1, [1.0], [8])
     state = make_state(domain, constant_rows(domain, (5.0, -5.0)))
-    assert stimulation_signal(state, trivial_matching(domain, 2), p=3.0) == 0.0
+    assert stimulation_signal(state, parse_matching([], domain, 2), p=3.0) == 0.0
 
 
 def test_stimulation_signal_2d_area_weighting():
@@ -209,7 +210,7 @@ def test_compute_K_symmetry_and_full_sum_random_fields():
 
 def test_compute_K_trivial_matching_zero_cross_term():
     domain = build_domain(1, [1.0], [8])
-    matching = trivial_matching(domain, 2)
+    matching = parse_matching([], domain, 2)
     state = make_state(domain, constant_rows(domain, (1.0, 0.0)))
     res = compute_K(state, matching)
     assert np.all(res.k == 0.0)
@@ -283,6 +284,25 @@ def test_trajectory_observer_row_contents():
     # rho0 stays anchored; envelope decays with r_star = 1
     assert later["gronwall_envelope"] == pytest.approx(
         math.exp(-1.5) * rho0 + 1.0, rel=1e-14)
+
+
+def unexpected_call(*args, **kwargs):
+    raise AssertionError("called unexpectedly")
+
+
+def test_observer_row_gathers_the_boundary_once(monkeypatch):
+    domain = build_domain(1, [2.0], [8])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    params = HRParameters.default(p=2.0)
+    calls = []
+    monkeypatch.setattr(metrics, "compute_K",
+                        lambda state, m: calls.append(state) or compute_K(state, m))
+    # the stimulation signal comes from compute_K's own gather
+    monkeypatch.setattr(metrics, "stimulation_signal", unexpected_call)
+    obs = TrajectoryObserver(params, domain, matching, FRIENDLY)
+    row = obs(make_state(domain, constant_rows(domain, (1.0, 0.0))))
+    assert len(calls) == 1
+    assert row["stimulation_s"] == 4.0  # p * 2 unit faces of unit gap
 
 
 def test_record_validate_rejects_bad_columns():
@@ -448,6 +468,7 @@ def test_energy_monitor_healthy_run_passes():
     report = energy_monitor(record, consts)
     assert report.ok
     assert report.n_intervals == len(record) - 1
+    assert report.max_lhs <= report.rhs
     assert report.rhs == pytest.approx(
         (consts.c2 + consts.c1 ** 2 / 32.0) * 2 * consts.omega_measure, rel=1e-14)
     assert "pass" in report.lines()[0]
@@ -464,6 +485,10 @@ def test_energy_monitor_flags_violation():
     v = report.violations[0]
     assert v.t_mid == 0.5
     assert v.lhs == pytest.approx(15.0, rel=1e-14)
+    assert report.max_lhs == v.lhs
+    # one record has no interval: nothing to violate
+    single = energy_monitor(synth_record([0.0], [1.0], [0.0], [0.1]), FRIENDLY)
+    assert (single.ok, single.n_intervals, single.max_lhs) == (True, 0, -math.inf)
     assert "FAIL" in report.lines()[0]
 
 

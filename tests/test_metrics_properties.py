@@ -171,11 +171,11 @@ def test_observables_equal_per_pair_oracle(scenario, g, p):
 
 
 @PROPERTY
-@given(scenarios())
-def test_observer_row_columns_follow_pair_order(scenario):
+@given(scenarios(), st.floats(0.0, 50.0))
+def test_observer_row_columns_follow_pair_order(scenario, p):
     domain, matching, state = scenario
     n = state.n_neurons
-    params = HRParameters.default(n_neurons=n)
+    params = HRParameters.default(n_neurons=n, p=p)
     consts = derive_constants(params, domain.omega_measure, 1.0, 1.0)
     row = TrajectoryObserver(params, domain, matching, consts)(state)
     _, _, _, plain, g_weighted = oracle_pair_differences(state, domain, consts.g)
