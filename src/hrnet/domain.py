@@ -355,6 +355,13 @@ def _axis_laplacian(n: int, h: float) -> sp.csr_matrix:
     return sp.csr_matrix((values.ravel()[1:-1] / (h * h), columns, starts), shape=(n, n))
 
 
+def _diagonal_positions(a: sp.csr_matrix) -> np.ndarray:
+    """Where each row's diagonal entry sits in ``a.data``, for a matrix that
+    stores one in every row."""
+    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
+    return np.flatnonzero(a.indices == rows)
+
+
 def neumann_laplacian(domain: Domain) -> sp.csr_matrix:
     """Discrete zero-flux Laplacian on the grid (matches apply_diffusion at d=1, p=0)."""
     if domain.dim == 1:
@@ -374,33 +381,44 @@ def network_diffusion_matrix(
     Acts on a vector of length N * n_cells laid out neuron-major; equals
     apply_diffusion as a linear map.  A face matching neuron i to j adds its
     flux coefficient at (i, j) and subtracts it at (i, i) of its cell; a
-    corner cell's two faces are summed in face order.
+    corner cell's two faces are summed in face order.  Compressed rows with
+    sorted columns, built directly: one neuron's rows tiled over the
+    diagonal blocks, and the coupling entries inserted where they sort.
     """
     nc = domain.n_cells
     n_total = n_neurons * nc
-    lap = (d * neumann_laplacian(domain)).tocoo()
-    offsets = (np.arange(n_neurons) * nc)[:, None]
-    rows = (offsets + lap.row).ravel()
-    cols = (offsets + lap.col).ravel()
+    lap = d * neumann_laplacian(domain)  # sorted columns, one diagonal entry per row
+    # 32-bit indices where every index and entry count fits, as scipy picks them
+    fits = n_neurons * (lap.nnz + domain.n_faces) <= np.iinfo(np.int32).max
+    block = np.arange(n_neurons, dtype=np.int32 if fits else np.intp)
     data = np.tile(lap.data, n_neurons)
+    indices = (block[:, None] * nc + lap.indices).ravel()
+    indptr = np.empty(n_total + 1, dtype=block.dtype)
+    indptr[:-1] = (block[:, None] * lap.nnz + lap.indptr[:-1]).ravel()
+    indptr[-1] = n_neurons * lap.nnz
     if p != 0.0 and matching is not None:
         f, i = np.nonzero(matching.partner != np.arange(n_neurons))  # face-major
         coef = ((d * p / domain.cell_volume) * domain.face_area)[f]
-        row = i * nc + domain.face_cell[f]
-        col = matching.partner[f, i] * nc + domain.face_cell[f]
+        cell = domain.face_cell[f]
         # ufunc.at applies repeated indices one after another, in face order
-        diagonal = np.empty(n_total, dtype=np.intp)
-        on_diagonal = np.flatnonzero(rows == cols)
-        diagonal[rows[on_diagonal]] = on_diagonal
-        np.subtract.at(data, diagonal[row], coef)
-        keys, slot = np.unique(row * n_total + col, return_inverse=True)
+        np.subtract.at(data, i * lap.nnz + _diagonal_positions(lap)[cell], coef)
+        keys, slot = np.unique((i * nc + cell) * n_total + matching.partner[f, i] * nc + cell,
+                               return_inverse=True)
         coupling = np.zeros(keys.size)
         np.add.at(coupling, slot, coef)
-        rows = np.concatenate([rows, keys // n_total])
-        cols = np.concatenate([cols, keys % n_total])
-        data = np.concatenate([data, coupling])
-    # positions are distinct, so the conversion only sorts and sums nothing
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_total, n_total))
+        row, col = np.divmod(keys, n_total)
+        # a partner's block lies left of the row's own when j < i, else right;
+        # keys are sorted, so each entry lands after those inserted before it
+        slots = indptr[row + (col > row)] + np.arange(keys.size)
+        kept = np.ones(data.size + keys.size, dtype=bool)
+        kept[slots] = False
+        merged = []
+        for tiled, inserted in ((data, coupling), (indices, col)):
+            merged.append(np.empty(kept.size, dtype=tiled.dtype))
+            merged[-1][slots], merged[-1][kept] = inserted, tiled
+        data, indices = merged
+        indptr[1:] += np.cumsum(np.bincount(row, minlength=n_total))
+    return sp.csr_matrix((data, indices, indptr), shape=(n_total, n_total))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ evaluation order, seeded generators, and no dependence on thread count.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import zipfile
@@ -31,6 +32,7 @@ from .domain import (
     Domain,
     _axis_eigenvalues,
     _axis_laplacian,
+    _diagonal_positions,
     apply_diffusion,
     network_diffusion_matrix,
 )
@@ -304,6 +306,14 @@ class CapacitanceSolver:
     :meth:`solve` takes (B, N, n_cells), one right-hand side per member, each
     member solved bit for bit as alone; ``system`` is the assembled
     block-diagonal ``I - dt A``, for the residual guard.
+
+    The build runs once per batch.  From the matching: the coupling's terms
+    and ``W^T W``.  Per distinct d: ``S0``'s Green's block ``G`` at the
+    coupled edge cells; in 2D a cell's unit edge value has a 2D DCT that is
+    one outer product (a DCT-II basis column across the edge times a DCT row
+    along it), so ``G`` needs no forward transform.  Per distinct (d, p):
+    the assembled ``I - dt A`` and ``K = ((W^T W) * G) * s s^T + I`` (``s``
+    the terms' square-root weights) with its factor.
     """
 
     def __init__(self, domain: Domain, matching, d, p, n_neurons: int, dt: float):
@@ -340,13 +350,23 @@ class CapacitanceSolver:
             side_x, side_y = (ix == nx - 1).astype(np.intp), (iy == ny - 1).astype(np.intp)
             self._face_at = np.where((ix == 0) | (ix == nx - 1), side_x * ny + iy,
                                      2 * ny + 2 * ix + side_y)
-        built = {}
+        terms = self._coupling_terms(domain, matching)
+        greens, built = {}, {}  # d -> Green's block; (d, p) -> (correction, system)
         for key in zip(d, p):
             if key not in built:
-                system = network_diffusion_matrix(domain, matching, *key, n_neurons) * -dt
-                system.setdiag(system.diagonal() + 1.0)
-                built[key] = (self._capacitance(domain, matching, *key, dt), system)
-        self._corrections, systems = zip(*(built[key] for key in zip(d, p)))
+                system = network_diffusion_matrix(domain, matching, *key, n_neurons)
+                # I - dt A in A's storage: every entry times -dt, then 1 added
+                # on the diagonal, which the operator always stores
+                system.data *= -dt
+                system.data[_diagonal_positions(system)] += 1.0
+                built[key] = (self._capacitance(domain, terms, greens, *key, dt), system)
+        self._d, self._members = list(d), [built[key] for key in zip(d, p)]
+        self._arrange()
+
+    def _arrange(self):
+        """The batch's arrays, from each member's d and (correction, system)."""
+        d = self._d
+        self._corrections, systems = zip(*self._members)
         self.system = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csr")
         if self._dim == 2:
             self._eigenvalues = np.stack([self._uncoupled[dm] for dm in d])[:, None]
@@ -357,48 +377,94 @@ class CapacitanceSolver:
         self._blocks = np.stack(self._corrections)
         self._columns = np.stack([self._uncoupled[dm][1] for dm in d])[:, None]
 
-    def _capacitance(self, domain, matching, d, p, dt):
-        """A member's correction: 1D ``U K^-1 U^T``; 2D ``K``'s factor and terms, or None."""
+    def _subset(self, keep):
+        """The solver of the members at batch positions ``keep`` alone, from
+        the operators prepared for them: nothing is assembled or factored."""
+        solver = copy.copy(self)
+        solver._d = [self._d[b] for b in keep]
+        solver._members = [self._members[b] for b in keep]
+        solver._arrange()
+        return solver
+
+    def _coupling_terms(self, domain, matching):
+        """The rank-one terms of the coupling, shared by every member: per
+        term its faces' slots and areas, its edge position ``at`` and pair
+        i < j, the distinct positions with each term's rank among them, and
+        ``W^T W`` (entries 0, +-1 and 2).  None without coupled faces."""
         n = self._n
         upper = matching.partner > np.arange(n) if matching is not None else np.zeros(0)
-        if p == 0.0 or not upper.any():
-            return np.zeros((2 * n, 2 * n)) if self._dim == 1 else None
+        if not upper.any():
+            return None
         f, i = np.nonzero(upper)
-        weight = (dt * d * p / domain.cell_volume) * domain.face_area[f]
         key = (self._face_at[f] * n + i) * n + matching.partner[f, i]
         key, slot = np.unique(key, return_inverse=True)
         at, pair = np.divmod(key, n * n)
         i, j = np.divmod(pair, n)
-        scale = np.sqrt(np.bincount(slot, weights=weight))
-        incidence = np.zeros((key.size, n))
-        incidence[np.arange(key.size), i] = 1.0
-        incidence[np.arange(key.size), j] = -1.0
-        capacitance = (incidence @ incidence.T) * self._green(at, d) * np.outer(scale, scale)
+        cells, rank = np.unique(at, return_inverse=True)
+        # W^T W: each term's pair against every other's, from the table of the
+        # distinct pairs' incidence products, one byte per entry
+        pairs, first, which = np.unique(pair, return_index=True, return_inverse=True)
+        incidence = np.zeros((pairs.size, n), dtype=np.int8)
+        incidence[np.arange(pairs.size), i[first]] = 1
+        incidence[np.arange(pairs.size), j[first]] = -1
+        products = (incidence @ incidence.T).take(which, 0).take(which, 1)
+        return SimpleNamespace(slot=slot, area=domain.face_area[f], at=at, i=i, j=j,
+                               cells=cells, rank=rank, products=products)
+
+    def _capacitance(self, domain, terms, greens, d, p, dt):
+        """A member's correction: 1D ``U K^-1 U^T``; 2D ``K``'s factor and
+        terms, or None.  ``greens`` caches the Green's block of each d."""
+        if p == 0.0 or terms is None:
+            return np.zeros((2 * self._n, 2 * self._n)) if self._dim == 1 else None
+        weight = (dt * d * p / domain.cell_volume) * terms.area
+        scale = np.sqrt(np.bincount(terms.slot, weights=weight))
+        if d not in greens:
+            greens[d] = self._green(terms.cells, d)
+        # K = ((W^T W) * G) * (scale scale^T) + I, in one array, 64 rows at a time
+        green, rank = greens[d], terms.rank
+        capacitance = np.empty((rank.size, rank.size))
+        for start in range(0, rank.size, 64):
+            rows = slice(start, start + 64)
+            np.multiply(green.take(rank[rows], 0).take(rank, 1), terms.products[rows],
+                        out=capacitance[rows])
+            capacitance[rows] *= np.multiply.outer(scale[rows], scale)
         capacitance[np.diag_indices_from(capacitance)] += 1.0
         factor = cholesky(capacitance)  # K = R^T R
+        i, j, at = terms.i, terms.j, terms.at
         if self._dim == 2:
             return factor, (i, j, at, scale)
         # U^T on the end-cell values, ordered (neuron, end)
-        terms = np.zeros((key.size, 2 * n))
-        terms[np.arange(key.size), 2 * i + at] = scale
-        terms[np.arange(key.size), 2 * j + at] = -scale
-        half = sla.solve_triangular(factor, terms, trans="T", check_finite=False)
+        ut = np.zeros((at.size, 2 * self._n))
+        ut[np.arange(at.size), 2 * i + at] = scale
+        ut[np.arange(at.size), 2 * j + at] = -scale
+        half = sla.solve_triangular(factor, ut, trans="T", check_finite=False)
         return np.einsum("ti,tj->ij", half, half)  # no BLAS: thread-count free
 
-    def _green(self, at, d):
-        """Green's block of ``S0`` (diffusion ``d``) at the edge positions ``at``."""
+    def _green(self, cells, d):
+        """Green's block of ``S0`` (diffusion ``d``) at the distinct edge positions ``cells``."""
         if self._dim == 1:
-            return self._uncoupled[d][1][:, [0, -1]][np.ix_(at, at)]
+            return self._uncoupled[d][1][:, [0, -1]][np.ix_(cells, cells)]
         nx, ny = self._grid
-        cells, rank = np.unique(at, return_inverse=True)
+        # the 2D DCT of a unit value on an edge cell is an outer product: for a
+        # row-edge cell, the DCT-II basis at its end cell of x times the 1D
+        # DCT of the unit vector along y; for a column-edge cell, the reverse
+        across, along = np.empty((cells.size, nx)), np.empty((cells.size, ny))
+        row = cells < 2 * ny
+        side, iy = np.divmod(cells[row], ny)
+        across[row] = self._ends_x.T[side]
+        along[row] = self._fft.dct(np.eye(ny), norm="ortho")[iy]
+        ix, side = np.divmod(cells[~row] - 2 * ny, 2)
+        across[~row] = self._fft.dct(np.eye(nx), norm="ortho")[ix]
+        along[~row] = self._ends_y.T[side]
         green = np.empty((cells.size, cells.size))
-        for start in range(0, cells.size, 32):  # 32 unit vectors at a time
-            chunk = cells[start:start + 32]
-            units = np.zeros((chunk.size, 2 * (nx + ny)))
-            units[np.arange(chunk.size), chunk] = 1.0
-            solved = self._edge_values(self._edge_spectrum(units) / self._uncoupled[d])
-            green[start:start + chunk.size] = solved[:, cells]
-        return green[np.ix_(rank, rank)]
+        spectra = np.empty((8, nx, ny))  # 8 cells at a time
+        for start in range(0, cells.size, len(spectra)):
+            stop = min(start + len(spectra), cells.size)
+            spectrum = spectra[:stop - start]
+            np.einsum("cx,cy->cxy", across[start:stop], along[start:stop], out=spectrum)
+            spectrum /= self._uncoupled[d]
+            green[start:stop] = self._edge_values(spectrum)[:, cells]
+        return green
 
     def _edge_values(self, spectrum: np.ndarray) -> np.ndarray:
         """Edge values of the fields whose 2D DCT is ``spectrum`` (..., nx, ny)."""
@@ -471,7 +537,9 @@ class Integrator:
     :func:`~hrnet.domain.apply_diffusion` to the batch at each stage; backward
     Euler solves it with one :class:`CapacitanceSolver`, every solve checked
     against the assembled system by the residual guard, and reuses one set of
-    reaction buffers: an instance steps for one caller at a time.
+    reaction buffers: an instance steps for one caller at a time.  When
+    members fail, the time loop steps on with a subset of this stepper that
+    keeps the survivors' prepared operators.
     """
 
     def __init__(self, params, domain: Domain, matching, cfg: IntegratorConfig):
@@ -484,16 +552,30 @@ class Integrator:
         if len(steps) != 1:
             raise ValueError("batched members must share the step size and step count")
         ((self.dt, self.n_steps),) = steps
-        self.members = members
-        d, p = [m.d for m in members], [m.p for m in members]
-        self._solver = self._buffers = None
+        self._solver = None
         if cfg.scheme == "imex-euler" and self.n_steps > 0:
-            n = members[0].n_neurons
-            self._solver = CapacitanceSolver(domain, matching, d, p, n, self.dt)
-            # the step's reaction terms, reused: no returned state refers to them
-            self._buffers = np.empty((3, len(members), n, domain.n_cells))
+            self._solver = CapacitanceSolver(domain, matching, [m.d for m in members],
+                                             [m.p for m in members], members[0].n_neurons,
+                                             self.dt)
+        self._bind(members)
+
+    def _bind(self, members):
+        """Make ``members`` the batch: their constants and reaction buffers."""
+        self.members = members
         self._reaction = _member_constants(members, REACTION_FIELDS)
         self._coupling = _member_constants(members, ("d", "p"))
+        # the step's reaction terms, reused: no returned state refers to them
+        self._buffers = None if self._solver is None else np.empty(
+            (3, len(members), members[0].n_neurons, self.domain.n_cells))
+
+    def _subset(self, keep):
+        """This stepper for the members at batch positions ``keep`` alone,
+        with the operators already prepared for them."""
+        stepper = copy.copy(self)
+        if self._solver is not None:
+            stepper._solver = self._solver._subset(keep)
+        stepper._bind(tuple(self.members[i] for i in keep))
+        return stepper
 
     def _rhs(self, t, u, v, w):
         du, dv, dw = reaction_rhs(NetworkState(t, u, v, w), self._reaction)
@@ -669,8 +751,9 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
                 keep = [i for i in range(len(live)) if i not in errors]
                 if not keep:
                     return
-                # a stepper serves one fixed batch: the survivors get their own
-                stepper = Integrator([stepper.members[i] for i in keep], domain, matching, cfg)
+                # a stepper serves one fixed batch: the survivors get their own,
+                # built from the operators prepared for them
+                stepper = stepper._subset(keep)
                 state = NetworkState(state.t, state.u[keep], state.v[keep], state.w[keep])
                 live = [live[i] for i in keep]
                 watch = [watch[i] for i in keep]

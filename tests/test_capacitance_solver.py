@@ -10,11 +10,17 @@ mixed d, it must give each member a small relative residual and the solution
 ``splu`` of the member's assembled system gives, both to 1e-12; and each
 member of a batch must get exactly the bits of its own solve.
 
+The solver builds its parts straight from their structure; each must equal,
+bit for bit, the route it replaced, kept here as the oracle: the Green's
+block of the edge cells from one unit vector per cell pushed through the
+edge spectrum, and the guard's system ``I - dt A`` as ``setdiag`` leaves it.
+
 ``Integrator.step``'s IMEX step writes its reaction terms into buffers it
 reuses; it must give exactly the bits of the unfused formula written out
 here, and no state it returns may share memory with those buffers.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -122,6 +128,71 @@ def test_1d_solver_matches_splu(network, members, dt, seed):
 @given(rectangles(), MEMBERS, st.sampled_from([1e-3, 0.05]), st.integers(0, 2**32 - 1))
 def test_solver_matches_splu(network, members, dt, seed):
     check_solver(network, members, dt, seed)
+
+
+def oracle_green(solver, cells, d):
+    """The Green's block at the edge positions ``cells`` by the unit-vector
+    route: each cell's unit edge value through ``_edge_spectrum``, 32 at a time."""
+    nx, ny = solver._grid
+    green = np.empty((cells.size, cells.size))
+    for start in range(0, cells.size, 32):
+        chunk = cells[start:start + 32]
+        units = np.zeros((chunk.size, 2 * (nx + ny)))
+        units[np.arange(chunk.size), chunk] = 1.0
+        solved = solver._edge_values(solver._edge_spectrum(units) / solver._uncoupled[d])
+        green[start:start + chunk.size] = solved[:, cells]
+    return green
+
+
+GREEN_D = [0.3, 1.0, 2.5]
+
+
+@PROPERTY
+@given(rectangles(), st.sampled_from([1e-3, 0.05]))
+def test_greens_block_equals_the_unit_vector_route(network, dt):
+    domain, matching, n = network
+    solver = CapacitanceSolver(domain, matching, GREEN_D, [0.0] * 3, n, dt)
+    terms = solver._coupling_terms(domain, matching)
+    # every edge position, and the coupled ones of the (partial) matching
+    for cells in [np.arange(2 * sum(domain.cells))] + ([terms.cells] if terms else []):
+        for d in GREEN_D:
+            assert np.array_equal(solver._green(cells, d), oracle_green(solver, cells, d))
+
+
+def tiny_rectangle(nx, ny):
+    """An nx x ny grid below build_domain's 4 cells per axis, as the solver reads it."""
+    ix, iy = np.arange(nx), np.arange(ny)
+    return dataclasses.replace(
+        build_domain(2, [1.0, 0.7], [4, 4]), cells=(nx, ny), h=(1.0 / nx, 0.7 / ny),
+        n_cells=nx * ny, face_cell=np.concatenate([iy, (nx - 1) * ny + iy, ix * ny,
+                                                   ix * ny + ny - 1]))
+
+
+@pytest.mark.parametrize("cells", [(2, 2), (3, 5), (5, 3)])
+def test_greens_block_of_tiny_grids_equals_the_unit_vector_route(cells):
+    domain = tiny_rectangle(*cells)
+    solver = CapacitanceSolver(domain, None, GREEN_D, [0.0] * 3, 2, 0.05)
+    positions = np.arange(2 * sum(cells))
+    for d in GREEN_D:
+        assert np.array_equal(solver._green(positions, d), oracle_green(solver, positions, d))
+
+
+@PROPERTY
+@given(st.one_of(intervals(), rectangles()), MEMBERS, st.sampled_from([1e-3, 0.05]))
+def test_system_is_stored_as_setdiag_leaves_it(network, members, dt):
+    domain, matching, n = network
+    d, p = zip(*members)
+
+    def stored(key):
+        system = network_diffusion_matrix(domain, matching, *key, n) * -dt
+        system.setdiag(system.diagonal() + 1.0)
+        return system
+
+    systems = [stored(key) for key in members]
+    want = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csr")
+    got = CapacitanceSolver(domain, matching, d, p, n, dt).system
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class CountingLU:

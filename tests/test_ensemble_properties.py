@@ -6,6 +6,9 @@ multi-column solve per shared operator, one block-diagonal
 residual matvec).  Every member must still get exactly the bits of its own
 ``simulate`` call: rows, times, final state, and for a failed member the
 error type, time, message and rows, while its batch-mates are unaffected.
+The batch's operators are prepared once: one assembly and one capacitance
+factor per distinct (d, p), one Green's block per distinct d, none again for
+the members left when one fails.
 
 The operator tests check the assembled network matrix that the residual
 guard applies: exactly symmetric, equal to the ``apply_diffusion`` stencil
@@ -23,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_metrics_properties import networks
 
+import hrnet.dynamics as dynamics
 from hrnet.core import HRParameters, derive_constants
 from hrnet.domain import (
     apply_diffusion,
@@ -188,6 +192,50 @@ def test_failed_members_report_the_largest_u_before_their_failure(scheme, dt):
         failed_at.append(k)
     # the batch shrank twice
     assert failed_at[0] != failed_at[1]
+
+
+def counting(monkeypatch, owner, name, calls):
+    """Patch ``owner.name`` to record each call's arguments in ``calls``."""
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def test_survivors_keep_their_prepared_operators(monkeypatch):
+    # member 0 blows up; the others step on without a new assembly or factor
+    domain, matching = stock_network()
+    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=2e-3, record_every=5)
+    ics = [InitialCondition(kind="uniform-random", seed=s) for s in (1, 2, 3, 4)]
+    params_list = [HRParameters.default(J=1e5), HRParameters.default(p=2.0),
+                   HRParameters.default(p=0.5), HRParameters.default(p=2.0)]
+    assembled, factored = [], []
+    counting(monkeypatch, dynamics, "network_diffusion_matrix", assembled)
+    counting(monkeypatch, dynamics, "cholesky", factored)
+    results = simulate_ensemble(ics, params_list, domain, matching, cfg, [snapshot] * 4)
+    assert isinstance(results[0], IntegrationError)
+    distinct = {(m.d, m.p) for m in params_list}
+    assert sorted(args[2:4] for args in assembled) == sorted(distinct)
+    assert len(factored) == len(distinct)
+    for ic, params, got in zip(ics, params_list, results):
+        assert_same_outcome(got, serial(ic, params, domain, matching, cfg))
+
+
+def test_one_greens_block_per_distinct_d(monkeypatch):
+    domain = build_domain(2, [1.0, 0.8], [12, 10])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    cfg = IntegratorConfig(t_end=0.01, scheme="imex-euler", dt=2e-3, record_every=2)
+    ics = [InitialCondition(kind="uniform-random", seed=s) for s in range(4)]
+    params_list = [HRParameters.default(p=p) for p in (0.0, 1.0, 4.0, 4.0)]
+    greens = []
+    counting(monkeypatch, dynamics.CapacitanceSolver, "_green", greens)
+    results = simulate_ensemble(ics, params_list, domain, matching, cfg, [snapshot] * 4)
+    assert [args[2] for args in greens] == [1.0]  # one d, and p = 0 needs no block
+    for ic, params, got in zip(ics, params_list, results):
+        assert_same_outcome(got, serial(ic, params, domain, matching, cfg))
 
 
 def test_shared_2d_factor_solves_members_bitwise_like_serial():

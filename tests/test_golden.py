@@ -3,7 +3,8 @@
 Each case runs the CLI into a temporary directory and compares its artifacts
 with the files under ``tests/golden/<case>/``.  The stock cases derive their
 config from ``configs/default.ini`` with a shorter ``t_end``; the others keep
-theirs next to the pinned files as ``run.ini``.
+theirs next to the pinned files as ``run.ini``, except that ``sweep-2d``
+sweeps ``ring-2d``'s.
 
 ``verify/verify_report.txt`` is the stock config's ``hrnet verify`` report;
 ``tests/test_acceptance.py`` compares it with the results it already has, so
@@ -28,6 +29,9 @@ GOLDEN = ROOT / "tests" / "golden"
 # stock-config cases: t_end replacing the shipped 50.0
 STOCK_T_END = {"stock": "5.0", "sweep-p": "2.0"}
 
+# cases that run another case's run.ini
+SHARED_CONFIG = {"sweep-2d": "ring-2d"}
+
 # case -> (CLI commands, artifacts compared)
 CASES = {
     "stock": ((["simulate"], ["constants"]),
@@ -36,6 +40,8 @@ CASES = {
     "ring-2d": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "sweep-p": ((["sweep", "--param", "p", "--values", "0,2,32"],),
                 ("sweep.csv",)),
+    "sweep-2d": ((["sweep", "--param", "p", "--values", "0,1,4"],),
+                 ("sweep.csv",)),
 }
 
 
@@ -44,7 +50,7 @@ def config_text(case):
         text = (ROOT / "configs" / "default.ini").read_text()
         assert "t_end = 50.0" in text
         return text.replace("t_end = 50.0", f"t_end = {STOCK_T_END[case]}")
-    return (GOLDEN / case / "run.ini").read_text()
+    return (GOLDEN / SHARED_CONFIG.get(case, case) / "run.ini").read_text()
 
 
 def run_case(case, out_dir):
