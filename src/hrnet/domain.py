@@ -388,9 +388,7 @@ def network_diffusion_matrix(
     nc = domain.n_cells
     n_total = n_neurons * nc
     lap = d * neumann_laplacian(domain)  # sorted columns, one diagonal entry per row
-    # 32-bit indices where every index and entry count fits, as scipy picks them
-    fits = n_neurons * (lap.nnz + domain.n_faces) <= np.iinfo(np.int32).max
-    block = np.arange(n_neurons, dtype=np.int32 if fits else np.intp)
+    block = np.arange(n_neurons)  # csr_matrix stores the indices in 32 bits where they fit
     data = np.tile(lap.data, n_neurons)
     indices = (block[:, None] * nc + lap.indices).ravel()
     indptr = np.empty(n_total + 1, dtype=block.dtype)
@@ -409,14 +407,8 @@ def network_diffusion_matrix(
         row, col = np.divmod(keys, n_total)
         # a partner's block lies left of the row's own when j < i, else right;
         # keys are sorted, so each entry lands after those inserted before it
-        slots = indptr[row + (col > row)] + np.arange(keys.size)
-        kept = np.ones(data.size + keys.size, dtype=bool)
-        kept[slots] = False
-        merged = []
-        for tiled, inserted in ((data, coupling), (indices, col)):
-            merged.append(np.empty(kept.size, dtype=tiled.dtype))
-            merged[-1][slots], merged[-1][kept] = inserted, tiled
-        data, indices = merged
+        at = indptr[row + (col > row)]
+        data, indices = np.insert(data, at, coupling), np.insert(indices, at, col)
         indptr[1:] += np.cumsum(np.bincount(row, minlength=n_total))
     return sp.csr_matrix((data, indices, indptr), shape=(n_total, n_total))
 

@@ -15,7 +15,6 @@ evaluation order, seeded generators, and no dependence on thread count.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import zipfile
@@ -360,13 +359,7 @@ class CapacitanceSolver:
                 system.data *= -dt
                 system.data[_diagonal_positions(system)] += 1.0
                 built[key] = (self._capacitance(domain, terms, greens, *key, dt), system)
-        self._d, self._members = list(d), [built[key] for key in zip(d, p)]
-        self._arrange()
-
-    def _arrange(self):
-        """The batch's arrays, from each member's d and (correction, system)."""
-        d = self._d
-        self._corrections, systems = zip(*self._members)
+        self._corrections, systems = zip(*(built[key] for key in zip(d, p)))
         self.system = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csr")
         if self._dim == 2:
             self._eigenvalues = np.stack([self._uncoupled[dm] for dm in d])[:, None]
@@ -376,15 +369,6 @@ class CapacitanceSolver:
         self._groups = [(self._uncoupled[dm][0], b) for dm, b in rows.items()]
         self._blocks = np.stack(self._corrections)
         self._columns = np.stack([self._uncoupled[dm][1] for dm in d])[:, None]
-
-    def _subset(self, keep):
-        """The solver of the members at batch positions ``keep`` alone, from
-        the operators prepared for them: nothing is assembled or factored."""
-        solver = copy.copy(self)
-        solver._d = [self._d[b] for b in keep]
-        solver._members = [self._members[b] for b in keep]
-        solver._arrange()
-        return solver
 
     def _coupling_terms(self, domain, matching):
         """The rank-one terms of the coupling, shared by every member: per
@@ -537,9 +521,7 @@ class Integrator:
     :func:`~hrnet.domain.apply_diffusion` to the batch at each stage; backward
     Euler solves it with one :class:`CapacitanceSolver`, every solve checked
     against the assembled system by the residual guard, and reuses one set of
-    reaction buffers: an instance steps for one caller at a time.  When
-    members fail, the time loop steps on with a subset of this stepper that
-    keeps the survivors' prepared operators.
+    reaction buffers: an instance steps for one caller at a time.
     """
 
     def __init__(self, params, domain: Domain, matching, cfg: IntegratorConfig):
@@ -552,30 +534,16 @@ class Integrator:
         if len(steps) != 1:
             raise ValueError("batched members must share the step size and step count")
         ((self.dt, self.n_steps),) = steps
-        self._solver = None
-        if cfg.scheme == "imex-euler" and self.n_steps > 0:
-            self._solver = CapacitanceSolver(domain, matching, [m.d for m in members],
-                                             [m.p for m in members], members[0].n_neurons,
-                                             self.dt)
-        self._bind(members)
-
-    def _bind(self, members):
-        """Make ``members`` the batch: their constants and reaction buffers."""
         self.members = members
+        d, p = [m.d for m in members], [m.p for m in members]
+        self._solver = self._buffers = None
+        if cfg.scheme == "imex-euler" and self.n_steps > 0:
+            n = members[0].n_neurons
+            self._solver = CapacitanceSolver(domain, matching, d, p, n, self.dt)
+            # the step's reaction terms, reused: no returned state refers to them
+            self._buffers = np.empty((3, len(members), n, domain.n_cells))
         self._reaction = _member_constants(members, REACTION_FIELDS)
         self._coupling = _member_constants(members, ("d", "p"))
-        # the step's reaction terms, reused: no returned state refers to them
-        self._buffers = None if self._solver is None else np.empty(
-            (3, len(members), members[0].n_neurons, self.domain.n_cells))
-
-    def _subset(self, keep):
-        """This stepper for the members at batch positions ``keep`` alone,
-        with the operators already prepared for them."""
-        stepper = copy.copy(self)
-        if self._solver is not None:
-            stepper._solver = self._solver._subset(keep)
-        stepper._bind(tuple(self.members[i] for i in keep))
-        return stepper
 
     def _rhs(self, t, u, v, w):
         du, dv, dw = reaction_rhs(NetworkState(t, u, v, w), self._reaction)
@@ -751,9 +719,8 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
                 keep = [i for i in range(len(live)) if i not in errors]
                 if not keep:
                     return
-                # a stepper serves one fixed batch: the survivors get their own,
-                # built from the operators prepared for them
-                stepper = stepper._subset(keep)
+                # a stepper serves one fixed batch: the survivors get their own
+                stepper = Integrator([stepper.members[i] for i in keep], domain, matching, cfg)
                 state = NetworkState(state.t, state.u[keep], state.v[keep], state.w[keep])
                 live = [live[i] for i in keep]
                 watch = [watch[i] for i in keep]

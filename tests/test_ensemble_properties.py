@@ -6,9 +6,7 @@ multi-column solve per shared operator, one block-diagonal
 residual matvec).  Every member must still get exactly the bits of its own
 ``simulate`` call: rows, times, final state, and for a failed member the
 error type, time, message and rows, while its batch-mates are unaffected.
-The batch's operators are prepared once: one assembly and one capacitance
-factor per distinct (d, p), one Green's block per distinct d, none again for
-the members left when one fails.
+The batch's Green's blocks are computed once, one per distinct d.
 
 The operator tests check the assembled network matrix that the residual
 guard applies: exactly symmetric, equal to the ``apply_diffusion`` stencil
@@ -203,25 +201,6 @@ def counting(monkeypatch, owner, name, calls):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, spy)
-
-
-def test_survivors_keep_their_prepared_operators(monkeypatch):
-    # member 0 blows up; the others step on without a new assembly or factor
-    domain, matching = stock_network()
-    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=2e-3, record_every=5)
-    ics = [InitialCondition(kind="uniform-random", seed=s) for s in (1, 2, 3, 4)]
-    params_list = [HRParameters.default(J=1e5), HRParameters.default(p=2.0),
-                   HRParameters.default(p=0.5), HRParameters.default(p=2.0)]
-    assembled, factored = [], []
-    counting(monkeypatch, dynamics, "network_diffusion_matrix", assembled)
-    counting(monkeypatch, dynamics, "cholesky", factored)
-    results = simulate_ensemble(ics, params_list, domain, matching, cfg, [snapshot] * 4)
-    assert isinstance(results[0], IntegrationError)
-    distinct = {(m.d, m.p) for m in params_list}
-    assert sorted(args[2:4] for args in assembled) == sorted(distinct)
-    assert len(factored) == len(distinct)
-    for ic, params, got in zip(ics, params_list, results):
-        assert_same_outcome(got, serial(ic, params, domain, matching, cfg))
 
 
 def test_one_greens_block_per_distinct_d(monkeypatch):
