@@ -3,15 +3,11 @@
 from .config import MetricsOptions, RunConfig, load_config
 from .core import (
     DEFAULT_PROFILE,
-    AbsorbingConstants,
     DerivedConstants,
     HRParameters,
-    ThresholdConstants,
-    compute_absorbing,
     compute_c1,
     compute_c2,
     compute_mu,
-    compute_threshold,
     derive_constants,
     entry_time,
 )

@@ -19,7 +19,6 @@ import sys
 from .config import load_config
 from .errors import ConfigError, SingularParameterError
 from .runner import (
-    FAILURES,
     atomic_write_text,
     resolve_output_dir,
     run_constants,
@@ -30,7 +29,6 @@ from .runner import (
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_INTEGRATION = 3
 EXIT_VERIFY = 4
 
 
@@ -145,9 +143,6 @@ def main(argv=None) -> int:
     except (ConfigError, SingularParameterError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except tuple(FAILURES) as err:
-        print(f"{FAILURES[type(err)][0]} failed: {err}", file=sys.stderr)
-        return EXIT_INTEGRATION
 
 
 if __name__ == "__main__":

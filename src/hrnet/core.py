@@ -99,37 +99,19 @@ class HRParameters:
 
 
 @dataclass(frozen=True)
-class AbsorbingConstants:
-    """Decay rate, dissipativity level and absorbing-ball radius."""
-
-    r_star: float
-    big_m: float
-    big_q: float
-
-
-@dataclass(frozen=True)
-class ThresholdConstants:
-    """Boundary-signal threshold multiplier, in both readings.
-
-    ``big_r`` multiplies three factors with the network-size prefactor
-    N^2 (N-1); ``big_r_alt`` is the per-pair variant with prefactor N obtained
-    by back-solving the summed differential inequality.  The two readings
-    disagree only in that prefactor; both are computed and reported, never
-    silently chosen.
-    """
-
-    g: float
-    big_r: float
-    big_r_alt: float
-
-
-@dataclass(frozen=True)
 class DerivedConstants:
     """Every derived constant of the analysis, for one parameter set.
 
     ``eta1, eta2`` are the generalized Poincare constants of the domain and
     come from :func:`hrnet.domain.poincare_constants`; everything else is
     closed-form in the parameters and ``omega_measure``.
+
+    The boundary-signal threshold multiplier comes in two readings:
+    ``big_r`` multiplies three factors with the network-size prefactor
+    N^2 (N-1); ``big_r_alt`` is the per-pair variant with prefactor N obtained
+    by back-solving the summed differential inequality.  The two readings
+    disagree only in that prefactor; both are computed and reported, never
+    silently chosen.
     """
 
     c1: float
@@ -164,7 +146,10 @@ def compute_c2(params: HRParameters) -> float:
     c2 = 2 (c1 a)^4 + 2 c1 J^2 + 2 [c1^2 (2 + 1/r) + c1]^2
          + 4 alpha^2 + 2 q^2 c^2 / r + 2 q^4 / r^2
     """
-    c1 = compute_c1(params)
+    return _source_term(params, compute_c1(params))
+
+
+def _source_term(params: HRParameters, c1: float) -> float:
     a, alpha, q, r, c, J = params.a, params.alpha, params.q, params.r, params.c, params.J
     return (
         2.0 * (c1 * a) ** 4
@@ -174,23 +159,6 @@ def compute_c2(params: HRParameters) -> float:
         + 2.0 * q * q * c * c / r
         + 2.0 * q ** 4 / (r * r)
     )
-
-
-def compute_absorbing(params: HRParameters, omega_measure: float) -> AbsorbingConstants:
-    """Absorbing-set constants for the total energy.
-
-    r_star = min(1, r) / 2,
-    M = (N / r_star) (c2 + c1^2 / 32),
-    Q = 2 M |Omega| / min(c1, 1).
-    """
-    if omega_measure <= 0:
-        raise ValueError("omega_measure must be > 0")
-    c1 = compute_c1(params)
-    c2 = compute_c2(params)
-    r_star = 0.5 * min(1.0, params.r)
-    big_m = (params.n_neurons / r_star) * (c2 + c1 * c1 / 32.0)
-    big_q = 2.0 * big_m * omega_measure / min(c1, 1.0)
-    return AbsorbingConstants(r_star=r_star, big_m=big_m, big_q=big_q)
 
 
 def entry_time(rho: float, consts: DerivedConstants) -> float:
@@ -209,43 +177,6 @@ def entry_time(rho: float, consts: DerivedConstants) -> float:
     return math.log(arg) / consts.r_star
 
 
-def compute_threshold(params: HRParameters, eta2: float, omega_measure: float) -> ThresholdConstants:
-    """Synchronization threshold constants, both readings.
-
-    g = 8 beta^2 / b.  The common bracket is
-
-        eta2 d |Omega| + g + 2 a^2 / b + (q - g)^2 / (2 r g)
-
-    and the energy bracket is c1^2/16 + 2 c2.  The printed reading uses the
-    prefactor N^2 (N-1) / (r_star min(c1,1)); the per-pair reading replaces
-    the network-size factor by N.
-    """
-    if params.beta == 0:
-        raise SingularParameterError(
-            "parameter beta must be nonzero: the threshold formula divides by beta^2"
-        )
-    if eta2 <= 0 or omega_measure <= 0:
-        raise ValueError("eta2 and omega_measure must be > 0")
-    a, b, q, r = params.a, params.b, params.q, params.r
-    n = params.n_neurons
-    c1 = compute_c1(params)
-    c2 = compute_c2(params)
-    r_star = 0.5 * min(1.0, r)
-    g = 8.0 * params.beta * params.beta / b
-    energy_bracket = c1 * c1 / 16.0 + 2.0 * c2
-    signal_bracket = (
-        eta2 * params.d * omega_measure
-        + (g + 2.0 * a * a / b + (b / (16.0 * params.beta * params.beta * r)) * (q - g) ** 2)
-    )
-    big_r = (n * n * (n - 1) / (r_star * min(c1, 1.0))) * energy_bracket * signal_bracket
-    signal_bracket_alt = (
-        eta2 * params.d * omega_measure
-        + g + 2.0 * a * a / b + (q - g) ** 2 / (2.0 * r * g)
-    )
-    big_r_alt = (n / (r_star * min(c1, 1.0))) * (2.0 * c2 + c1 * c1 / 16.0) * signal_bracket_alt
-    return ThresholdConstants(g=g, big_r=big_r, big_r_alt=big_r_alt)
-
-
 def compute_mu(params: HRParameters, eta1: float) -> float:
     """Uniform exponential convergence rate min(2 eta1 d, 1, r)."""
     if eta1 <= 0:
@@ -256,20 +187,54 @@ def compute_mu(params: HRParameters, eta1: float) -> float:
 def derive_constants(
     params: HRParameters, omega_measure: float, eta1: float, eta2: float
 ) -> DerivedConstants:
-    """Assemble the full constant set for one parameter/domain combination."""
-    absorbing = compute_absorbing(params, omega_measure)
-    threshold = compute_threshold(params, eta2, omega_measure)
+    """Assemble the full constant set for one parameter/domain combination.
+
+    The absorbing set: r_star = min(1, r) / 2,
+    M = (N / r_star) (c2 + c1^2 / 32) and Q = 2 M |Omega| / min(c1, 1).
+
+    The threshold: g = 8 beta^2 / b.  The common bracket is
+
+        eta2 d |Omega| + g + 2 a^2 / b + (q - g)^2 / (2 r g)
+
+    and the energy bracket is c1^2/16 + 2 c2.  The printed reading uses the
+    prefactor N^2 (N-1) / (r_star min(c1,1)); the per-pair reading replaces
+    the network-size factor by N.
+    """
+    if omega_measure <= 0:
+        raise ValueError("omega_measure must be > 0")
+    c1 = compute_c1(params)
+    c2 = _source_term(params, c1)
+    if params.beta == 0:
+        raise SingularParameterError(
+            "parameter beta must be nonzero: the threshold formula divides by beta^2"
+        )
+    if eta2 <= 0:
+        raise ValueError("eta2 and omega_measure must be > 0")
+    a, b, q, r = params.a, params.b, params.q, params.r
+    n = params.n_neurons
+    r_star = 0.5 * min(1.0, r)
+    big_m = (n / r_star) * (c2 + c1 * c1 / 32.0)
+    g = 8.0 * params.beta * params.beta / b
+    energy_bracket = c1 * c1 / 16.0 + 2.0 * c2
+    signal_bracket = (
+        eta2 * params.d * omega_measure
+        + (g + 2.0 * a * a / b + (b / (16.0 * params.beta * params.beta * r)) * (q - g) ** 2)
+    )
+    signal_bracket_alt = (
+        eta2 * params.d * omega_measure
+        + g + 2.0 * a * a / b + (q - g) ** 2 / (2.0 * r * g)
+    )
     return DerivedConstants(
-        c1=compute_c1(params),
-        c2=compute_c2(params),
-        r_star=absorbing.r_star,
-        big_m=absorbing.big_m,
-        big_q=absorbing.big_q,
-        g=threshold.g,
+        c1=c1,
+        c2=c2,
+        r_star=r_star,
+        big_m=big_m,
+        big_q=2.0 * big_m * omega_measure / min(c1, 1.0),
+        g=g,
         eta1=eta1,
         eta2=eta2,
-        big_r=threshold.big_r,
-        big_r_alt=threshold.big_r_alt,
+        big_r=(n * n * (n - 1) / (r_star * min(c1, 1.0))) * energy_bracket * signal_bracket,
+        big_r_alt=(n / (r_star * min(c1, 1.0))) * energy_bracket * signal_bracket_alt,
         mu=compute_mu(params, eta1),
         omega_measure=omega_measure,
     )

@@ -422,7 +422,6 @@ class PoincareConstants:
 
     eta1: float
     eta2: float
-    mode: str
     iterations: int = 0
     residual: float = 0.0
 
@@ -441,4 +440,4 @@ def poincare_constants(domain: Domain, mode: str = "discrete") -> PoincareConsta
         eta1 = min(float(_axis_eigenvalues(n, h)[1]) for n, h in zip(domain.cells, domain.h))
     else:
         raise ValueError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
-    return PoincareConstants(eta1=eta1, eta2=eta1 / domain.omega_measure, mode=mode)
+    return PoincareConstants(eta1=eta1, eta2=eta1 / domain.omega_measure)

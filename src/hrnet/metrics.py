@@ -120,10 +120,11 @@ def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
 class TrajectoryRecord:
     """Time series of every monitored scalar for one run.
 
-    ``diff_energy_g`` and ``diff_energy_plain`` have one column per unordered
-    pair, ordered as in ``pairs``.  ``weighted_energy`` is the c1-weighted
-    bracket monitored by the energy inequality; ``total_energy`` is the plain
-    squared-norm sum the absorbing-set results bound.
+    ``diff_energy_g`` has one column per unordered pair i < j, in row-major
+    order, as in trajectory.csv's ``dE_i_j`` columns.  ``weighted_energy`` is
+    the c1-weighted bracket monitored by the energy inequality;
+    ``total_energy`` is the plain squared-norm sum the absorbing-set results
+    bound.
     """
 
     t: np.ndarray
@@ -136,11 +137,8 @@ class TrajectoryRecord:
     boundary_diff_full: np.ndarray
     k_sum: np.ndarray
     diff_energy_g: np.ndarray
-    diff_energy_plain: np.ndarray
-    pairs: tuple
     n_neurons: int
     consts: DerivedConstants
-    rho0: float
 
     SCALAR_FIELDS = (
         "t", "total_energy", "gronwall_envelope", "stimulation_s",
@@ -159,13 +157,12 @@ class TrajectoryRecord:
             raise ValueError("empty trajectory record")
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("record times must be strictly increasing")
-        for name in self.SCALAR_FIELDS + ("weighted_energy", "diff_energy_g",
-                                          "diff_energy_plain"):
+        for name in self.SCALAR_FIELDS + ("weighted_energy", "diff_energy_g"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"non-finite values in column {name}")
 
     @classmethod
-    def from_rows(cls, rows, pairs, n_neurons, consts) -> "TrajectoryRecord":
+    def from_rows(cls, rows, n_neurons, consts) -> "TrajectoryRecord":
         if not rows:
             raise ValueError("no rows recorded")
         cols = {
@@ -173,16 +170,7 @@ class TrajectoryRecord:
             for name in cls.SCALAR_FIELDS + ("weighted_energy",)
         }
         diff_g = np.array([row["diff_g"] for row in rows], dtype=np.float64)
-        diff_plain = np.array([row["diff_plain"] for row in rows], dtype=np.float64)
-        return cls(
-            **cols,
-            diff_energy_g=diff_g,
-            diff_energy_plain=diff_plain,
-            pairs=tuple(pairs),
-            n_neurons=n_neurons,
-            consts=consts,
-            rho0=float(cols["total_energy"][0]),
-        )
+        return cls(**cols, diff_energy_g=diff_g, n_neurons=n_neurons, consts=consts)
 
 
 class TrajectoryObserver:
@@ -199,9 +187,7 @@ class TrajectoryObserver:
         self.matching = matching
         self.consts = consts
         self.rho0 = None
-        n = params.n_neurons
-        self.pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        self._upper = np.triu_indices(n, 1)
+        self._upper = np.triu_indices(params.n_neurons, 1)
 
     def __call__(self, state: NetworkState) -> dict:
         c = self.consts
@@ -230,7 +216,6 @@ class TrajectoryObserver:
             "boundary_diff_full": kres.boundary_diff_full,
             "k_sum": kres.k_sum,
             "diff_g": tuple(diffs.diff_g[self._upper]),
-            "diff_plain": tuple(diffs.diff_plain[self._upper]),
         }
 
 
@@ -263,10 +248,8 @@ def record_trajectories(ics, params_list, domain: Domain,
                  for params, consts in zip(params_list, consts_list)]
     results = simulate_ensemble(ics, params_list, domain, matching, cfg, observers)
     records = []
-    for observer, params, consts, result in zip(observers, params_list,
-                                                consts_list, results):
-        record = (TrajectoryRecord.from_rows(result.rows, observer.pairs,
-                                             params.n_neurons, consts)
+    for params, consts, result in zip(params_list, consts_list, results):
+        record = (TrajectoryRecord.from_rows(result.rows, params.n_neurons, consts)
                   if result.rows else None)
         if isinstance(result, Exception):
             result.partial_record, record = record, result
@@ -295,12 +278,10 @@ class DecayWindow:
     envelope_ok: bool
     monotonic_ok: bool
     max_envelope_ratio: float
-    worst_increase: float
 
 
 @dataclass
 class EnvelopeReport:
-    rho0: float
     big_q: float
     gronwall_violations: list
     entry_time_bound: float
@@ -389,8 +370,7 @@ def envelope_check(record: TrajectoryRecord, consts: DerivedConstants,
         if ek > bk * (1.0 + tolerance)
     ]
 
-    rho0 = record.rho0
-    bound = entry_time(rho0, consts)
+    bound = entry_time(float(record.total_energy[0]), consts)
     interval = float(t[1] - t[0]) if len(record) > 1 else 0.0
     allowed = bound * (1.0 + entry_slack) + interval
     below = np.flatnonzero(record.total_energy < consts.big_q)
@@ -422,12 +402,10 @@ def envelope_check(record: TrajectoryRecord, consts: DerivedConstants,
                 increases.size == 0 or np.all(increases <= 1.0 + decay_tolerance)
             ),
             max_envelope_ratio=float(ratios.max()) if ratios.size else 0.0,
-            worst_increase=float(increases.max()) if increases.size else 1.0,
         ))
     decay_ok = all(w.envelope_ok and w.monotonic_ok for w in windows)
 
     return EnvelopeReport(
-        rho0=rho0,
         big_q=consts.big_q,
         gronwall_violations=violations,
         entry_time_bound=bound,
@@ -560,21 +538,19 @@ def fit_sync_rate(record: TrajectoryRecord, window_fraction: float = 0.5,
 
 def asynchronous_degree(params: HRParameters, domain: Domain,
                         matching: BoundaryMatching, cfg: IntegratorConfig,
-                        sample_count: int, horizon: float, seed: int,
-                        ic: InitialCondition | None = None,
-                        tail_fraction: float = 0.2) -> float:
+                        sample_count: int, seed: int,
+                        ic: InitialCondition | None = None) -> float:
     """Monte-Carlo estimate of the summed worst-case pairwise state gap.
 
     Draws ``sample_count`` initial conditions (sample k reseeds the template
-    with seed + k), simulates each to ``horizon``, approximates the limiting
-    pairwise gap by the max over the trailing ``tail_fraction`` of recorded
-    times, and sums the per-pair worst case over all ordered pairs.
+    with seed + k), simulates each to ``cfg.t_end``, approximates the limiting
+    pairwise gap by the max over the trailing fifth of recorded times, and
+    sums the per-pair worst case over all ordered pairs.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     if ic is None:
         ic = InitialCondition(kind="uniform-random", offset=1.0, noise=0.1)
-    run_cfg = cfg.replace(t_end=float(horizon))
     ics = [replace(ic, seed=seed + k) if ic.kind != "file" else ic
            for k in range(sample_count)]
 
@@ -582,7 +558,7 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
         return pair_differences(state, domain, 1.0).diff_plain
 
     results = simulate_ensemble(ics, [params] * sample_count, domain, matching,
-                                run_cfg, [observer] * sample_count)
+                                cfg, [observer] * sample_count)
     n = params.n_neurons
     worst_sq = np.zeros((n, n))
     for k, result in enumerate(results):
@@ -594,7 +570,7 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
         if isinstance(result, Exception):
             raise result
         times = np.asarray(result.times)
-        tail_start = times[-1] - tail_fraction * (times[-1] - times[0])
+        tail_start = times[-1] - 0.2 * (times[-1] - times[0])
         tail_rows = [row for tk, row in zip(times, result.rows) if tk >= tail_start]
         sample_worst = np.maximum.reduce(tail_rows)
         worst_sq = np.maximum(worst_sq, sample_worst)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -71,68 +71,62 @@ def resolve_output_dir(cfg: RunConfig, cli_out=None, env=None) -> str:
     return cfg.output_dir
 
 
-@dataclass(frozen=True)
-class Setup:
-    """Everything derived from a config before any time stepping."""
-
-    consts: DerivedConstants
-    eta_analytic: float
-
-
-def build_setup(cfg: RunConfig) -> Setup:
+def build_setup(cfg: RunConfig) -> DerivedConstants:
+    """The derived constants of ``cfg``, from its domain's Poincare constants."""
     pc = poincare_constants(cfg.domain, mode=cfg.eta_mode)
-    analytic = poincare_constants(cfg.domain, mode="analytic")
-    consts = derive_constants(cfg.params, cfg.domain.omega_measure, pc.eta1, pc.eta2)
-    return Setup(consts=consts, eta_analytic=analytic.eta1)
+    return derive_constants(cfg.params, cfg.domain.omega_measure, pc.eta1, pc.eta2)
 
 
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------
 
-def constants_block(cfg: RunConfig, setup: Setup) -> str:
-    c = setup.consts
+def _eta1_line(cfg: RunConfig, consts: DerivedConstants) -> str:
+    """The printed eta1, with the continuum value beside it as a cross-check."""
+    analytic = poincare_constants(cfg.domain, mode="analytic").eta1
+    return f"eta1 = {fmt_float(consts.eta1)}  (analytic cross-check {fmt_float(analytic)})"
+
+
+def constants_block(cfg: RunConfig, c: DerivedConstants) -> str:
     lines = ["# model parameters"]
     lines += [f"{f.name} = {getattr(cfg.params, f.name)!r}" for f in fields(HRParameters)]
     lines.append("# derived constants")
-    cross = f"  (analytic cross-check {fmt_float(setup.eta_analytic)})"
     derived = (("c1", c.c1), ("c2", c.c2), ("r_star", c.r_star), ("M", c.big_m),
                ("Q", c.big_q), ("G", c.g), ("eta1", c.eta1), ("eta2", c.eta2),
                ("R_literal", c.big_r), ("R_perpair", c.big_r_alt), ("mu", c.mu),
                ("omega_measure", c.omega_measure))
-    lines += [f"{name} = {fmt_float(value)}{cross if name == 'eta1' else ''}"
+    lines += [_eta1_line(cfg, c) if name == "eta1" else f"{name} = {fmt_float(value)}"
               for name, value in derived]
     return "\n".join(lines) + "\n"
 
 
-def domain_block(cfg: RunConfig, setup: Setup) -> str:
+def domain_block(cfg: RunConfig, consts: DerivedConstants) -> str:
     lines = [
-        f"eta1 = {fmt_float(setup.consts.eta1)}  (analytic cross-check "
-        f"{fmt_float(setup.eta_analytic)})",
-        f"eta2 = {fmt_float(setup.consts.eta2)}",
+        _eta1_line(cfg, consts),
+        f"eta2 = {fmt_float(consts.eta2)}",
         f"omega_measure = {fmt_float(cfg.domain.omega_measure)}",
     ]
     return "\n".join(lines) + "\n"
 
 
-def constants_csv(cfg: RunConfig, setup: Setup) -> str:
+def constants_csv(cfg: RunConfig, consts: DerivedConstants) -> str:
     param_names = [f.name for f in fields(HRParameters)]
     const_names = [f.name for f in fields(DerivedConstants)]
     header = ",".join(param_names + const_names)
     values = [repr(getattr(cfg.params, name)) if name == "n_neurons"
               else fmt_float(getattr(cfg.params, name)) for name in param_names]
-    values += [fmt_float(getattr(setup.consts, name)) for name in const_names]
+    values += [fmt_float(getattr(consts, name)) for name in const_names]
     return header + "\n" + ",".join(values) + "\n"
 
 
 def run_constants(cfg: RunConfig, out_dir, domain_only=False) -> str:
     """Build constants artifacts; returns the printable block."""
-    setup = build_setup(cfg)
+    consts = build_setup(cfg)
     if domain_only:
-        return domain_block(cfg, setup)
+        return domain_block(cfg, consts)
     atomic_write_text(os.path.join(out_dir, "constants.csv"),
-                      constants_csv(cfg, setup))
-    return constants_block(cfg, setup)
+                      constants_csv(cfg, consts))
+    return constants_block(cfg, consts)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +189,9 @@ def run_simulate(cfg: RunConfig, out_dir) -> int:
     csv_path = os.path.join(out_dir, "trajectory.csv")
     report_path = os.path.join(out_dir, "report.txt")
     try:
-        setup = build_setup(cfg)
+        consts = build_setup(cfg)
         record = record_trajectory(cfg.ic, cfg.params, cfg.domain, cfg.matching,
-                                   cfg.integrator, setup.consts)
+                                   cfg.integrator, consts)
     except tuple(FAILURES) as err:
         partial = getattr(err, "partial_record", None)
         atomic_write_text(csv_path, trajectory_csv(partial, cfg.params.n_neurons))
@@ -205,7 +199,7 @@ def run_simulate(cfg: RunConfig, out_dir) -> int:
         return 3
     atomic_write_text(csv_path, trajectory_csv(record, cfg.params.n_neurons))
     atomic_write_text(report_path,
-                      simulation_report(record, setup.consts, cfg.metrics))
+                      simulation_report(record, consts, cfg.metrics))
     return 0
 
 
@@ -215,12 +209,9 @@ def run_simulate(cfg: RunConfig, out_dir) -> int:
 
 def sweep_values(text) -> tuple:
     try:
-        values = tuple(float(tok) for tok in str(text).split(","))
+        return tuple(float(tok) for tok in str(text).split(","))
     except ValueError:
         raise ConfigError(f"--values: expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise ConfigError("--values: empty list")
-    return values
 
 
 def record_ensemble(ics, params_list, domain, matching, cfg, consts_list, jobs: int) -> list:

@@ -456,6 +456,33 @@ def test_verify_list_prints_names_without_running(tmp_path, capsys):
     assert out[-1].endswith("step-size-guard")
 
 
+def test_verify_writes_the_report_it_prints_and_exits_4_on_a_failure(
+        tmp_path, capsys, monkeypatch):
+    import hrnet.verify
+    from hrnet.verify import CriterionResult
+
+    path, out = write_config(tmp_path)
+    results = [CriterionResult(1, "first", True, "fine"),
+               CriterionResult(2, "second", False, "broken")]
+    seen_jobs = []
+
+    def run_all(cfg, jobs=1):
+        seen_jobs.append(jobs)
+        return results
+
+    # no criterion runs: the command's own path is under test
+    monkeypatch.setattr(hrnet.verify, "run_all", run_all)
+    assert main(["verify", "--config", str(path), "--jobs", "2"]) == 4
+    stdout = capsys.readouterr().out
+    assert stdout == "PASS  1 first: fine\nFAIL  2 second: broken\n"
+    assert (out / "verify_report.txt").read_text() == stdout
+    assert seen_jobs == [2]
+    results[1] = CriterionResult(2, "second", True, "mended")
+    assert main(["verify", "--config", str(path)]) == 0
+    assert (out / "verify_report.txt").read_text() == capsys.readouterr().out
+    assert seen_jobs == [2, 1]
+
+
 def test_verify_without_config_or_list_exit_2(capsys):
     assert main(["verify"]) == 2
     assert "--config" in capsys.readouterr().err

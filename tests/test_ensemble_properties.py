@@ -241,8 +241,7 @@ def test_record_trajectories_equal_record_trajectory():
     records = record_trajectories(ics, params_list, domain, matching, cfg, consts_list)
     for ic, params, consts, got in zip(ics, params_list, consts_list, records):
         want = record_trajectory(ic, params, domain, matching, cfg, consts)
-        for name in got.SCALAR_FIELDS + ("weighted_energy", "diff_energy_g",
-                                         "diff_energy_plain"):
+        for name in got.SCALAR_FIELDS + ("weighted_energy", "diff_energy_g"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 

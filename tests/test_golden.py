@@ -4,7 +4,8 @@ Each case runs the CLI into a temporary directory and compares its artifacts
 with the files under ``tests/golden/<case>/``.  The stock cases derive their
 config from ``configs/default.ini`` with a shorter ``t_end``; the others keep
 theirs next to the pinned files as ``run.ini``, except that ``sweep-2d``
-sweeps ``ring-2d``'s.
+sweeps ``ring-2d``'s.  A command listed in ``STDOUT`` has its standard output
+pinned as a file of its own.
 
 ``verify/verify_report.txt`` is the stock config's ``hrnet verify`` report;
 ``tests/test_acceptance.py`` compares it with the results it already has, so
@@ -15,6 +16,8 @@ Re-pin only for an intended change of numbers, and log it in CHANGES.md::
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import pathlib
 import shutil
 import tempfile
@@ -32,10 +35,14 @@ STOCK_T_END = {"stock": "5.0", "sweep-p": "2.0"}
 # cases that run another case's run.ini
 SHARED_CONFIG = {"sweep-2d": "ring-2d"}
 
+# CLI command -> the file its stdout is pinned as
+STDOUT = {("constants",): "constants.txt", ("constants", "--domain-only"): "domain.txt"}
+
 # case -> (CLI commands, artifacts compared)
 CASES = {
-    "stock": ((["simulate"], ["constants"]),
-              ("trajectory.csv", "report.txt", "constants.csv")),
+    "stock": ((["simulate"], ["constants"], ["constants", "--domain-only"]),
+              ("trajectory.csv", "report.txt", "constants.csv",
+               "constants.txt", "domain.txt")),
     "ring-1d": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "ring-2d": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "sweep-p": ((["sweep", "--param", "p", "--values", "0,2,32"],),
@@ -58,7 +65,10 @@ def run_case(case, out_dir):
     config.write_text(config_text(case))
     for command, *options in CASES[case][0]:
         argv = [command, "--config", str(config), "--out", str(out_dir), *options]
-        assert main(argv) == 0, argv
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(argv) == 0, argv
+        if (command, *options) in STDOUT:
+            (out_dir / STDOUT[command, *options]).write_text(stdout.getvalue())
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

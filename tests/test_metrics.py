@@ -79,11 +79,8 @@ def synth_record(t, total, stim, sync, consts=FRIENDLY, envelope=None, weighted=
         boundary_diff_full=np.zeros_like(t),
         k_sum=np.zeros_like(t),
         diff_energy_g=diff_g,
-        diff_energy_plain=diff_g.copy(),
-        pairs=((0, 1),),
         n_neurons=2,
         consts=consts,
-        rho0=float(total[0]),
     )
 
 
@@ -244,11 +241,8 @@ def test_record_trajectory_shapes_and_invariants():
     record.validate()
     assert record.t[0] == 0.0
     assert record.t[-1] == pytest.approx(0.5, abs=1e-12)
-    assert record.pairs == ((0, 1),)
     assert record.n_neurons == 2
-    assert record.rho0 == record.total_energy[0]
     assert record.diff_energy_g.shape == (6, 1)
-    assert record.diff_energy_plain.shape == (6, 1)
     # thresholds are constants of the run, repeated per row
     assert np.all(record.threshold_literal == consts.big_r * consts.omega_measure)
     assert np.all(record.threshold_perpair == consts.big_r_alt * consts.omega_measure)
@@ -320,7 +314,7 @@ def test_record_validate_rejects_bad_columns():
 
 def test_record_from_rows_requires_rows():
     with pytest.raises(ValueError, match="no rows"):
-        TrajectoryRecord.from_rows([], ((0, 1),), 2, FRIENDLY)
+        TrajectoryRecord.from_rows([], 2, FRIENDLY)
 
 
 def test_record_trajectory_attaches_partial_record_on_blowup():
@@ -418,6 +412,11 @@ def test_envelope_decay_window_detection_and_pass():
     assert (w.t_start, w.t_end, w.n_rows) == (1.0, 3.0, 3)
     assert w.envelope_ok and w.monotonic_ok
     assert report.decay_ok and report.ok
+    # the largest ratio is the last row's: 0.25 / (2 exp(-2) * 1.1)
+    assert report.lines()[2:] == [
+        "conditional decay: pass over 1 window(s)",
+        "  window t=[1, 3] rows=3 envelope_ratio=8.397e-01 monotonic=yes",
+    ]
 
 
 def test_envelope_decay_window_fails_on_growth():
@@ -430,6 +429,11 @@ def test_envelope_decay_window_fails_on_growth():
     assert len(report.windows) == 1
     assert not report.windows[0].monotonic_ok
     assert not report.decay_ok and not report.ok
+    # 1.0 / (2 exp(-1) * 1.1) at t = 2
+    assert report.lines()[2:] == [
+        "conditional decay: FAIL over 1 window(s)",
+        "  window t=[1, 2] rows=2 envelope_ratio=1.236e+00 monotonic=NO",
+    ]
 
 
 def test_envelope_decay_window_fails_on_envelope():
@@ -559,12 +563,12 @@ def test_asynchronous_degree_identical_initial_data_is_zero():
     params = HRParameters.default()
     domain = build_domain(1, [1.0], [8])
     matching = full_boundary_matching(domain, 2, "1-2")
-    cfg = IntegratorConfig(t_end=1.0, scheme="explicit-rk4", dt=1e-3,
+    cfg = IntegratorConfig(t_end=0.05, scheme="explicit-rk4", dt=1e-3,
                            record_every=10)
     ic = InitialCondition(kind="constant-per-neuron",
                           u_values=(0.5, 0.5), v_values=(0.1, 0.1))
     deg = asynchronous_degree(params, domain, matching, cfg,
-                              sample_count=2, horizon=0.05, seed=7, ic=ic)
+                              sample_count=2, seed=7, ic=ic)
     assert deg == 0.0
 
 
@@ -575,11 +579,11 @@ def test_asynchronous_degree_uncoupled_constant_gap_oracle():
                           c=0.0, J=0.0, d=1.0, p=0.0, n_neurons=2)
     domain = build_domain(1, [1.0], [8])
     matching = full_boundary_matching(domain, 2, "1-2")
-    cfg = IntegratorConfig(t_end=1.0, scheme="explicit-rk4", dt="auto",
+    cfg = IntegratorConfig(t_end=0.5, scheme="explicit-rk4", dt="auto",
                            record_every=5)
     ic = InitialCondition(kind="constant-per-neuron", u_values=(1.0, 0.0))
     deg = asynchronous_degree(params, domain, matching, cfg,
-                              sample_count=3, horizon=0.5, seed=0, ic=ic)
+                              sample_count=3, seed=0, ic=ic)
     assert deg == pytest.approx(2.0, rel=1e-12)
 
 
@@ -587,20 +591,19 @@ def test_asynchronous_degree_single_sample_matches_manual_run():
     params = HRParameters.default()
     domain = build_domain(1, [1.0], [8])
     matching = full_boundary_matching(domain, 2, "1-2")
-    cfg = IntegratorConfig(t_end=99.0, scheme="explicit-rk4", dt="auto",
+    cfg = IntegratorConfig(t_end=0.2, scheme="explicit-rk4", dt="auto",
                            record_every=2)
     ic = InitialCondition(kind="uniform-random", seed=0, offset=1.0, noise=0.1)
-    horizon, seed = 0.2, 11
+    seed = 11
     deg = asynchronous_degree(params, domain, matching, cfg, sample_count=1,
-                              horizon=horizon, seed=seed, ic=ic)
+                              seed=seed, ic=ic)
 
     # replay the single sample by hand: same seed, horizon, tail rule
     from dataclasses import replace as dc_replace
     from hrnet.metrics import pair_differences as pd
 
     manual_ic = dc_replace(ic, seed=seed)
-    res = simulate(manual_ic, params, domain, matching,
-                   cfg.replace(t_end=horizon),
+    res = simulate(manual_ic, params, domain, matching, cfg,
                    observer=lambda st: pd(st, domain, 1.0).diff_plain)
     times = np.asarray(res.times)
     tail = times >= times[-1] - 0.2 * (times[-1] - times[0])
@@ -616,18 +619,18 @@ def test_asynchronous_degree_validates_sample_count():
     cfg = IntegratorConfig(t_end=1.0, dt=1e-3)
     with pytest.raises(ValueError, match="sample_count"):
         asynchronous_degree(params, domain, matching, cfg,
-                            sample_count=0, horizon=1.0, seed=0)
+                            sample_count=0, seed=0)
 
 
 def test_asynchronous_degree_failure_names_sample():
     params = HRParameters.default()
     domain = build_domain(1, [1.0], [8])
     matching = full_boundary_matching(domain, 2, "1-2")
-    cfg = IntegratorConfig(t_end=1.0, scheme="explicit-rk4", dt=1.0,
+    cfg = IntegratorConfig(t_end=10.0, scheme="explicit-rk4", dt=1.0,
                            record_every=1)
     ic = InitialCondition(kind="constant-per-neuron", u_values=(50.0, -50.0))
     with pytest.raises(IntegrationError) as exc:
         asynchronous_degree(params, domain, matching, cfg, sample_count=2,
-                            horizon=10.0, seed=4, ic=ic)
+                            seed=4, ic=ic)
     assert "sample 0" in str(exc.value)
     assert "seed 4" in str(exc.value)

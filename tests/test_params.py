@@ -17,11 +17,9 @@ import pytest
 from hrnet import (
     HRParameters,
     SingularParameterError,
-    compute_absorbing,
     compute_c1,
     compute_c2,
     compute_mu,
-    compute_threshold,
     derive_constants,
     entry_time,
 )
@@ -147,24 +145,24 @@ def test_c2_matches_rational_oracle_random():
 
 
 # ---------------------------------------------------------------------------
-# compute_absorbing / entry_time
+# the absorbing set / entry_time
 # ---------------------------------------------------------------------------
 
 def test_absorbing_chained_example():
     # with c1 = 4, c2 = 5408, r = 1, N = 2, |Omega| = 1:
     # r_star = 0.5, M = 4*(5408 + 0.5) = 21634, Q = 2*21634/1 = 43268
-    p = params(r=1.0)
+    p = params(r=1.0, b=2.0, beta=2.0)
     assert compute_c1(p) == 4.0
     assert compute_c2(p) == pytest.approx(5408.0, rel=1e-15)
-    ab = compute_absorbing(p, omega_measure=1.0)
+    ab = derive_constants(p, omega_measure=1.0, eta1=1.0, eta2=1.0)
     assert ab.r_star == 0.5
     assert ab.big_m == pytest.approx(21634.0, rel=1e-14)
     assert ab.big_q == pytest.approx(43268.0, rel=1e-14)
 
 
 def test_r_star_clamps_at_one():
-    assert compute_absorbing(params(r=4.0), 1.0).r_star == 0.5
-    assert compute_absorbing(params(r=0.5), 1.0).r_star == 0.25
+    assert derive_constants(params(r=4.0, beta=1.0), 1.0, 1.0, 1.0).r_star == 0.5
+    assert derive_constants(params(r=0.5, beta=1.0), 1.0, 1.0, 1.0).r_star == 0.25
 
 
 def test_big_q_linear_in_measure():
@@ -173,8 +171,8 @@ def test_big_q_linear_in_measure():
     p = params(r=1.0, beta=2.0)
     for _ in range(20):
         omega = rng.uniform(0.01, 100.0)
-        q1 = compute_absorbing(p, omega).big_q
-        q2 = compute_absorbing(p, 2.0 * omega).big_q
+        q1 = derive_constants(p, omega, 1.0, 1.0).big_q
+        q2 = derive_constants(p, 2.0 * omega, 1.0, 1.0).big_q
         assert q2 == pytest.approx(2.0 * q1, rel=1e-14)
 
 
@@ -216,11 +214,11 @@ def test_entry_time_rejects_negative_rho():
 
 
 # ---------------------------------------------------------------------------
-# compute_threshold
+# the threshold, both readings
 # ---------------------------------------------------------------------------
 
 def test_g_direct_substitution():
-    assert compute_threshold(params(b=8.0, beta=1.0), eta2=1.0, omega_measure=1.0).g == 1.0
+    assert derive_constants(params(b=8.0, beta=1.0), 1.0, 1.0, 1.0).g == 1.0
 
 
 def test_threshold_frozen_values_both_readings():
@@ -229,7 +227,7 @@ def test_threshold_frozen_values_both_readings():
     p = params(a=0.0, b=8.0, beta=1.0, q=1.0, r=1.0, n_neurons=2)
     assert compute_c1(p) == 0.625
     assert compute_c2(p) == pytest.approx(float(Fraction(17321, 2048)), rel=1e-15)
-    th = compute_threshold(p, eta2=1.0, omega_measure=1.0)
+    th = derive_constants(p, omega_measure=1.0, eta1=1.0, eta2=1.0)
     assert th.g == 1.0
     assert th.big_r == pytest.approx(433.65, rel=1e-12)
     assert th.big_r_alt == pytest.approx(216.825, rel=1e-12)
@@ -251,13 +249,13 @@ def test_threshold_readings_differ_by_network_size_factor():
             r=rng.randrange(1, 12) / 8.0,
             n_neurons=n,
         )
-        th = compute_threshold(p, eta2=2.0, omega_measure=3.0)
+        th = derive_constants(p, omega_measure=3.0, eta1=1.0, eta2=2.0)
         assert th.big_r == pytest.approx(th.big_r_alt * n * (n - 1), rel=1e-12)
 
 
 def test_threshold_rejects_zero_beta():
-    with pytest.raises(SingularParameterError):
-        compute_threshold(params(beta=0.0), eta2=1.0, omega_measure=1.0)
+    with pytest.raises(SingularParameterError, match="threshold formula divides by beta"):
+        derive_constants(params(beta=0.0), 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +289,19 @@ def test_derived_constants_all_finite_positive():
         for f in dataclasses.fields(k):
             v = getattr(k, f.name)
             assert math.isfinite(v) and v > 0, (f.name, v)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    # b = 0 with beta = 0: b is checked first
+    ((params(b=0.0), 0.0, 0.0, 0.0), ValueError, "omega_measure must be > 0"),
+    ((params(b=0.0), 1.0, 0.0, 0.0), SingularParameterError, "c1 divides by b"),
+    ((params(), 1.0, 0.0, 0.0), SingularParameterError, "divides by beta"),
+    ((params(beta=1.0), 1.0, 0.0, 0.0), ValueError, "eta2 and omega_measure must be > 0"),
+    ((params(beta=1.0), 1.0, 0.0, 1.0), ValueError, "eta1 must be > 0"),
+])
+def test_derive_constants_reports_the_first_bad_input(args, error, message):
+    with pytest.raises(error, match=message):
+        derive_constants(*args)
 
 
 def test_derive_constants_is_deterministic():
