@@ -48,7 +48,6 @@ from .errors import (
 )
 from .metrics import (
     KResult,
-    PairDifferences,
     RateFit,
     TrajectoryObserver,
     TrajectoryRecord,

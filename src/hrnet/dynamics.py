@@ -534,7 +534,6 @@ class Integrator:
         if len(steps) != 1:
             raise ValueError("batched members must share the step size and step count")
         ((self.dt, self.n_steps),) = steps
-        self.members = members
         d, p = [m.d for m in members], [m.p for m in members]
         self._solver = self._buffers = None
         if cfg.scheme == "imex-euler" and self.n_steps > 0:
@@ -649,8 +648,9 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
     ``params_list[b]``, observed by ``observers[b]`` (None or absent: no
     rows).  Returns, per member and in order, its :class:`SimulationResult`
     or the :class:`IntegrationError` / :class:`LinearSolveError` it failed
-    with, rows attached; a failed member leaves the batch and the others
-    go on.  Every member is bitwise equal to its own serial run.
+    with, rows attached; a failed member keeps its slot in the batch,
+    unobserved, and the others go on.  Every member is bitwise equal to its
+    own serial run.
 
     Members that resolve to one step size and step count form one batch;
     batches run one after another.
@@ -685,16 +685,19 @@ def _observe(observer, state: NetworkState, i: int):
 
 
 def _run_batch(members, starts, params_list, domain, matching, cfg, observers, results):
-    """The time loop of one batch; writes each member's outcome into ``results``."""
+    """The time loop of one batch; writes each member's outcome into ``results``.
+
+    One stepper serves the whole run.  A failed member keeps its slot, unobserved:
+    its error, with its rows, is recorded the first time, and later ones are not.
+    """
     stepper = Integrator([params_list[b] for b in members], domain, matching, cfg)
     # C-contiguous (B, N, cells) copies: the inputs are never mutated
     state = NetworkState(0.0, *(np.stack([getattr(starts[b], name) for b in members])
                                 for name in ("u", "v", "w")))
-    live = list(members)
-    watch = [observers[b] for b in members]
     # exact, accumulation-free timestamps
     times = [0.0]
-    rows = [[_observe(watch[i], state, i)] for i in range(len(live))]
+    rows = [[_observe(observers[b], state, i)] for i, b in enumerate(members)]
+    failed = set()
     # |u| seen so far, cell by cell; a member's largest is reduced when it fails
     seen = np.abs(state.u)
     scratch = np.empty_like(seen)
@@ -709,29 +712,26 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
                                  for x in (state.u, state.v, state.w)], axis=0)
                 for i in np.flatnonzero(~finite).tolist():
                     errors.setdefault(i, None)
-            if errors:
-                for i, err in errors.items():
+            for i, err in errors.items():
+                if i not in failed:
+                    failed.add(i)
                     if isinstance(err, LinearSolveError):
                         err.rows = rows[i]
                     else:
                         err = IntegrationError(state.t, float(seen[i].max()), rows=rows[i])
-                    results[live[i]] = err
-                keep = [i for i in range(len(live)) if i not in errors]
-                if not keep:
-                    return
-                # a stepper serves one fixed batch: the survivors get their own
-                stepper = Integrator([stepper.members[i] for i in keep], domain, matching, cfg)
-                state = NetworkState(state.t, state.u[keep], state.v[keep], state.w[keep])
-                live = [live[i] for i in keep]
-                watch = [watch[i] for i in keep]
-                rows = [rows[i] for i in keep]
-                seen, scratch = seen[keep], scratch[keep]
+                    results[members[i]] = err
+                # zeros keep the health check on its one-sum path; nothing reads them
+                state.u[i] = state.v[i] = state.w[i] = 0.0
+            if len(failed) == len(members):
+                return
             np.maximum(seen, np.abs(state.u, out=scratch), out=seen)
             if k % cfg.record_every == 0 or k == stepper.n_steps:
                 times.append(state.t)
-                for i in range(len(live)):
-                    rows[i].append(_observe(watch[i], state, i))
-    for i, b in enumerate(live):
-        results[b] = SimulationResult(state=_member(state, i), times=list(times),
-                                      rows=rows[i], dt=stepper.dt,
-                                      n_steps=stepper.n_steps)
+                for i, b in enumerate(members):
+                    if i not in failed:
+                        rows[i].append(_observe(observers[b], state, i))
+    for i, b in enumerate(members):
+        if i not in failed:
+            results[b] = SimulationResult(state=_member(state, i), times=list(times),
+                                          rows=rows[i], dt=stepper.dt,
+                                          n_steps=stepper.n_steps)

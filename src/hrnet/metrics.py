@@ -27,35 +27,16 @@ from .errors import IntegrationError
 SYNC_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
-class PairDifferences:
-    """Quadrature norms of state differences for every ordered pair.
+def pair_differences(state: NetworkState, domain: Domain) -> np.ndarray:
+    """Quadrature norms of u_i - u_j, v_i - v_j and w_i - w_j, each pair once.
 
-    All arrays are (N, N) with zero diagonals; entry (i, j) uses u_i - u_j.
-    ``diff_g`` weights the membrane term by the multiplier g.
+    Returns a (3, pairs) array, one column per pair i < j in row-major order.
     """
-
-    u_sq: np.ndarray
-    v_sq: np.ndarray
-    w_sq: np.ndarray
-    diff_plain: np.ndarray
-    diff_g: np.ndarray
-
-
-def pair_differences(state: NetworkState, domain: Domain, g: float) -> PairDifferences:
     n = state.n_neurons
     # C order: a row reduction over another layout sums in another order
     fields = np.ascontiguousarray([state.u, state.v, state.w])
-    sq = np.zeros((3, n, n))
-    for i in range(n - 1):
-        diff = fields[:, i, None] - fields[:, i + 1:]
-        sq[:, i, i + 1:] = integrate_domain(diff * diff, domain)
-    # u_j - u_i is exactly -(u_i - u_j): the lower triangle mirrors the upper
-    u_sq, v_sq, w_sq = sq + sq.transpose(0, 2, 1)
-    plain = u_sq + v_sq + w_sq
-    diff_g = g * u_sq + v_sq + w_sq
-    return PairDifferences(u_sq=u_sq, v_sq=v_sq, w_sq=w_sq,
-                           diff_plain=plain, diff_g=diff_g)
+    diffs = (fields[:, i, None] - fields[:, i + 1:] for i in range(n - 1))
+    return np.concatenate([integrate_domain(diff * diff, domain) for diff in diffs], axis=1)
 
 
 def stimulation_signal(state: NetworkState, matching: BoundaryMatching, p: float) -> float:
@@ -163,21 +144,29 @@ class TrajectoryRecord:
 
     @classmethod
     def from_rows(cls, rows, n_neurons, consts) -> "TrajectoryRecord":
+        """The record of :class:`TrajectoryObserver` rows: the Gronwall envelope
+        anchored at row 0's total energy, the thresholds repeated per row."""
         if not rows:
             raise ValueError("no rows recorded")
-        cols = {
-            name: np.array([row[name] for row in rows], dtype=np.float64)
-            for name in cls.SCALAR_FIELDS + ("weighted_energy",)
-        }
-        diff_g = np.array([row["diff_g"] for row in rows], dtype=np.float64)
-        return cls(**cols, diff_energy_g=diff_g, n_neurons=n_neurons, consts=consts)
+        table = np.array(rows, dtype=np.float64)
+        t, total, weighted, stimulation, gap, k_sum = table[:, :6].T.copy()
+        c, lo, rho0 = consts, min(consts.c1, 1.0), float(total[0])
+        envelope = [(max(c.c1, 1.0) / lo) * math.exp(-c.r_star * tk) * rho0
+                    + c.big_m * c.omega_measure / lo for tk in t.tolist()]
+        return cls(t=t, total_energy=total, weighted_energy=weighted,
+                   gronwall_envelope=np.array(envelope), stimulation_s=stimulation,
+                   threshold_literal=np.full(len(t), c.big_r * c.omega_measure),
+                   threshold_perpair=np.full(len(t), c.big_r_alt * c.omega_measure),
+                   boundary_diff_full=gap, k_sum=k_sum, diff_energy_g=table[:, 6:].copy(),
+                   n_neurons=n_neurons, consts=consts)
 
 
 class TrajectoryObserver:
-    """Per-state row builder; one instance serves exactly one run.
-
-    The Gronwall envelope is anchored at the first observed state, so the
-    first call must be the initial condition.
+    """Per-state row builder with no state of its own: each call returns one
+    float64 row of ``t``, the total and the c1-weighted energy, ``p *
+    matched_gap``, ``boundary_diff_full``, ``k_sum``, then the G-weighted
+    energy of every pair i < j in row-major order.  The record derives the
+    envelope and threshold columns (:meth:`TrajectoryRecord.from_rows`).
     """
 
     def __init__(self, params: HRParameters, domain: Domain,
@@ -186,37 +175,18 @@ class TrajectoryObserver:
         self.domain = domain
         self.matching = matching
         self.consts = consts
-        self.rho0 = None
-        self._upper = np.triu_indices(params.n_neurons, 1)
 
-    def __call__(self, state: NetworkState) -> dict:
+    def __call__(self, state: NetworkState) -> np.ndarray:
         c = self.consts
         vol = self.domain.cell_volume
         u_energy = float(np.sum(state.u * state.u)) * vol
         v_energy = float(np.sum(state.v * state.v)) * vol
         w_energy = float(np.sum(state.w * state.w)) * vol
-        total = u_energy + v_energy + w_energy
-        if self.rho0 is None:
-            self.rho0 = total
-        lo = min(c.c1, 1.0)
-        envelope = (
-            (max(c.c1, 1.0) / lo) * math.exp(-c.r_star * state.t) * self.rho0
-            + c.big_m * c.omega_measure / lo
-        )
-        diffs = pair_differences(state, self.domain, c.g)
+        u_sq, v_sq, w_sq = pair_differences(state, self.domain)
         kres = compute_K(state, self.matching)
-        return {
-            "t": state.t,
-            "total_energy": total,
-            "weighted_energy": c.c1 * u_energy + v_energy + w_energy,
-            "gronwall_envelope": envelope,
-            "stimulation_s": self.params.p * kres.matched_gap,
-            "threshold_literal": c.big_r * c.omega_measure,
-            "threshold_perpair": c.big_r_alt * c.omega_measure,
-            "boundary_diff_full": kres.boundary_diff_full,
-            "k_sum": kres.k_sum,
-            "diff_g": tuple(diffs.diff_g[self._upper]),
-        }
+        scalars = (state.t, u_energy + v_energy + w_energy, c.c1 * u_energy + v_energy + w_energy,
+                   self.params.p * kres.matched_gap, kres.boundary_diff_full, kres.k_sum)
+        return np.concatenate([scalars, c.g * u_sq + v_sq + w_sq])
 
 
 def record_trajectory(ic, params: HRParameters, domain: Domain,
@@ -555,12 +525,13 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
            for k in range(sample_count)]
 
     def observer(state):
-        return pair_differences(state, domain, 1.0).diff_plain
+        u_sq, v_sq, w_sq = pair_differences(state, domain)
+        return u_sq + v_sq + w_sq
 
     results = simulate_ensemble(ics, [params] * sample_count, domain, matching,
                                 cfg, [observer] * sample_count)
     n = params.n_neurons
-    worst_sq = np.zeros((n, n))
+    worst_sq = np.zeros(n * (n - 1) // 2)
     for k, result in enumerate(results):
         if isinstance(result, IntegrationError):
             raise IntegrationError(
@@ -574,4 +545,7 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
         tail_rows = [row for tk, row in zip(times, result.rows) if tk >= tail_start]
         sample_worst = np.maximum.reduce(tail_rows)
         worst_sq = np.maximum(worst_sq, sample_worst)
-    return float(np.sqrt(worst_sq).sum())
+    # summed over ordered pairs: the worst gaps mirrored across a zero diagonal
+    ordered = np.zeros((n, n))
+    ordered[np.triu_indices(n, 1)] = worst_sq
+    return float(np.sqrt(ordered + ordered.T).sum())

@@ -5,7 +5,8 @@ config; each criterion then asserts its own result, so the -v output shows
 one line per criterion, and the report lines together must equal the pinned
 ``tests/golden/verify/verify_report.txt`` byte for byte (``python
 tests/test_golden.py`` re-pins it).  The step-size guard's failing branch is
-exercised separately with a deliberately unstable configuration.
+exercised separately with a deliberately unstable configuration, and
+criteria 1, 2, 3, 10, 11 and 12 each with a planted fault.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import pathlib
 
 import pytest
 
+import hrnet.verify as verify
 from hrnet.config import MetricsOptions, load_config
 from hrnet.core import HRParameters, derive_constants
 from hrnet.domain import build_domain, full_boundary_matching, poincare_constants
@@ -96,3 +98,79 @@ def test_verify_registry_is_complete():
     assert numbers == list(range(1, 14))
     names = [name for _, name, _ in CRITERIA]
     assert len(set(names)) == len(names)
+
+
+# ---------------------------------------------------------------------------
+# planted faults: each criterion below must catch a defect that leaves the
+# run plausible.  A name that ``hrnet.verify`` imports is patched, so no
+# long simulation runs.
+# ---------------------------------------------------------------------------
+
+def scaled(monkeypatch, name, change):
+    """Patch ``verify.<name>`` to return ``change`` of the original's result."""
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args, **kwargs: change(original(*args, **kwargs)))
+
+
+def planted_result(number):
+    return run_criterion(number, VerifyContext(cfg=load_config(STOCK_CONFIG)))
+
+
+def test_constants_oracle_catches_a_perturbed_c1(monkeypatch):
+    scaled(monkeypatch, "derive_constants",
+           lambda consts: dataclasses.replace(consts, c1=consts.c1 * (1.0 + 1e-9)))
+    result = planted_result(1)
+    assert not result.passed
+    # the entry time, which reads c1 too, moves by more than c1 itself
+    assert "max rel err 2.466e-09 (tolerance 1e-12)" in result.detail
+
+
+def test_poincare_criterion_catches_a_scaled_eta1(monkeypatch):
+    scaled(monkeypatch, "poincare_constants",
+           lambda pc: dataclasses.replace(pc, eta1=pc.eta1 * 1.02))
+    result = planted_result(2)
+    assert not result.passed
+    # a constant 2 % offset: the errors stop converging
+    assert "orders -0.045, -0.011 (band 2.0 +/- 0.2)" in result.detail
+    assert "rel err 1.991e-02 (<= 1e-2)" in result.detail
+
+
+def test_operator_order_catches_a_scaled_diffusion(monkeypatch):
+    scaled(monkeypatch, "apply_diffusion", lambda out: out * 1.01)
+    result = planted_result(3)
+    assert not result.passed
+    assert "orders -0.094, -0.023 (band 2.0 +/- 0.2)" in result.detail
+
+
+def test_k_probe_catches_a_scaled_cross_term(monkeypatch):
+    scaled(monkeypatch, "compute_K",
+           lambda res: dataclasses.replace(res, k_sum=res.k_sum * 1.01))
+    result = planted_result(10)
+    assert not result.passed
+    assert "(4 d^2 |Gamma|, rel 1.0e-02)" in result.detail
+
+
+def test_determinism_criterion_catches_a_changed_rerun(monkeypatch, tmp_path):
+    runs = []
+
+    def run_simulate(cfg, out_dir):
+        runs.append(out_dir)
+        pathlib.Path(out_dir).mkdir()
+        (pathlib.Path(out_dir) / "trajectory.csv").write_text(f"run {len(runs)}\n")
+        return 0
+
+    monkeypatch.setattr(verify, "run_simulate", run_simulate)
+    monkeypatch.setattr(verify, "sweep_rows", lambda cfg, param, values, jobs: [
+        {"value": value, "status": "stub"} for value in values])
+    result = planted_result(11)
+    assert len(runs) == 2
+    assert not result.passed
+    assert result.detail == ("repeated stock run byte-identical: False (6 bytes); "
+                             "duplicate sweep values give identical rows: True")
+
+
+def test_async_degree_criterion_catches_a_zero_estimate(monkeypatch):
+    monkeypatch.setattr(verify, "asynchronous_degree", lambda *args, **kwargs: 0.0)
+    result = planted_result(12)
+    assert not result.passed
+    assert result.detail.startswith("p=0 heterogeneous sampling: 0 (> 0)")

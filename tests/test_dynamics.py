@@ -473,7 +473,8 @@ def test_integrator_reuses_factorization(monkeypatch):
     monkeypatch.setattr(dynamics.spla, "splu",
                         lambda a, **options: factored.append(a) or splu(a, **options))
     # members with one d share one factorization, of one neuron's block
-    stepper = Integrator([params, params.replace(p=2.0)], domain, matching, cfg)
+    members = [params, params.replace(p=2.0)]
+    stepper = Integrator(members, domain, matching, cfg)
     assert [a.shape for a in factored] == [(domain.n_cells, domain.n_cells)]
     u = np.stack([np.full((2, domain.n_cells), 0.5), np.full((2, domain.n_cells), -0.5)])
     state = NetworkState(0.0, u, np.zeros_like(u), np.zeros_like(u))
@@ -483,7 +484,7 @@ def test_integrator_reuses_factorization(monkeypatch):
     assert out.t == pytest.approx(2e-3)
     assert len(factored) == 1
     # each member of the batch gets the bits of its batch of one
-    for b, member in enumerate(stepper.members):
+    for b, member in enumerate(members):
         alone = Integrator(member, domain, matching, cfg)
         one, errors = alone.step(NetworkState(0.0, *(x[b:b + 1] for x in (state.u, state.v, state.w))))
         one, more = alone.step(one)

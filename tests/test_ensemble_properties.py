@@ -159,6 +159,32 @@ def test_blown_up_member_fails_as_serially_and_leaves_batch_mates_alone():
         assert_same_outcome(got, serial(ic, params, domain, matching, cfg))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_one_stepper_serves_a_batch_through_a_failure(dim, monkeypatch):
+    # the failed member keeps its slot and is stepped on, unobserved; its
+    # batch mates keep their serial bits, with no solver built a second time
+    domain = build_domain(dim, [1.0] * dim, [32] if dim == 1 else [8, 8])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    cfg = IntegratorConfig(t_end=1.0, scheme="imex-euler", dt=0.05, record_every=2)
+    ics = [InitialCondition(kind="uniform-random", seed=1),
+           InitialCondition(kind="constant-per-neuron", u_values=(50.0, -50.0)),
+           InitialCondition(kind="uniform-random", seed=2)]
+    params_list = [HRParameters.default(p=2.0), HRParameters.default(p=2.0),
+                   HRParameters.default(p=0.5)]
+    built = []
+    with monkeypatch.context() as patch:
+        counting(patch, Integrator, "__init__", built)
+        results = simulate_ensemble(ics, params_list, domain, matching, cfg,
+                                    [snapshot] * 3)
+    assert len(built) == 1
+    failed = results[1]
+    assert isinstance(failed, IntegrationError)
+    assert failed.t < cfg.t_end / 2
+    assert isinstance(results[0], SimulationResult) and isinstance(results[2], SimulationResult)
+    for ic, params, got in zip(ics, params_list, results):
+        assert_same_outcome(got, serial(ic, params, domain, matching, cfg))
+
+
 @pytest.mark.parametrize("scheme, dt", [("imex-euler", 2e-3), ("explicit-rk4", "auto")])
 def test_failed_members_report_the_largest_u_before_their_failure(scheme, dt):
     domain, matching = stock_network()
@@ -188,7 +214,7 @@ def test_failed_members_report_the_largest_u_before_their_failure(scheme, dt):
         assert isinstance(err, IntegrationError)
         assert (err.t, err.max_abs_u) == (k * stepper.dt, seen)
         failed_at.append(k)
-    # the batch shrank twice
+    # the two members failed at different steps of one batch
     assert failed_at[0] != failed_at[1]
 
 

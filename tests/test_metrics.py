@@ -7,6 +7,7 @@ records built directly so each monitor's pass and fail branches are both
 exercised against hand-computed envelopes.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from hrnet.core import DerivedConstants, HRParameters, derive_constants, entry_t
 from hrnet.domain import (
     build_domain,
     full_boundary_matching,
+    integrate_domain,
     parse_matching,
     poincare_constants,
 )
@@ -47,6 +49,17 @@ FRIENDLY = DerivedConstants(
     c1=1.0, c2=1.0, r_star=1.0, big_m=1.0, big_q=1.0, g=1.0,
     eta1=1.0, eta2=1.0, big_r=2.0, big_r_alt=1.0, mu=1.0, omega_measure=1.0,
 )
+
+
+# the measurements ahead of the pair columns in an observer row
+ROW = ("t", "total_energy", "weighted_energy", "stimulation_s", "boundary_diff_full", "k_sum")
+PAIRS = slice(len(ROW), None)
+
+
+def observe(domain, consts, state):
+    """One observer row of ``state``, on a network with both ends coupled."""
+    matching = full_boundary_matching(domain, state.n_neurons, "1-2")
+    return TrajectoryObserver(HRParameters.default(), domain, matching, consts)(state)
 
 
 def make_state(domain, u_rows, v_rows=None, w_rows=None, t=0.0):
@@ -92,22 +105,22 @@ def test_pair_differences_identical_states_are_zero():
     domain = build_domain(1, [1.0], [8])
     field = np.linspace(-1.0, 2.0, domain.n_cells)
     state = make_state(domain, [field, field.copy()], [field, field.copy()])
-    diffs = pair_differences(state, domain, g=7.0)
-    for arr in (diffs.u_sq, diffs.v_sq, diffs.w_sq, diffs.diff_plain, diffs.diff_g):
-        assert np.all(arr == 0.0)
+    sq = pair_differences(state, domain)
+    # one column per pair i < j: N = 2 has one
+    assert sq.shape == (3, 1)
+    assert np.all(sq == 0.0)
 
 
 def test_pair_differences_constant_gap_oracle():
-    # |Omega| = 2: u gap of 1 integrates to exactly 2, weighted by g in diff_g
+    # |Omega| = 2: u gap of 1 integrates to exactly 2, weighted by g in the row
     domain = build_domain(1, [2.0], [8])
     state = make_state(domain, constant_rows(domain, (1.0, 0.0)))
-    diffs = pair_differences(state, domain, g=7.0)
-    assert diffs.u_sq[0, 1] == 2.0
-    assert diffs.u_sq[1, 0] == 2.0
-    assert diffs.v_sq[0, 1] == 0.0
-    assert diffs.diff_plain[0, 1] == 2.0
-    assert diffs.diff_g[0, 1] == 14.0
-    assert diffs.diff_g[0, 0] == 0.0 and diffs.diff_g[1, 1] == 0.0
+    u_sq, v_sq, w_sq = pair_differences(state, domain)
+    assert u_sq.tolist() == [2.0]
+    assert v_sq.tolist() == [0.0]
+    assert (u_sq + v_sq + w_sq).tolist() == [2.0]
+    row = observe(domain, dataclasses.replace(FRIENDLY, g=7.0), state)
+    assert row[PAIRS].tolist() == [14.0]
 
 
 def test_pair_differences_v_w_terms_not_weighted_by_g():
@@ -116,13 +129,14 @@ def test_pair_differences_v_w_terms_not_weighted_by_g():
     v = constant_rows(domain, (2.0, 0.0))
     w = constant_rows(domain, (3.0, 0.0))
     state = make_state(domain, u, v, w)
-    diffs = pair_differences(state, domain, g=7.0)
-    assert diffs.u_sq[0, 1] == 0.0
-    assert diffs.v_sq[0, 1] == 8.0   # 2^2 * |Omega|
-    assert diffs.w_sq[0, 1] == 18.0  # 3^2 * |Omega|
-    assert diffs.diff_plain[0, 1] == 26.0
+    u_sq, v_sq, w_sq = pair_differences(state, domain)
+    assert u_sq.tolist() == [0.0]
+    assert v_sq.tolist() == [8.0]   # 2^2 * |Omega|
+    assert w_sq.tolist() == [18.0]  # 3^2 * |Omega|
+    assert (u_sq + v_sq + w_sq).tolist() == [26.0]
     # g multiplies only the membrane term
-    assert diffs.diff_g[0, 1] == 26.0
+    row = observe(domain, dataclasses.replace(FRIENDLY, g=7.0), state)
+    assert row[PAIRS].tolist() == [26.0]
 
 
 def test_pair_differences_three_neurons_symmetric():
@@ -134,11 +148,14 @@ def test_pair_differences_three_neurons_symmetric():
         v=rng.normal(size=(3, domain.n_cells)),
         w=rng.normal(size=(3, domain.n_cells)),
     )
-    diffs = pair_differences(state, domain, g=2.5)
-    for arr in (diffs.u_sq, diffs.diff_plain, diffs.diff_g):
-        assert np.array_equal(arr, arr.T)
-        assert np.all(np.diag(arr) == 0.0)
-    assert np.array_equal(diffs.diff_plain, diffs.u_sq + diffs.v_sq + diffs.w_sq)
+    sq = pair_differences(state, domain)
+    # columns (1, 2), (1, 3), (2, 3); each pair's measure is that of its
+    # reverse difference, so one column serves both orders
+    assert sq.shape == (3, 3)
+    for col, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        for k, field in enumerate((state.u, state.v, state.w)):
+            gap = field[j] - field[i]
+            assert sq[k, col] == integrate_domain(gap * gap, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -251,33 +268,62 @@ def test_record_trajectory_shapes_and_invariants():
 
 def test_trajectory_observer_row_contents():
     domain = build_domain(1, [2.0], [8])
-    matching = full_boundary_matching(domain, 2, "1-2")
-    params = HRParameters.default(p=2.0)
-    obs = TrajectoryObserver(params, domain, matching, FRIENDLY)
     state0 = make_state(domain, constant_rows(domain, (1.0, 0.0)),
                         constant_rows(domain, (0.5, 0.5)),
                         constant_rows(domain, (0.25, 0.25)))
+    later_state = make_state(domain, constant_rows(domain, (0.0, 0.0)), t=1.5)
+    obs = TrajectoryObserver(HRParameters.default(p=2.0), domain,
+                             full_boundary_matching(domain, 2, "1-2"), FRIENDLY)
+    # the observer keeps no state: the order of calls changes no row
+    later = obs(later_state)
     row0 = obs(state0)
+    assert np.array_equal(obs(later_state), later)
+    assert not hasattr(obs, "rho0")
+    assert row0.dtype == np.float64 and row0.shape == (len(ROW) + 1,)
     # energies: u contributes 1^2*2, v 2*0.25*2, w 2*0.0625*2 over both neurons
-    assert row0["t"] == 0.0
-    assert row0["total_energy"] == pytest.approx(2.0 + 1.0 + 0.25, rel=1e-14)
-    assert row0["weighted_energy"] == pytest.approx(
+    assert row0[ROW.index("t")] == 0.0
+    assert row0[ROW.index("total_energy")] == pytest.approx(2.0 + 1.0 + 0.25, rel=1e-14)
+    assert row0[ROW.index("weighted_energy")] == pytest.approx(
         FRIENDLY.c1 * 2.0 + 1.0 + 0.25, rel=1e-14)
-    # envelope anchored at the first call: ratio 1, decay 1, offset M|Omega|/1
-    rho0 = row0["total_energy"]
-    assert obs.rho0 == rho0
-    assert row0["gronwall_envelope"] == pytest.approx(rho0 + 1.0, rel=1e-14)
-    assert row0["threshold_literal"] == 2.0   # big_r * omega_measure
-    assert row0["threshold_perpair"] == 1.0   # big_r_alt * omega_measure
     # unit gap over both unit faces: S = p * 2, summed K = 4, gap sum = 2
-    assert row0["stimulation_s"] == pytest.approx(4.0, rel=1e-14)
-    assert row0["k_sum"] == pytest.approx(8.0, rel=1e-14)
-    assert row0["boundary_diff_full"] == pytest.approx(4.0, rel=1e-14)
-    assert row0["diff_g"] == (pytest.approx(2.0, rel=1e-14),)
-    later = obs(make_state(domain, constant_rows(domain, (0.0, 0.0)), t=1.5))
+    assert row0[ROW.index("stimulation_s")] == pytest.approx(4.0, rel=1e-14)
+    assert row0[ROW.index("k_sum")] == pytest.approx(8.0, rel=1e-14)
+    assert row0[ROW.index("boundary_diff_full")] == pytest.approx(4.0, rel=1e-14)
+    assert row0[PAIRS].tolist() == [pytest.approx(2.0, rel=1e-14)]
+    record = TrajectoryRecord.from_rows([row0, later], 2, FRIENDLY)
+    # envelope anchored at the first row: ratio 1, decay 1, offset M|Omega|/1
+    rho0 = row0[ROW.index("total_energy")]
+    assert record.gronwall_envelope[0] == pytest.approx(rho0 + 1.0, rel=1e-14)
+    assert record.threshold_literal.tolist() == [2.0, 2.0]   # big_r * omega_measure
+    assert record.threshold_perpair.tolist() == [1.0, 1.0]   # big_r_alt * omega_measure
     # rho0 stays anchored; envelope decays with r_star = 1
-    assert later["gronwall_envelope"] == pytest.approx(
+    assert record.gronwall_envelope[1] == pytest.approx(
         math.exp(-1.5) * rho0 + 1.0, rel=1e-14)
+
+
+def envelope_formula(t, rho0, c):
+    """The Gronwall envelope at time t, as a scalar expression."""
+    lo = min(c.c1, 1.0)
+    return (max(c.c1, 1.0) / lo) * math.exp(-c.r_star * t) * rho0 + c.big_m * c.omega_measure / lo
+
+
+def assert_derived_columns(record):
+    c = record.consts
+    rho0 = float(record.total_energy[0])
+    assert record.gronwall_envelope.tolist() == [envelope_formula(t, rho0, c)
+                                                 for t in record.t.tolist()]
+    assert all(x == c.big_r * c.omega_measure for x in record.threshold_literal.tolist())
+    assert all(x == c.big_r_alt * c.omega_measure for x in record.threshold_perpair.tolist())
+
+
+def test_from_rows_derives_envelope_and_thresholds_per_row():
+    record, consts, *_ = standard_run()
+    assert record.consts is consts and len(record) == 6
+    assert_derived_columns(record)
+    # a partial record, cut short by a blow-up, anchors at its own first row
+    partial = blown_up_record()
+    assert 0 < len(partial) < 11
+    assert_derived_columns(partial)
 
 
 def unexpected_call(*args, **kwargs):
@@ -296,7 +342,7 @@ def test_observer_row_gathers_the_boundary_once(monkeypatch):
     obs = TrajectoryObserver(params, domain, matching, FRIENDLY)
     row = obs(make_state(domain, constant_rows(domain, (1.0, 0.0))))
     assert len(calls) == 1
-    assert row["stimulation_s"] == 4.0  # p * 2 unit faces of unit gap
+    assert row[ROW.index("stimulation_s")] == 4.0  # p * 2 unit faces of unit gap
 
 
 def test_record_validate_rejects_bad_columns():
@@ -317,7 +363,8 @@ def test_record_from_rows_requires_rows():
         TrajectoryRecord.from_rows([], 2, FRIENDLY)
 
 
-def test_record_trajectory_attaches_partial_record_on_blowup():
+def blown_up_record():
+    """The partial record of a run that overflows within its 10 steps."""
     params = HRParameters.default()
     domain = build_domain(1, [1.0], [32])
     matching = full_boundary_matching(domain, 2, "1-2")
@@ -327,7 +374,11 @@ def test_record_trajectory_attaches_partial_record_on_blowup():
     cfg = IntegratorConfig(t_end=10.0, scheme="explicit-rk4", dt=1.0, record_every=1)
     with pytest.raises(IntegrationError) as exc:
         record_trajectory(ic, params, domain, matching, cfg, consts)
-    partial = exc.value.partial_record
+    return exc.value.partial_record
+
+
+def test_record_trajectory_attaches_partial_record_on_blowup():
+    partial = blown_up_record()
     assert isinstance(partial, TrajectoryRecord)
     assert partial.t[0] == 0.0
     partial.validate()  # recorded rows predate the failure, so all finite
@@ -600,15 +651,15 @@ def test_asynchronous_degree_single_sample_matches_manual_run():
 
     # replay the single sample by hand: same seed, horizon, tail rule
     from dataclasses import replace as dc_replace
-    from hrnet.metrics import pair_differences as pd
 
     manual_ic = dc_replace(ic, seed=seed)
     res = simulate(manual_ic, params, domain, matching, cfg,
-                   observer=lambda st: pd(st, domain, 1.0).diff_plain)
+                   observer=lambda st: pair_differences(st, domain).sum(axis=0))
     times = np.asarray(res.times)
     tail = times >= times[-1] - 0.2 * (times[-1] - times[0])
-    worst = np.maximum.reduce([row for row, keep in zip(res.rows, tail) if keep])
-    assert deg == float(np.sqrt(worst).sum())
+    (worst,) = np.maximum.reduce([row for row, keep in zip(res.rows, tail) if keep])
+    # summed over both ordered pairs (1, 2) and (2, 1)
+    assert deg == float(np.sqrt([[0.0, worst], [worst, 0.0]]).sum())
     assert deg > 0.0
 
 
