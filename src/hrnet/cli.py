@@ -4,10 +4,11 @@ Subcommands: ``constants`` (derived-constant block + constants.csv),
 ``simulate`` (trajectory.csv + report.txt), ``sweep`` (sweep.csv over one
 scalar parameter), and ``verify`` (the acceptance-criteria suite).
 
-Exit codes: 0 success, 2 config error, 3 integration or solver failure,
-4 verification failure.  The output directory is ``--out`` if given, else
-the ``HRNET_OUTDIR`` environment variable, else the config's
-``[output] directory``.
+Exit codes: 0 success, 2 config error (an output directory that cannot be
+created too), 3 integration or solver failure, 4 verification failure.  The
+output directory is ``--out`` if given, else the ``HRNET_OUTDIR``
+environment variable, else the config's ``[output] directory``; it is
+created before the command's work starts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .runner import (
     resolve_output_dir,
     run_constants,
     run_simulate,
-    run_sweep,
+    sweep_csv,
+    sweep_rows,
     sweep_values,
 )
 
@@ -81,17 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_constants(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
-    out_dir = resolve_output_dir(cfg, args.out)
-    block = run_constants(cfg, out_dir, domain_only=args.domain_only)
-    sys.stdout.write(block)
+def _constants(cfg, out_dir, args) -> int:
+    sys.stdout.write(run_constants(cfg, out_dir, domain_only=args.domain_only))
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
-    out_dir = resolve_output_dir(cfg, args.out)
+def _simulate(cfg, out_dir, args) -> int:
     code = run_simulate(cfg, out_dir)
     if code != EXIT_OK:
         print("run failed; partial trajectory flushed, see report.txt",
@@ -99,47 +96,49 @@ def _cmd_simulate(args) -> int:
     return code
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config, seed=args.seed)
-    out_dir = resolve_output_dir(cfg, args.out)
-    values = sweep_values(args.values)
-    return run_sweep(cfg, out_dir, args.param, values, jobs=args.jobs)
+def _sweep(cfg, out_dir, args) -> int:
+    rows = sweep_rows(cfg, args.param, sweep_values(args.values), jobs=args.jobs)
+    atomic_write_text(os.path.join(out_dir, "sweep.csv"), sweep_csv(rows))
+    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _verify(cfg, out_dir, args) -> int:
     from . import verify
 
-    if args.list:
-        for number, name, _ in verify.CRITERIA:
-            print(f"{number:2d} {name}")
-        return EXIT_OK
-    if args.config is None:
-        raise ConfigError("verify needs --config (or use --list)")
-    cfg = load_config(args.config, seed=args.seed)
-    out_dir = resolve_output_dir(cfg, args.out)
     results = verify.run_all(cfg, jobs=args.jobs)
-    lines = [verify.format_result(r) for r in results]
-    text = "\n".join(lines) + "\n"
+    text = "".join(verify.format_result(r) + "\n" for r in results)
     sys.stdout.write(text)
     atomic_write_text(os.path.join(out_dir, "verify_report.txt"), text)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 
-_COMMANDS = {
-    "constants": _cmd_constants,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-}
+# each command's handler: (config, output directory, parsed arguments) -> exit code
+_COMMANDS = {"constants": _constants, "simulate": _simulate, "sweep": _sweep,
+             "verify": _verify}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Load the config and create the output directory once, then run the command."""
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise ConfigError("--jobs must be >= 1")
-        return _COMMANDS[args.command](args)
+        if getattr(args, "list", False):
+            from .verify import CRITERIA
+
+            for number, name, _ in CRITERIA:
+                print(f"{number:2d} {name}")
+            return EXIT_OK
+        if args.config is None:
+            raise ConfigError("verify needs --config (or use --list)")
+        cfg = load_config(args.config, seed=args.seed)
+        out_dir = resolve_output_dir(cfg, args.out)
+        if not getattr(args, "domain_only", False):  # the one run that writes nothing
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as err:
+                raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}")
+        return _COMMANDS[args.command](cfg, out_dir, args)
     except (ConfigError, SingularParameterError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -56,7 +56,6 @@ class MetricsOptions:
 class RunConfig:
     """Fully typed run description, as loaded from one config file."""
 
-    path: str
     params: HRParameters
     domain: Domain
     matching: BoundaryMatching
@@ -276,7 +275,7 @@ def load_config(path, seed=None) -> RunConfig:
             raise ConfigError(f"--seed: {err}") from err
 
     return RunConfig(
-        path=path, params=params, domain=domain, matching=matching, ic=ic,
+        params=params, domain=domain, matching=matching, ic=ic,
         integrator=integrator, metrics=metrics, output_dir=output_dir,
         eta_mode=eta_mode,
     )

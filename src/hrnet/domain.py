@@ -417,13 +417,12 @@ def network_diffusion_matrix(
 class PoincareConstants:
     """First nonzero Neumann eigenvalue and its measure-normalized companion.
 
-    Both modes are closed forms, so ``iterations`` and ``residual`` are 0.
+    Both modes are closed forms, so ``iterations`` is 0.
     """
 
     eta1: float
     eta2: float
     iterations: int = 0
-    residual: float = 0.0
 
 
 def poincare_constants(domain: Domain, mode: str = "discrete") -> PoincareConstants:

@@ -201,16 +201,28 @@ class IntegratorConfig:
         return dataclasses.replace(self, **changes)
 
 
-def cfl_bound(domain: Domain, d: float) -> float:
-    """Largest stable explicit diffusion step: min(h)^2 / (2 dim d)."""
+def cfl_bound(domain: Domain, d: float, p: float = 0.0) -> float:
+    """Largest stable explicit diffusion step: min(h)^2 / (2 dim d), or less
+    where the boundary coupling ``p`` sets the limit.
+
+    The network operator's rows sum to zero, so by Gershgorin its spectral
+    radius is at most 2 max |A_ii|.  With every boundary face counted as
+    coupled, a face takes its axis's missing neighbour out of its cell's
+    diagonal d (2 sum_k 1/h_k^2) and adds d p area / vol; where such a row
+    exceeds 2 dim d / min(h)^2 (for p > 1 / min(h) on square cells), its
+    limit 1 / max |A_ii| is the smaller.
+    """
     h_min = min(domain.h)
-    return h_min * h_min / (2.0 * domain.dim * d)
+    inv_h2 = 1.0 / np.square(domain.h)
+    per_face = p * domain.face_area / domain.cell_volume - inv_h2[domain.face_axis]
+    rows = 2.0 * inv_h2.sum() + np.bincount(domain.face_cell, per_face)[domain.face_cell]
+    return min(h_min * h_min / (2.0 * domain.dim * d), 1.0 / (d * rows.max()))
 
 
 def resolve_dt(cfg: IntegratorConfig, domain: Domain, params: HRParameters):
     """Pick (dt, n_steps) with n_steps * dt = t_end exactly."""
     if isinstance(cfg.dt, str):
-        target = cfg.cfl_safety * cfl_bound(domain, params.d)
+        target = cfg.cfl_safety * cfl_bound(domain, params.d, params.p)
     else:
         target = float(cfg.dt)
     if cfg.t_end == 0.0:

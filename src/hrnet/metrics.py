@@ -133,15 +133,6 @@ class TrajectoryRecord:
         """Sum of G-weighted pair difference energies per row."""
         return self.diff_energy_g.sum(axis=1)
 
-    def validate(self):
-        if len(self) == 0:
-            raise ValueError("empty trajectory record")
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("record times must be strictly increasing")
-        for name in self.SCALAR_FIELDS + ("weighted_energy", "diff_energy_g"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"non-finite values in column {name}")
-
     @classmethod
     def from_rows(cls, rows, n_neurons, consts) -> "TrajectoryRecord":
         """The record of :class:`TrajectoryObserver` rows: the Gronwall envelope
@@ -254,7 +245,6 @@ class DecayWindow:
 class EnvelopeReport:
     big_q: float
     gronwall_violations: list
-    entry_time_bound: float
     entry_allowed: float
     entry_time_observed: object
     entry_due: bool
@@ -378,7 +368,6 @@ def envelope_check(record: TrajectoryRecord, consts: DerivedConstants,
     return EnvelopeReport(
         big_q=consts.big_q,
         gronwall_violations=violations,
-        entry_time_bound=bound,
         entry_allowed=allowed,
         entry_time_observed=observed,
         entry_due=due,

@@ -300,9 +300,3 @@ def sweep_csv(rows) -> str:
                      row["status"].replace(",", ";")]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def run_sweep(cfg: RunConfig, out_dir, param: str, values, jobs: int = 1) -> int:
-    rows = sweep_rows(cfg, param, values, jobs=jobs)
-    atomic_write_text(os.path.join(out_dir, "sweep.csv"), sweep_csv(rows))
-    return 0

@@ -483,7 +483,7 @@ def _criterion_async_degree(ctx: VerifyContext):
 
 def _criterion_cfl_guard(ctx: VerifyContext):
     integ = ctx.cfg.integrator
-    bound = cfl_bound(ctx.cfg.domain, ctx.cfg.params.d) * integ.cfl_safety
+    bound = cfl_bound(ctx.cfg.domain, ctx.cfg.params.d, ctx.cfg.params.p) * integ.cfl_safety
     if integ.scheme != "explicit-rk4":
         return True, (f"scheme {integ.scheme} treats diffusion implicitly; "
                       f"explicit bound {bound:.6e} not binding")

@@ -6,14 +6,17 @@ one line per criterion, and the report lines together must equal the pinned
 ``tests/golden/verify/verify_report.txt`` byte for byte (``python
 tests/test_golden.py`` re-pins it).  The step-size guard's failing branch is
 exercised separately with a deliberately unstable configuration, and
-criteria 1, 2, 3, 10, 11 and 12 each with a planted fault.
+every other criterion with a planted fault.
 """
 
 import dataclasses
 import pathlib
 
+import numpy as np
 import pytest
 
+import hrnet.domain
+import hrnet.dynamics
 import hrnet.verify as verify
 from hrnet.config import MetricsOptions, load_config
 from hrnet.core import HRParameters, derive_constants
@@ -71,9 +74,10 @@ def test_step_size_guard_flags_unstable_config():
     assert "e-05" in result.detail
 
 
-def test_coupling_sweep_ignores_the_configured_floor():
-    # simulation criteria fix their own settings: a small ensemble stands in
-    # for criterion 8's sweep, and [metrics] floor must not reach the result
+@pytest.fixture(scope="module")
+def small_runs():
+    """Short runs on a 16-cell network standing in for the criteria's own
+    ensembles: (envelope records, their constants, sweep records by p)."""
     domain = build_domain(1, [1.0], [16])
     matching = full_boundary_matching(domain, 2, "1-2")
     pc = poincare_constants(domain, mode="discrete")
@@ -81,13 +85,34 @@ def test_coupling_sweep_ignores_the_configured_floor():
     consts_list = [derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
                    for params in params_list]
     cfg = IntegratorConfig(t_end=2.0, scheme="imex-euler", dt=1e-2, record_every=5)
-    records = record_trajectories([InitialCondition(seed=42)] * len(params_list),
-                                  params_list, domain, matching, cfg, consts_list)
+    sweep = record_trajectories([InitialCondition(seed=42)] * len(params_list),
+                                params_list, domain, matching, cfg, consts_list)
+    params = HRParameters.default()
+    consts = derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
+    ics = [InitialCondition(seed=seed) for seed in verify.ENVELOPE_SEEDS[:2]]
+    envelope = record_trajectories(ics, [params] * 2, domain, matching, cfg, [consts] * 2)
+    return envelope, consts, list(zip(SWEEP_P_VALUES, sweep))
+
+
+def test_step_size_guard_names_the_bound_of_strong_coupling():
+    # at p = 1000 the coupled end cells, not the Laplacian, bound the step
+    cfg = load_config(STOCK_CONFIG)
+    strong = dataclasses.replace(
+        cfg, params=cfg.params.replace(p=1000.0),
+        integrator=cfg.integrator.replace(scheme="explicit-rk4", dt="auto"))
+    result = run_criterion(13, VerifyContext(cfg=strong))
+    assert result.passed
+    assert result.detail == "auto step size respects the bound 6.233378e-06 by construction"
+
+
+def test_coupling_sweep_ignores_the_configured_floor(small_runs):
+    # simulation criteria fix their own settings: a small ensemble stands in
+    # for criterion 8's sweep, and [metrics] floor must not reach the result
     stock = load_config(STOCK_CONFIG)
     details = []
     for floor in (1e-14, 1e-3):
         ctx = VerifyContext(cfg=dataclasses.replace(stock, metrics=MetricsOptions(floor=floor)))
-        ctx._cache["sweep"] = list(zip(SWEEP_P_VALUES, records))
+        ctx._cache["sweep"] = small_runs[2]
         details.append(run_criterion(8, ctx).detail)
     assert details[0] == details[1]
     assert "floor 1e-14" in details[0]
@@ -174,3 +199,118 @@ def test_async_degree_criterion_catches_a_zero_estimate(monkeypatch):
     result = planted_result(12)
     assert not result.passed
     assert result.detail.startswith("p=0 heterogeneous sampling: 0 (> 0)")
+
+
+def shortened(monkeypatch, name):
+    """Patch ``verify.<name>``, a runner taking the integrator config fifth,
+    to run to t = 0.5 only: a planted fault shows within a few hundred steps."""
+    original = getattr(verify, name)
+
+    def run(ic, params, domain, matching, cfg, *rest, **kwargs):
+        return original(ic, params, domain, matching, cfg.replace(t_end=0.5), *rest, **kwargs)
+
+    monkeypatch.setattr(verify, name, run)
+
+
+def test_conservation_criterion_catches_a_leaking_boundary(monkeypatch):
+    # the zero-flux Laplacian's end cells lose a little more than they pass
+    # on, in the solver and in the guard's assembled operator alike
+    original = hrnet.domain._axis_laplacian
+
+    def leaking(n, h):
+        lap = original(n, h)
+        lap.data[[0, -1]] *= 1.0 + 1e-6  # the two end cells' diagonal entries
+        return lap
+
+    monkeypatch.setattr(hrnet.domain, "_axis_laplacian", leaking)
+    monkeypatch.setattr(hrnet.dynamics, "_axis_laplacian", leaking)
+    shortened(monkeypatch, "simulate")
+    result = planted_result(4)
+    assert not result.passed
+    assert result.detail == ("reaction off, N=2, p=1, t in [0, 10]: total mass 1.9902, "
+                             "max drift 2.488e-04 (rel 1.250e-04 <= 1e-11)")
+
+
+def test_sync_manifold_criterion_catches_a_neuron_dependent_reaction(monkeypatch):
+    # the reaction gives the first neuron an input current 1e-6 too large
+    original = hrnet.dynamics.reaction_rhs
+
+    def uneven(state, params, out=None):
+        du, dv, dw = original(state, params, out=out)
+        du[..., 0, :] += 1e-6
+        return du, dv, dw
+
+    monkeypatch.setattr(hrnet.dynamics, "reaction_rhs", uneven)
+    shortened(monkeypatch, "record_trajectory")
+    result = planted_result(5)
+    assert not result.passed
+    assert result.detail == ("N=3 identical initial data, chain coupling, t_end=50: max "
+                             "pairwise difference energy 2.985e-12 (<= 1e-16) over 2 records")
+
+
+def seeded_result(number, small_runs, envelope=None, sweep=None):
+    """Criterion ``number`` judging ``small_runs`` with the envelope records
+    or the sweep records replaced, as (records, constants) or by p."""
+    records, consts, by_p = small_runs
+    ctx = VerifyContext(cfg=load_config(STOCK_CONFIG))
+    ctx._cache["envelope"] = envelope or (records, consts)
+    ctx._cache["sweep"] = sweep or by_p
+    return run_criterion(number, ctx)
+
+
+def test_small_runs_pass_the_criteria_that_judge_them(small_runs):
+    assert [seeded_result(n, small_runs).passed for n in (6, 7, 9)] == [True] * 3
+
+
+def test_envelope_criterion_catches_energy_above_the_envelope(small_runs):
+    records, consts, _ = small_runs
+    total = records[1].total_energy.copy()
+    total[-1] = records[1].gronwall_envelope[-1] * 1.06
+    perturbed = [records[0], dataclasses.replace(records[1], total_energy=total)]
+    result = seeded_result(6, small_runs, envelope=(perturbed, consts))
+    assert not result.passed
+    assert result.detail == "seed 101: 1 envelope violations"
+
+
+def test_energy_monitor_criterion_catches_a_jump(small_runs):
+    records, consts, _ = small_runs
+    weighted = records[0].weighted_energy.copy()
+    weighted[10:] += 1e9  # between two records 0.05 apart: lhs 2e10 against rhs ~6e8
+    perturbed = [dataclasses.replace(records[0], weighted_energy=weighted), records[1]]
+    result = seeded_result(7, small_runs, envelope=(perturbed, consts))
+    assert not result.passed
+    assert result.detail == "seed 100: 1 violations"
+
+
+def decaying(by_p, final=None):
+    """``by_p`` with member k's difference energy 1e-3 exp(-2 (k + 1) t),
+    which criterion 8 passes; ``final`` replaces the last member's last row."""
+    out = []
+    for k, (p, record) in enumerate(by_p):
+        sync = 1e-3 * np.exp(-2.0 * (k + 1) * record.t)
+        if final is not None and k == len(by_p) - 1:
+            sync[-1] = final
+        out.append((p, dataclasses.replace(record, diff_energy_g=sync[:, None])))
+    return out
+
+
+def test_coupling_sweep_criterion_catches_a_stalled_synchronization(small_runs):
+    assert seeded_result(8, small_runs, sweep=decaying(small_runs[2])).passed
+    result = seeded_result(8, small_runs, sweep=decaying(small_runs[2], final=1e-6))
+    assert not result.passed
+    assert "non-increasing with floor 1e-14: False; p=32 final 1.00e-06 <= 1e-8: False" \
+        in result.detail
+
+
+def test_conditional_decay_criterion_catches_a_rising_window(small_runs):
+    records, consts, _ = small_runs
+    record = records[0]
+    stimulation, sync = record.stimulation_s.copy(), record.diff_energy_g.copy()
+    # above the per-pair threshold for rows 10..15, the difference energy doubling
+    stimulation[10:16] = 2.0 * record.threshold_perpair[10:16]
+    sync[10:16] *= 2.0 ** np.arange(6)[:, None]
+    perturbed = [dataclasses.replace(record, stimulation_s=stimulation, diff_energy_g=sync),
+                 records[1]]
+    result = seeded_result(9, small_runs, envelope=(perturbed, consts))
+    assert not result.passed
+    assert result.detail == "seed 100: decay envelope violated"

@@ -1,11 +1,12 @@
 """Command-line behavior: artifacts, exit codes, output-dir precedence."""
 
 import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
-from hrnet.cli import main
+from hrnet.cli import _COMMANDS, build_parser, main
 
 FAST = """\
 [parameters]
@@ -74,7 +75,12 @@ def test_constants_domain_only(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "eta1 =" in stdout and "omega_measure =" in stdout
     assert "c1" not in stdout and "R_literal" not in stdout
-    assert not (out / "constants.csv").exists()
+    assert not out.exists()
+    # it writes nothing, so an output directory that cannot be created is no error
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main(["constants", "--config", str(path), "--domain-only",
+                 "--out", str(blocker / "sub")]) == 0
 
 
 def test_constants_singular_parameter_exit_2(tmp_path, capsys):
@@ -504,6 +510,44 @@ def test_outdir_flag_beats_env(tmp_path, monkeypatch):
     assert main(["constants", "--config", str(path), "--out", str(flag_dir)]) == 0
     assert (flag_dir / "constants.csv").exists()
     assert not (tmp_path / "from_env").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_output_directory_that_cannot_be_created_exit_2_before_any_work(
+        tmp_path, capsys, monkeypatch, command):
+    import hrnet.cli
+    import hrnet.verify
+
+    path, _ = write_config(tmp_path)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    for module, name in ((hrnet.cli, "run_constants"), (hrnet.cli, "run_simulate"),
+                         (hrnet.cli, "sweep_rows"), (hrnet.verify, "run_all")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("the run started"))
+    extra = ["--param", "p", "--values", "1.0"] if command == "sweep" else []
+    assert main([command, "--config", str(path), "--out", str(blocker / "sub"), *extra]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot create output directory "
+                                       f"{blocker / 'sub'}: Not a directory\n")
+
+
+def test_auto_step_covers_strong_boundary_coupling(tmp_path):
+    # at p = 1000 a step bounded by the Laplacian alone blows up by t = 1e-4
+    text = replace_line(STOCK, "p = 1.0", "p = 1000.0")
+    text = replace_line(text, "scheme = imex-euler", "scheme = explicit-rk4")
+    text = replace_line(text, "dt = 2e-3", "dt = auto")
+    path, out = write_config(tmp_path, replace_line(text, "t_end = 50.0", "t_end = 0.01"))
+    assert main(["simulate", "--config", str(path)]) == 0
+    last = (out / "trajectory.csv").read_text().splitlines()[-1]
+    assert float(last.split(",")[0]) == pytest.approx(0.01, rel=1e-12)
+
+
+def test_readme_quick_start_commands_parse():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## Quick start\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("hrnet ")]
+    dispatched = {build_parser().parse_args(argv[1:]).command for argv in commands}
+    # every command README shows is one the front door runs, and it shows them all
+    assert dispatched == set(_COMMANDS)
 
 
 def test_missing_required_config_flag_exits_via_argparse(capsys):

@@ -277,6 +277,17 @@ def test_cfl_bound_value():
     assert cfl_bound(domain, 2.0) == pytest.approx((1 / 32) ** 2 / 4.0, rel=1e-14)
 
 
+def test_cfl_bound_counts_the_coupled_boundary_rows():
+    domain = build_domain(1, [1.0], [128])
+    # up to p = 1/h the Laplacian's interior rows bind, bit for bit as uncoupled
+    assert cfl_bound(domain, 1.0, 128.0) == cfl_bound(domain, 1.0)
+    # beyond it an end cell's row d (1/h^2 + p/h) does: 1 / (16384 + 128000)
+    assert cfl_bound(domain, 1.0, 1000.0) == 1.0 / 144384.0
+    # in 2D a corner cell's row holds two coupled faces: 2 (64 + 800) at h = 1/8
+    square = build_domain(2, [1.0, 1.0], [8, 8])
+    assert cfl_bound(square, 2.0, 100.0) == pytest.approx(1.0 / (2.0 * 1728.0), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # initial conditions
 # ---------------------------------------------------------------------------

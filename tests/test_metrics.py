@@ -255,7 +255,7 @@ def standard_run(t_end=0.5, dt=1e-2, record_every=10, seed=3):
 def test_record_trajectory_shapes_and_invariants():
     record, consts, *_ = standard_run()
     assert len(record) == 6  # steps 0, 10, 20, 30, 40, 50
-    record.validate()
+    assert np.all(np.diff(record.t) > 0)
     assert record.t[0] == 0.0
     assert record.t[-1] == pytest.approx(0.5, abs=1e-12)
     assert record.n_neurons == 2
@@ -345,19 +345,6 @@ def test_observer_row_gathers_the_boundary_once(monkeypatch):
     assert row[ROW.index("stimulation_s")] == 4.0  # p * 2 unit faces of unit gap
 
 
-def test_record_validate_rejects_bad_columns():
-    record = synth_record([0.0, 1.0, 2.0], [1.0, 1.0, 1.0],
-                          [0.0, 0.0, 0.0], [0.1, 0.1, 0.1])
-    record.validate()
-    record.t[2] = 1.0
-    with pytest.raises(ValueError, match="strictly increasing"):
-        record.validate()
-    record.t[2] = 2.0
-    record.total_energy[1] = math.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        record.validate()
-
-
 def test_record_from_rows_requires_rows():
     with pytest.raises(ValueError, match="no rows"):
         TrajectoryRecord.from_rows([], 2, FRIENDLY)
@@ -381,7 +368,9 @@ def test_record_trajectory_attaches_partial_record_on_blowup():
     partial = blown_up_record()
     assert isinstance(partial, TrajectoryRecord)
     assert partial.t[0] == 0.0
-    partial.validate()  # recorded rows predate the failure, so all finite
+    # recorded rows predate the failure, so all finite
+    for name in TrajectoryRecord.SCALAR_FIELDS + ("weighted_energy", "diff_energy_g"):
+        assert np.isfinite(getattr(partial, name)).all(), name
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +411,6 @@ def test_envelope_check_entry_failure_when_due():
         [0.0, 1.0, 2.0, 3.0, 4.0], total=[5.0] * 5, stim=[0.0] * 5,
         sync=[0.1] * 5)
     report = envelope_check(record, FRIENDLY, entry_slack=0.10)
-    assert report.entry_time_bound == pytest.approx(math.log(5.0), rel=1e-12)
     assert report.entry_allowed == pytest.approx(math.log(5.0) * 1.1 + 1.0, rel=1e-12)
     assert report.entry_time_observed is None
     assert report.entry_due
