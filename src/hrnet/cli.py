@@ -21,6 +21,7 @@ from .config import load_config
 from .errors import ConfigError, SingularParameterError
 from .runner import (
     atomic_write_text,
+    check_sweepable,
     resolve_output_dir,
     run_constants,
     run_simulate,
@@ -76,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the acceptance-criteria suite")
     _add_common(p_verify, config_required=False)
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="number of worker processes for the criteria's "
-                               "ensembles, one batch of members each")
+                          help="number of worker processes; each takes the next "
+                               "shared ensemble or self-contained criterion")
     p_verify.add_argument("--list", action="store_true",
                           help="print criterion names without running them")
     return parser
@@ -97,7 +98,7 @@ def _simulate(cfg, out_dir, args) -> int:
 
 
 def _sweep(cfg, out_dir, args) -> int:
-    rows = sweep_rows(cfg, args.param, sweep_values(args.values), jobs=args.jobs)
+    rows = sweep_rows(cfg, args.param, args.values, jobs=args.jobs)
     atomic_write_text(os.path.join(out_dir, "sweep.csv"), sweep_csv(rows))
     return EXIT_OK
 
@@ -126,9 +127,12 @@ def main(argv=None) -> int:
         if getattr(args, "list", False):
             from .verify import CRITERIA
 
-            for number, name, _ in CRITERIA:
+            for number, name, _, _ in CRITERIA:
                 print(f"{number:2d} {name}")
             return EXIT_OK
+        if args.command == "sweep":  # every argument is checked before anything is made
+            check_sweepable(args.param)
+            args.values = sweep_values(args.values)
         if args.config is None:
             raise ConfigError("verify needs --config (or use --list)")
         cfg = load_config(args.config, seed=args.seed)

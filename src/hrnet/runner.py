@@ -12,6 +12,7 @@ so repeated runs of the same config produce byte-identical artifacts.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import os
 from dataclasses import fields
 
@@ -55,9 +56,14 @@ def atomic_write_text(path, text):
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def resolve_output_dir(cfg: RunConfig, cli_out=None, env=None) -> str:
@@ -214,24 +220,26 @@ def sweep_values(text) -> tuple:
         raise ConfigError(f"--values: expected comma-separated numbers, got {text!r}")
 
 
-def record_ensemble(ics, params_list, domain, matching, cfg, consts_list, jobs: int) -> list:
-    """:func:`~hrnet.metrics.record_trajectories` of an ensemble, split into
-    at most ``jobs`` contiguous batches of near-equal size.
+def run_tasks(tasks, jobs: int) -> list:
+    """``fn(*args)`` for each ``(fn, args)`` in ``tasks``, in task order.
 
-    One batch runs in this process; more run one per pool worker, never more
-    workers than batches, since the pool starts all of them at once.  Records
-    come back in member order and are the same for any ``jobs``.
+    At ``jobs == 1``, or with one task, everything runs in this process.
+    Otherwise at most ``min(jobs, len(tasks))`` pool workers take the tasks in
+    the order given, so list the longest first.  A task's exception propagates.
     """
-    n = len(ics)
-    k = min(jobs, n)
+    k = min(jobs, len(tasks))
     if k <= 1:
-        return record_trajectories(ics, params_list, domain, matching, cfg, consts_list)
-    chunks = [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+        return [fn(*args) for fn, args in tasks]
     with concurrent.futures.ProcessPoolExecutor(max_workers=k) as pool:
-        parts = pool.map(record_trajectories, [ics[c] for c in chunks],
-                         [params_list[c] for c in chunks], [domain] * k,
-                         [matching] * k, [cfg] * k, [consts_list[c] for c in chunks])
-        return [record for part in parts for record in part]
+        futures = [pool.submit(fn, *args) for fn, args in tasks]
+        return [future.result() for future in futures]
+
+
+def check_sweepable(param: str):
+    if param not in SWEEPABLE:
+        raise ConfigError(
+            f"--param: {param!r} is not sweepable; choose one of "
+            f"{', '.join(SWEEPABLE)}")
 
 
 def sweep_row(metrics: MetricsOptions, value, consts, record) -> dict:
@@ -260,13 +268,12 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
     """Run the sweep and return one result mapping per value, in order.
 
     No sweepable parameter changes the domain, so its Poincare constants are
-    computed once.  The runnable values form one ensemble
-    (:func:`record_ensemble`); every row is the same as from a run of its own.
+    computed once.  The runnable values form one ensemble, split into at most
+    ``jobs`` contiguous batches of near-equal size, one task each
+    (:func:`run_tasks`); every row is the same as from a run of its own, for
+    any ``jobs``.
     """
-    if param not in SWEEPABLE:
-        raise ConfigError(
-            f"--param: {param!r} is not sweepable; choose one of "
-            f"{', '.join(SWEEPABLE)}")
+    check_sweepable(param)
     pc = poincare_constants(cfg.domain, mode=cfg.eta_mode)
     rows = [None] * len(values)
     positions, params_list, consts_list = [], [], []
@@ -280,8 +287,11 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
         positions.append(k)
         params_list.append(params)
         consts_list.append(consts)
-    records = record_ensemble([cfg.ic] * len(positions), params_list, cfg.domain,
-                              cfg.matching, cfg.integrator, consts_list, jobs)
+    n, batches = len(positions), min(jobs, len(positions))
+    tasks = [(record_trajectories, ([cfg.ic] * (c.stop - c.start), params_list[c],
+                                    cfg.domain, cfg.matching, cfg.integrator, consts_list[c]))
+             for c in (slice(n * i // batches, n * (i + 1) // batches) for i in range(batches))]
+    records = [record for part in run_tasks(tasks, jobs) for record in part]
     for k, consts, record in zip(positions, consts_list, records):
         rows[k] = sweep_row(cfg.metrics, values[k], consts, record)
     return rows

@@ -7,8 +7,9 @@ code with the float implementation it judges.  Simulation-based criteria
 fix their own scenarios; the loaded run config only feeds the determinism
 and step-size-guard criteria, which are about the config itself.
 
-``run_all`` executes the registry in order and never raises: a criterion
-that crashes is reported as a failure with the exception text.
+``run_all`` builds each run that several criteria read (``SHARED``) once and
+never raises: a criterion that crashes, or reads a run that failed, is
+reported as a failure with the exception text.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import dataclasses
 import decimal
 import math
 import os
+import pathlib
 import random
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -40,9 +42,10 @@ from .metrics import (
     compute_K,
     energy_monitor,
     envelope_check,
+    record_trajectories,
     record_trajectory,
 )
-from .runner import record_ensemble, run_simulate, sweep_csv, sweep_row, sweep_rows
+from .runner import run_simulate, run_tasks, sweep_csv, sweep_row, sweep_rows
 
 SWEEP_P_VALUES = (0.0, 0.5, 2.0, 8.0, 32.0)
 ENVELOPE_SEEDS = tuple(range(100, 110))
@@ -61,66 +64,42 @@ def format_result(result: CriterionResult) -> str:
     return f"{status} {result.number:2d} {result.name}: {result.detail}"
 
 
-@dataclass
-class VerifyContext:
-    """Shared scenario cache so multi-criterion runs are built once."""
+def stock_network():
+    """The stock 1D network: (domain, matching, Poincare constants)."""
+    domain = build_domain(1, [1.0], [128])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    return domain, matching, poincare_constants(domain, mode="discrete")
 
-    cfg: RunConfig
-    jobs: int = 1
-    _cache: dict = field(default_factory=dict)
 
-    def stock_network(self, n_cells=128, n_neurons=2):
-        key = ("network", n_cells, n_neurons)
-        if key not in self._cache:
-            domain = build_domain(1, [1.0], [n_cells])
-            matching = full_boundary_matching(domain, n_neurons, "1-2")
-            pc = poincare_constants(domain, mode="discrete")
-            self._cache[key] = (domain, matching, pc)
-        return self._cache[key]
+def _stock_ensemble(seeds, params_list, t_end, record_every):
+    """Records of random-IC runs on the stock network, one per seed and parameters."""
+    domain, matching, pc = stock_network()
+    ics = [InitialCondition(kind="uniform-random", seed=seed, offset=1.0, noise=0.1)
+           for seed in seeds]
+    consts_list = [derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
+                   for params in params_list]
+    cfg = IntegratorConfig(t_end=t_end, scheme="imex-euler", dt=2e-3,
+                           record_every=record_every)
+    return record_trajectories(ics, params_list, domain, matching, cfg, consts_list)
 
-    def envelope_records(self):
-        """Ten default-parameter random-IC runs to t = 20 (criteria 6, 7, 9)."""
-        if "envelope" not in self._cache:
-            domain, matching, pc = self.stock_network()
-            params = HRParameters.default()
-            consts = derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
-            cfg = IntegratorConfig(t_end=20.0, scheme="imex-euler", dt=2e-3,
-                                   record_every=50)
-            ics = [InitialCondition(kind="uniform-random", seed=seed,
-                                    offset=1.0, noise=0.1)
-                   for seed in ENVELOPE_SEEDS]
-            n = len(ics)
-            records = self.ensemble(ics, [params] * n, domain, matching, cfg,
-                                    [consts] * n)
-            self._cache["envelope"] = (records, consts)
-        return self._cache["envelope"]
 
-    def sweep_records(self):
-        """Coupling-strength sweep to t = 200 (criteria 8, 9)."""
-        if "sweep" not in self._cache:
-            domain, matching, pc = self.stock_network()
-            ic = InitialCondition(kind="uniform-random", seed=42,
-                                  offset=1.0, noise=0.1)
-            cfg = IntegratorConfig(t_end=200.0, scheme="imex-euler", dt=2e-3,
-                                   record_every=100)
-            params_list = [HRParameters.default(p=p) for p in SWEEP_P_VALUES]
-            consts_list = [derive_constants(params, domain.omega_measure,
-                                            pc.eta1, pc.eta2)
-                           for params in params_list]
-            records = self.ensemble([ic] * len(params_list), params_list,
-                                    domain, matching, cfg, consts_list)
-            self._cache["sweep"] = list(zip(SWEEP_P_VALUES, records))
-        return self._cache["sweep"]
+def sweep_records():
+    """Coupling-strength sweep to t = 200, one member per ``SWEEP_P_VALUES``
+    entry (criteria 8, 9)."""
+    return _stock_ensemble([42] * len(SWEEP_P_VALUES),
+                           [HRParameters.default(p=p) for p in SWEEP_P_VALUES], 200.0, 100)
 
-    def ensemble(self, ics, params_list, domain, matching, cfg, consts_list):
-        """Records of one ensemble over ``jobs`` workers; the first failed
-        member's error is raised."""
-        records = record_ensemble(ics, params_list, domain, matching, cfg,
-                                  consts_list, self.jobs)
-        for record in records:
-            if isinstance(record, Exception):
-                raise record
-        return records
+
+def envelope_records():
+    """Ten default-parameter random-IC runs to t = 20, one per
+    ``ENVELOPE_SEEDS`` entry (criteria 6, 7, 9)."""
+    return _stock_ensemble(ENVELOPE_SEEDS, [HRParameters.default()] * len(ENVELOPE_SEEDS),
+                           20.0, 50)
+
+
+# the runs several criteria read, by name: per member, its record or error;
+# the longest first, since run_all hands them to the workers in this order
+SHARED = {"sweep": sweep_records, "envelope": envelope_records}
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +118,7 @@ def _rel_err(got: float, want) -> float:
     return abs(got - want_f) / scale
 
 
-def _criterion_constants_oracle(ctx: VerifyContext):
+def _criterion_constants_oracle(cfg: RunConfig, runs):
     rng = random.Random(20260815)
 
     def positive(hi, den):
@@ -215,7 +194,7 @@ def _criterion_constants_oracle(ctx: VerifyContext):
 # criterion 2: Poincare constants
 # ---------------------------------------------------------------------------
 
-def _criterion_poincare(ctx: VerifyContext):
+def _criterion_poincare(cfg: RunConfig, runs):
     errors = []
     for n in (32, 64, 128):
         pc = poincare_constants(build_domain(1, [math.pi], [n]), mode="discrete")
@@ -235,7 +214,7 @@ def _criterion_poincare(ctx: VerifyContext):
 # criterion 3: spatial operator order
 # ---------------------------------------------------------------------------
 
-def _criterion_operator_order(ctx: VerifyContext):
+def _criterion_operator_order(cfg: RunConfig, runs):
     d = 1.0
     length = 1.0
     errors = []
@@ -257,8 +236,8 @@ def _criterion_operator_order(ctx: VerifyContext):
 # criterion 4: conservation with the reaction off
 # ---------------------------------------------------------------------------
 
-def _criterion_conservation(ctx: VerifyContext):
-    domain, matching, _ = ctx.stock_network()
+def _criterion_conservation(cfg: RunConfig, runs):
+    domain, matching, _ = stock_network()
     params = HRParameters(a=0.0, b=0.0, alpha=0.0, beta=0.0, q=0.0, r=1.0,
                           c=0.0, J=0.0, d=1.0, p=1.0, n_neurons=2)
     ic = InitialCondition(kind="smooth-bump", offset=1.0, amplitude=1.0,
@@ -281,7 +260,7 @@ def _criterion_conservation(ctx: VerifyContext):
 # criterion 5: synchronized-manifold invariance
 # ---------------------------------------------------------------------------
 
-def _criterion_sync_manifold(ctx: VerifyContext):
+def _criterion_sync_manifold(cfg: RunConfig, runs):
     domain = build_domain(1, [1.0], [128])
     matching = parse_matching(
         [{"side": "left", "pairs": "1-2"}, {"side": "right", "pairs": "2-3"}],
@@ -306,12 +285,11 @@ def _criterion_sync_manifold(ctx: VerifyContext):
 # criteria 6 and 7: envelopes along ten random runs
 # ---------------------------------------------------------------------------
 
-def _criterion_gronwall(ctx: VerifyContext):
-    records, consts = ctx.envelope_records()
+def _criterion_gronwall(cfg: RunConfig, runs):
     worst_ratio = 0.0
     failures = []
-    for seed, record in zip(ENVELOPE_SEEDS, records):
-        report = envelope_check(record, consts, tolerance=0.05, entry_slack=0.10)
+    for seed, record in zip(ENVELOPE_SEEDS, runs["envelope"]):
+        report = envelope_check(record, record.consts, tolerance=0.05, entry_slack=0.10)
         worst_ratio = max(worst_ratio, float(
             (record.total_energy / record.gronwall_envelope).max()))
         if report.gronwall_violations:
@@ -319,46 +297,39 @@ def _criterion_gronwall(ctx: VerifyContext):
                             f"envelope violations")
         if not report.entry_ok:
             failures.append(f"seed {seed}: absorbing entry late or missing")
-    passed = not failures
-    detail = (f"10 random-IC runs, t_end=20: worst energy/envelope ratio "
-              f"{worst_ratio:.3e} at 5% tolerance; absorbing entry within "
-              f"entry_time + 10% on every run")
-    if failures:
-        detail = "; ".join(failures)
-    return passed, detail
+    return not failures, "; ".join(failures) or (
+        f"10 random-IC runs, t_end=20: worst energy/envelope ratio "
+        f"{worst_ratio:.3e} at 5% tolerance; absorbing entry within "
+        f"entry_time + 10% on every run")
 
 
-def _criterion_energy_monitor(ctx: VerifyContext):
-    records, consts = ctx.envelope_records()
+def _criterion_energy_monitor(cfg: RunConfig, runs):
     worst = -math.inf
     failures = []
-    for seed, record in zip(ENVELOPE_SEEDS, records):
-        report = energy_monitor(record, consts, tolerance=0.05)
+    for seed, record in zip(ENVELOPE_SEEDS, runs["envelope"]):
+        report = energy_monitor(record, record.consts, tolerance=0.05)
         worst = max(worst, report.max_lhs / report.rhs)
         if not report.ok:
             failures.append(f"seed {seed}: {len(report.violations)} violations")
-    passed = not failures
-    detail = (f"10 runs: worst finite-difference lhs is {worst:.3e} of the "
-              f"right-hand side (must stay <= 1.05)")
-    if failures:
-        detail = "; ".join(failures)
-    return passed, detail
+    return not failures, "; ".join(failures) or (
+        f"10 runs: worst finite-difference lhs is {worst:.3e} of the "
+        f"right-hand side (must stay <= 1.05)")
 
 
 # ---------------------------------------------------------------------------
 # criterion 8: synchronization under strong coupling
 # ---------------------------------------------------------------------------
 
-def _criterion_coupling_sweep(ctx: VerifyContext):
+def _criterion_coupling_sweep(cfg: RunConfig, runs):
     # the rows hrnet sweep writes, at the default metrics options
     metrics = MetricsOptions()
     rows = [sweep_row(metrics, p, record.consts, record)
-            for p, record in ctx.sweep_records()]
+            for p, record in zip(SWEEP_P_VALUES, runs["sweep"])]
     clamped = [max(row["tail"], metrics.floor) for row in rows]
     monotone = all(clamped[k + 1] <= clamped[k] * 1.05
                    for k in range(len(clamped) - 1))
     last = rows[-1]
-    final_sync = float(ctx.sweep_records()[-1][1].sync_total()[-1])
+    final_sync = float(runs["sweep"][-1].sync_total()[-1])
     below = final_sync <= 1e-8
     rate_ok = last["rate"] > 0
     passed = monotone and below and rate_ok
@@ -374,38 +345,33 @@ def _criterion_coupling_sweep(ctx: VerifyContext):
 # criterion 9: conditional decay envelope
 # ---------------------------------------------------------------------------
 
-def _criterion_conditional_decay(ctx: VerifyContext):
-    records, consts = ctx.envelope_records()
-    sources = [(f"seed {seed}", record, consts)
-               for seed, record in zip(ENVELOPE_SEEDS, records)]
-    sources += [(f"p={p:g}", record, record.consts)
-                for p, record in ctx.sweep_records()]
+def _criterion_conditional_decay(cfg: RunConfig, runs):
+    sources = [(f"seed {seed}", record)
+               for seed, record in zip(ENVELOPE_SEEDS, runs["envelope"])]
+    sources += [(f"p={p:g}", record) for p, record in zip(SWEEP_P_VALUES, runs["sweep"])]
     n_windows = 0
     failures = []
-    for label, record, record_consts in sources:
-        report = envelope_check(record, record_consts, decay_tolerance=0.10)
+    for label, record in sources:
+        report = envelope_check(record, record.consts, decay_tolerance=0.10)
         n_windows += len(report.windows)
         if not report.decay_ok:
             failures.append(f"{label}: decay envelope violated")
-    passed = not failures
     if n_windows == 0:
         detail = (f"no records with stimulation above the per-pair threshold "
                   f"across {len(sources)} runs; criterion passes vacuously")
     else:
-        detail = (f"{n_windows} above-threshold window(s) across "
-                  f"{len(sources)} runs, all within the exponential envelope "
-                  f"at 10% tolerance")
-        if failures:
-            detail = "; ".join(failures)
-    return passed, detail
+        detail = "; ".join(failures) or (
+            f"{n_windows} above-threshold window(s) across {len(sources)} runs, "
+            f"all within the exponential envelope at 10% tolerance")
+    return not failures, detail
 
 
 # ---------------------------------------------------------------------------
 # criterion 10: boundary cross-term probe
 # ---------------------------------------------------------------------------
 
-def _criterion_k_probe(ctx: VerifyContext):
-    domain, matching, _ = ctx.stock_network()
+def _criterion_k_probe(cfg: RunConfig, runs):
+    domain, matching, _ = stock_network()
     delta = 0.37
     u = np.zeros((2, domain.n_cells))
     u[0] = delta
@@ -428,23 +394,18 @@ def _criterion_k_probe(ctx: VerifyContext):
 # criterion 11: determinism
 # ---------------------------------------------------------------------------
 
-def _criterion_determinism(ctx: VerifyContext):
+def _criterion_determinism(cfg: RunConfig, runs):
     with tempfile.TemporaryDirectory() as tmp:
-        dir_a = os.path.join(tmp, "a")
-        dir_b = os.path.join(tmp, "b")
-        code_a = run_simulate(ctx.cfg, dir_a)
-        code_b = run_simulate(ctx.cfg, dir_b)
-        if code_a != 0 or code_b != 0:
-            return False, f"stock simulation failed (exit {code_a}, {code_b})"
-        with open(os.path.join(dir_a, "trajectory.csv"), "rb") as fa:
-            bytes_a = fa.read()
-        with open(os.path.join(dir_b, "trajectory.csv"), "rb") as fb:
-            bytes_b = fb.read()
+        dirs = [os.path.join(tmp, name) for name in ("a", "b")]
+        codes = [run_simulate(cfg, out_dir) for out_dir in dirs]
+        if any(codes):
+            return False, f"stock simulation failed (exit {codes[0]}, {codes[1]})"
+        bytes_a, bytes_b = (pathlib.Path(out_dir, "trajectory.csv").read_bytes()
+                            for out_dir in dirs)
     identical = bytes_a == bytes_b
 
-    short_cfg = dataclasses.replace(
-        ctx.cfg, integrator=ctx.cfg.integrator.replace(t_end=5.0))
-    rows = sweep_rows(short_cfg, "p", (2.0, 2.0), jobs=ctx.jobs)
+    short_cfg = dataclasses.replace(cfg, integrator=cfg.integrator.replace(t_end=5.0))
+    rows = sweep_rows(short_cfg, "p", (2.0, 2.0), jobs=1)  # no pool inside a pool
     lines = sweep_csv(rows).splitlines()
     dup_identical = lines[1] == lines[2]
     passed = identical and dup_identical
@@ -457,7 +418,7 @@ def _criterion_determinism(ctx: VerifyContext):
 # criterion 12: asynchronous-degree estimator
 # ---------------------------------------------------------------------------
 
-def _criterion_async_degree(ctx: VerifyContext):
+def _criterion_async_degree(cfg: RunConfig, runs):
     domain = build_domain(1, [1.0], [64])
     matching = full_boundary_matching(domain, 2, "1-2")
     het_cfg = IntegratorConfig(t_end=5.0, scheme="imex-euler", dt=2e-3,
@@ -481,9 +442,9 @@ def _criterion_async_degree(ctx: VerifyContext):
 # criterion 13: explicit step-size guard for the loaded config
 # ---------------------------------------------------------------------------
 
-def _criterion_cfl_guard(ctx: VerifyContext):
-    integ = ctx.cfg.integrator
-    bound = cfl_bound(ctx.cfg.domain, ctx.cfg.params.d, ctx.cfg.params.p) * integ.cfl_safety
+def _criterion_cfl_guard(cfg: RunConfig, runs):
+    integ = cfg.integrator
+    bound = cfl_bound(cfg.domain, cfg.params.d, cfg.params.p) * integ.cfl_safety
     if integ.scheme != "explicit-rk4":
         return True, (f"scheme {integ.scheme} treats diffusion implicitly; "
                       f"explicit bound {bound:.6e} not binding")
@@ -496,37 +457,60 @@ def _criterion_cfl_guard(ctx: VerifyContext):
                    f"stability bound {bound:.6e}")
 
 
+# number, name, judge(cfg, runs), the SHARED runs it reads
 CRITERIA = (
-    (1, "constants-oracle", _criterion_constants_oracle),
-    (2, "poincare-constants", _criterion_poincare),
-    (3, "operator-order", _criterion_operator_order),
-    (4, "conservation", _criterion_conservation),
-    (5, "sync-manifold-invariance", _criterion_sync_manifold),
-    (6, "decay-envelope-and-entry", _criterion_gronwall),
-    (7, "energy-inequality-monitor", _criterion_energy_monitor),
-    (8, "coupling-sweep-sync", _criterion_coupling_sweep),
-    (9, "conditional-decay-windows", _criterion_conditional_decay),
-    (10, "boundary-cross-term-probe", _criterion_k_probe),
-    (11, "determinism", _criterion_determinism),
-    (12, "asynchronous-degree", _criterion_async_degree),
-    (13, "step-size-guard", _criterion_cfl_guard),
+    (1, "constants-oracle", _criterion_constants_oracle, ()),
+    (2, "poincare-constants", _criterion_poincare, ()),
+    (3, "operator-order", _criterion_operator_order, ()),
+    (4, "conservation", _criterion_conservation, ()),
+    (5, "sync-manifold-invariance", _criterion_sync_manifold, ()),
+    (6, "decay-envelope-and-entry", _criterion_gronwall, ("envelope",)),
+    (7, "energy-inequality-monitor", _criterion_energy_monitor, ("envelope",)),
+    (8, "coupling-sweep-sync", _criterion_coupling_sweep, ("sweep",)),
+    (9, "conditional-decay-windows", _criterion_conditional_decay, ("envelope", "sweep")),
+    (10, "boundary-cross-term-probe", _criterion_k_probe, ()),
+    (11, "determinism", _criterion_determinism, ()),
+    (12, "asynchronous-degree", _criterion_async_degree, ()),
+    (13, "step-size-guard", _criterion_cfl_guard, ()),
 )
 
 
-def run_criterion(number: int, ctx: VerifyContext) -> CriterionResult:
-    for num, name, fn in CRITERIA:
+def run_criterion(number: int, cfg: RunConfig, runs=None) -> CriterionResult:
+    """Judge criterion ``number``; ``runs`` maps each SHARED name it reads to
+    that run's members, and the first failed member fails the criterion."""
+    for num, name, fn, reads in CRITERIA:
         if num == number:
             try:
-                passed, detail = fn(ctx)
+                failed = [r for key in reads for r in runs[key] if isinstance(r, Exception)]
+                if failed:
+                    raise failed[0]
+                passed, detail = fn(cfg, runs)
             except IntegrationError as err:
                 passed, detail = False, f"integration failed: {err}"
             except Exception as err:  # a crashing criterion is a failed criterion
                 passed, detail = False, f"raised {type(err).__name__}: {err}"
-            return CriterionResult(number=num, name=name, passed=passed,
-                                   detail=detail)
+            return CriterionResult(num, name, passed, detail)
     raise ValueError(f"no criterion numbered {number}")
 
 
+def _shared_run(name):
+    """``SHARED[name]()``, or one failed member: the error building it raised."""
+    try:
+        return SHARED[name]()
+    except Exception as err:
+        return [err]
+
+
 def run_all(cfg: RunConfig, jobs: int = 1) -> list:
-    ctx = VerifyContext(cfg=cfg, jobs=jobs)
-    return [run_criterion(number, ctx) for number, _, _ in CRITERIA]
+    """Every criterion's result, in criterion order.
+
+    The SHARED runs and the criteria that read none are independent tasks on
+    at most ``jobs`` workers; the rest are judged here, from the shared runs.
+    """
+    own = [number for number, _, _, reads in CRITERIA if not reads]
+    done = run_tasks([(_shared_run, (name,)) for name in SHARED]
+                     + [(run_criterion, (number, cfg)) for number in own], jobs)
+    runs = dict(zip(SHARED, done))
+    results = dict(zip(own, done[len(SHARED):]))
+    return [results[number] if number in results else run_criterion(number, cfg, runs)
+            for number, _, _, _ in CRITERIA]

@@ -1,8 +1,8 @@
 """Acceptance gate: every verification criterion, one pass/fail line each.
 
-The full registry runs once (shared scenario cache) against the stock
-config; each criterion then asserts its own result, so the -v output shows
-one line per criterion, and the report lines together must equal the pinned
+The full registry runs once, over two workers, against the stock config;
+each criterion then asserts its own result, so the -v output shows one line
+per criterion, and the report lines together must equal the pinned
 ``tests/golden/verify/verify_report.txt`` byte for byte (``python
 tests/test_golden.py`` re-pins it).  The step-size guard's failing branch is
 exercised separately with a deliberately unstable configuration, and
@@ -22,15 +22,9 @@ from hrnet.config import MetricsOptions, load_config
 from hrnet.core import HRParameters, derive_constants
 from hrnet.domain import build_domain, full_boundary_matching, poincare_constants
 from hrnet.dynamics import InitialCondition, IntegratorConfig
+from hrnet.errors import IntegrationError
 from hrnet.metrics import record_trajectories
-from hrnet.verify import (
-    CRITERIA,
-    SWEEP_P_VALUES,
-    VerifyContext,
-    format_result,
-    run_all,
-    run_criterion,
-)
+from hrnet.verify import CRITERIA, SWEEP_P_VALUES, format_result, run_all, run_criterion
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 STOCK_CONFIG = ROOT / "configs" / "default.ini"
@@ -40,7 +34,7 @@ VERIFY_GOLDEN = ROOT / "tests" / "golden" / "verify" / "verify_report.txt"
 @pytest.fixture(scope="module")
 def results():
     cfg = load_config(STOCK_CONFIG)
-    res = {r.number: r for r in run_all(cfg, jobs=1)}
+    res = {r.number: r for r in run_all(cfg, jobs=2)}
     for number in sorted(res):
         print(format_result(res[number]))
     return res
@@ -48,8 +42,8 @@ def results():
 
 @pytest.mark.parametrize(
     "number,name",
-    [(number, name) for number, name, _ in CRITERIA],
-    ids=[f"{number:02d}-{name}" for number, name, _ in CRITERIA],
+    [(number, name) for number, name, _, _ in CRITERIA],
+    ids=[f"{number:02d}-{name}" for number, name, _, _ in CRITERIA],
 )
 def test_criterion(results, number, name):
     result = results[number]
@@ -67,7 +61,7 @@ def test_step_size_guard_flags_unstable_config():
     cfg = load_config(STOCK_CONFIG)
     bad = dataclasses.replace(
         cfg, integrator=cfg.integrator.replace(scheme="explicit-rk4", dt=1.0))
-    result = run_criterion(13, VerifyContext(cfg=bad))
+    result = run_criterion(13, bad)
     assert not result.passed
     assert "exceeds" in result.detail
     # the message must carry the computed stability bound
@@ -76,8 +70,8 @@ def test_step_size_guard_flags_unstable_config():
 
 @pytest.fixture(scope="module")
 def small_runs():
-    """Short runs on a 16-cell network standing in for the criteria's own
-    ensembles: (envelope records, their constants, sweep records by p)."""
+    """Short runs on a 16-cell network standing in for the shared runs the
+    criteria read, by name."""
     domain = build_domain(1, [1.0], [16])
     matching = full_boundary_matching(domain, 2, "1-2")
     pc = poincare_constants(domain, mode="discrete")
@@ -91,7 +85,7 @@ def small_runs():
     consts = derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
     ics = [InitialCondition(seed=seed) for seed in verify.ENVELOPE_SEEDS[:2]]
     envelope = record_trajectories(ics, [params] * 2, domain, matching, cfg, [consts] * 2)
-    return envelope, consts, list(zip(SWEEP_P_VALUES, sweep))
+    return {"envelope": envelope, "sweep": sweep}
 
 
 def test_step_size_guard_names_the_bound_of_strong_coupling():
@@ -100,7 +94,7 @@ def test_step_size_guard_names_the_bound_of_strong_coupling():
     strong = dataclasses.replace(
         cfg, params=cfg.params.replace(p=1000.0),
         integrator=cfg.integrator.replace(scheme="explicit-rk4", dt="auto"))
-    result = run_criterion(13, VerifyContext(cfg=strong))
+    result = run_criterion(13, strong)
     assert result.passed
     assert result.detail == "auto step size respects the bound 6.233378e-06 by construction"
 
@@ -111,17 +105,16 @@ def test_coupling_sweep_ignores_the_configured_floor(small_runs):
     stock = load_config(STOCK_CONFIG)
     details = []
     for floor in (1e-14, 1e-3):
-        ctx = VerifyContext(cfg=dataclasses.replace(stock, metrics=MetricsOptions(floor=floor)))
-        ctx._cache["sweep"] = small_runs[2]
-        details.append(run_criterion(8, ctx).detail)
+        cfg = dataclasses.replace(stock, metrics=MetricsOptions(floor=floor))
+        details.append(run_criterion(8, cfg, small_runs).detail)
     assert details[0] == details[1]
     assert "floor 1e-14" in details[0]
 
 
 def test_verify_registry_is_complete():
-    numbers = [number for number, _, _ in CRITERIA]
+    numbers = [number for number, _, _, _ in CRITERIA]
     assert numbers == list(range(1, 14))
-    names = [name for _, name, _ in CRITERIA]
+    names = [name for _, name, _, _ in CRITERIA]
     assert len(set(names)) == len(names)
 
 
@@ -138,7 +131,7 @@ def scaled(monkeypatch, name, change):
 
 
 def planted_result(number):
-    return run_criterion(number, VerifyContext(cfg=load_config(STOCK_CONFIG)))
+    return run_criterion(number, load_config(STOCK_CONFIG))
 
 
 def test_constants_oracle_catches_a_perturbed_c1(monkeypatch):
@@ -248,14 +241,10 @@ def test_sync_manifold_criterion_catches_a_neuron_dependent_reaction(monkeypatch
                              "pairwise difference energy 2.985e-12 (<= 1e-16) over 2 records")
 
 
-def seeded_result(number, small_runs, envelope=None, sweep=None):
-    """Criterion ``number`` judging ``small_runs`` with the envelope records
-    or the sweep records replaced, as (records, constants) or by p."""
-    records, consts, by_p = small_runs
-    ctx = VerifyContext(cfg=load_config(STOCK_CONFIG))
-    ctx._cache["envelope"] = envelope or (records, consts)
-    ctx._cache["sweep"] = sweep or by_p
-    return run_criterion(number, ctx)
+def seeded_result(number, small_runs, **replaced):
+    """Criterion ``number`` judging ``small_runs`` with the runs named in
+    ``replaced`` swapped for the records given."""
+    return run_criterion(number, load_config(STOCK_CONFIG), {**small_runs, **replaced})
 
 
 def test_small_runs_pass_the_criteria_that_judge_them(small_runs):
@@ -263,47 +252,47 @@ def test_small_runs_pass_the_criteria_that_judge_them(small_runs):
 
 
 def test_envelope_criterion_catches_energy_above_the_envelope(small_runs):
-    records, consts, _ = small_runs
+    records = small_runs["envelope"]
     total = records[1].total_energy.copy()
     total[-1] = records[1].gronwall_envelope[-1] * 1.06
     perturbed = [records[0], dataclasses.replace(records[1], total_energy=total)]
-    result = seeded_result(6, small_runs, envelope=(perturbed, consts))
+    result = seeded_result(6, small_runs, envelope=perturbed)
     assert not result.passed
     assert result.detail == "seed 101: 1 envelope violations"
 
 
 def test_energy_monitor_criterion_catches_a_jump(small_runs):
-    records, consts, _ = small_runs
+    records = small_runs["envelope"]
     weighted = records[0].weighted_energy.copy()
     weighted[10:] += 1e9  # between two records 0.05 apart: lhs 2e10 against rhs ~6e8
     perturbed = [dataclasses.replace(records[0], weighted_energy=weighted), records[1]]
-    result = seeded_result(7, small_runs, envelope=(perturbed, consts))
+    result = seeded_result(7, small_runs, envelope=perturbed)
     assert not result.passed
     assert result.detail == "seed 100: 1 violations"
 
 
-def decaying(by_p, final=None):
-    """``by_p`` with member k's difference energy 1e-3 exp(-2 (k + 1) t),
+def decaying(records, final=None):
+    """``records`` with member k's difference energy 1e-3 exp(-2 (k + 1) t),
     which criterion 8 passes; ``final`` replaces the last member's last row."""
     out = []
-    for k, (p, record) in enumerate(by_p):
+    for k, record in enumerate(records):
         sync = 1e-3 * np.exp(-2.0 * (k + 1) * record.t)
-        if final is not None and k == len(by_p) - 1:
+        if final is not None and k == len(records) - 1:
             sync[-1] = final
-        out.append((p, dataclasses.replace(record, diff_energy_g=sync[:, None])))
+        out.append(dataclasses.replace(record, diff_energy_g=sync[:, None]))
     return out
 
 
 def test_coupling_sweep_criterion_catches_a_stalled_synchronization(small_runs):
-    assert seeded_result(8, small_runs, sweep=decaying(small_runs[2])).passed
-    result = seeded_result(8, small_runs, sweep=decaying(small_runs[2], final=1e-6))
+    assert seeded_result(8, small_runs, sweep=decaying(small_runs["sweep"])).passed
+    result = seeded_result(8, small_runs, sweep=decaying(small_runs["sweep"], final=1e-6))
     assert not result.passed
     assert "non-increasing with floor 1e-14: False; p=32 final 1.00e-06 <= 1e-8: False" \
         in result.detail
 
 
 def test_conditional_decay_criterion_catches_a_rising_window(small_runs):
-    records, consts, _ = small_runs
+    records = small_runs["envelope"]
     record = records[0]
     stimulation, sync = record.stimulation_s.copy(), record.diff_energy_g.copy()
     # above the per-pair threshold for rows 10..15, the difference energy doubling
@@ -311,6 +300,42 @@ def test_conditional_decay_criterion_catches_a_rising_window(small_runs):
     sync[10:16] *= 2.0 ** np.arange(6)[:, None]
     perturbed = [dataclasses.replace(record, stimulation_s=stimulation, diff_energy_g=sync),
                  records[1]]
-    result = seeded_result(9, small_runs, envelope=(perturbed, consts))
+    result = seeded_result(9, small_runs, envelope=perturbed)
     assert not result.passed
     assert result.detail == "seed 100: decay envelope violated"
+
+
+def stub_own_runs(monkeypatch):
+    """Stub every criterion that reads no shared run, to pass with "own run"."""
+    monkeypatch.setattr(verify, "CRITERIA", tuple(
+        (number, name, fn if reads else lambda cfg, runs: (True, "own run"), reads)
+        for number, name, fn, reads in CRITERIA))
+
+
+def test_a_failed_shared_member_fails_every_criterion_that_reads_it(monkeypatch, small_runs):
+    # the second envelope member blows up: 6, 7 and 9 fail with its error
+    error = IntegrationError(3.5, 12.0)
+    monkeypatch.setitem(verify.SHARED, "envelope",
+                        lambda: [small_runs["envelope"][0], error])
+    monkeypatch.setitem(verify.SHARED, "sweep", lambda: decaying(small_runs["sweep"]))
+    stub_own_runs(monkeypatch)
+    results = run_all(load_config(STOCK_CONFIG), jobs=1)
+    assert [r.number for r in results] == list(range(1, 14))
+    failed = {r.number: r.detail for r in results if not r.passed}
+    assert failed == dict.fromkeys((6, 7, 9), f"integration failed: {error}")
+    assert results[7].detail == seeded_result(8, small_runs,
+                                              sweep=decaying(small_runs["sweep"])).detail
+    assert {r.detail for r in results if r.number not in (6, 7, 8, 9)} == {"own run"}
+
+
+def test_a_crashed_shared_run_fails_its_readers(monkeypatch, small_runs):
+    # a builder that raises, rather than a member that fails, is reported the same way
+    def crash():
+        raise ValueError("no network")
+
+    monkeypatch.setitem(verify.SHARED, "envelope", lambda: small_runs["envelope"])
+    monkeypatch.setitem(verify.SHARED, "sweep", crash)
+    stub_own_runs(monkeypatch)
+    failed = {r.number: r.detail for r in run_all(load_config(STOCK_CONFIG), jobs=1)
+              if not r.passed}
+    assert failed == dict.fromkeys((8, 9), "raised ValueError: no network")

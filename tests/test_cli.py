@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, output-dir precedence."""
 
+import concurrent.futures
 import pathlib
 import shlex
 
@@ -368,7 +369,7 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
 
 
 class RecordingPool:
-    """Stand-in for ProcessPoolExecutor: records the worker count, maps serially."""
+    """Stand-in for ProcessPoolExecutor: records the worker count, runs serially."""
 
     asked = []
 
@@ -381,38 +382,63 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
-def test_record_ensemble_has_no_more_workers_than_members(monkeypatch):
-    import concurrent.futures
-    import pickle
-
-    from hrnet.core import HRParameters, derive_constants
-    from hrnet.domain import build_domain, full_boundary_matching, poincare_constants
-    from hrnet.dynamics import InitialCondition, IntegratorConfig
-    from hrnet.metrics import record_trajectories
-    from hrnet.runner import record_ensemble
-
+@pytest.fixture
+def recording_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "asked", [])
-    domain = build_domain(1, [1.0], [16])
-    matching = full_boundary_matching(domain, 2, "1-2")
-    pc = poincare_constants(domain, mode="discrete")
-    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=1e-2, record_every=5)
-    ics = [InitialCondition(seed=seed) for seed in (1, 2, 3)]
-    params_list = [HRParameters.default(p=p) for p in (0.0, 1.0, 2.0)]
-    consts_list = [derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
-                   for params in params_list]
-    args = (ics, params_list, domain, matching, cfg, consts_list)
-    got = record_ensemble(*args, jobs=64)
-    assert RecordingPool.asked == [3]
-    want = record_trajectories(*args)
-    assert [pickle.dumps(r) for r in got] == [pickle.dumps(r) for r in want]
+    return RecordingPool.asked
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_run_tasks_returns_results_in_task_order(jobs):
+    from hrnet.runner import run_tasks
+
+    tasks = [(pow, (2, k)) for k in range(5)] + [(divmod, (17, 5))]
+    assert run_tasks(tasks, jobs) == [1, 2, 4, 8, 16, (3, 2)]
+
+
+def test_run_tasks_starts_no_more_workers_than_tasks(recording_pool):
+    from hrnet.runner import run_tasks
+
+    assert run_tasks([(abs, (-1,)), (abs, (-2,))], 8) == [1, 2]
+    assert recording_pool == [2]
+    # one worker, or one task, runs here without a pool
+    assert run_tasks([(abs, (-1,)), (abs, (-2,))], 1) == [1, 2]
+    assert run_tasks([(abs, (-3,))], 4) == [3]
+    assert run_tasks([], 4) == []
+    assert recording_pool == [2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_tasks_propagates_a_task_exception(jobs):
+    from hrnet.runner import run_tasks
+
+    with pytest.raises(ValueError, match="invalid literal"):
+        run_tasks([(int, ("1",)), (int, ("x",))], jobs)
+
+
+def test_sweep_has_no_more_workers_than_members(tmp_path, recording_pool):
+    import pickle
+
+    from hrnet.config import load_config
+    from hrnet.runner import sweep_rows
+
+    path, _ = write_config(tmp_path)
+    cfg = load_config(path)
+    got = sweep_rows(cfg, "p", (0.0, 1.0, 2.0), jobs=64)
+    assert recording_pool == [3]
+    want = sweep_rows(cfg, "p", (0.0, 1.0, 2.0), jobs=1)
+    assert [pickle.dumps(row) for row in got] == [pickle.dumps(row) for row in want]
     # no member at all (an all-invalid sweep) starts no pool
-    assert record_ensemble([], [], domain, matching, cfg, [], jobs=4) == []
-    assert RecordingPool.asked == [3]
+    rows = sweep_rows(cfg, "r", (-1.0, -2.0), jobs=4)
+    assert all(row["status"].startswith("invalid(") for row in rows)
+    assert recording_pool == [3]
 
 
 @pytest.mark.parametrize("command", ["sweep", "verify"])
@@ -441,6 +467,24 @@ def test_sweep_bad_values_exit_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--param", "p",
                  "--values", "1.0,high"]) == 2
     assert "--values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [["--param", "nope", "--values", "1.0"],
+                                 ["--param", "p", "--values", "1.0,high"]])
+def test_bad_sweep_argument_exit_2_and_makes_nothing(tmp_path, bad):
+    path, _ = write_config(tmp_path)
+    out = tmp_path / "never"
+    assert main(["sweep", "--config", str(path), "--out", str(out), *bad]) == 2
+    assert not out.exists()
+
+
+def test_failed_artifact_write_leaves_no_temp_file(tmp_path):
+    # trajectory.csv taken by a directory: the rename fails after the write
+    path, out = write_config(tmp_path)
+    (out / "trajectory.csv").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        main(["simulate", "--config", str(path)])
+    assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv"]
 
 
 def test_sweep_invalid_value_marks_row_and_continues(tmp_path):

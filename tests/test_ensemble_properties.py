@@ -127,7 +127,7 @@ def test_every_member_equals_its_serial_run(ensemble, jobs):
     n = len(ics)
     batched = simulate_ensemble(ics, params_list, domain, matching, cfg,
                                 [snapshot] * n)
-    # contiguous near-equal batches, one per worker, as record_ensemble splits
+    # contiguous near-equal batches, one per worker, as sweep_rows splits
     chunked = []
     k = min(jobs, n)
     for c in (slice(n * i // k, n * (i + 1) // k) for i in range(k)):
