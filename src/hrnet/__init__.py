@@ -1,6 +1,6 @@
 """Simulator and verification harness for boundary-coupled Hindmarsh-Rose networks."""
 
-from .config import MetricsOptions, RunConfig, load_config
+from .config import RunConfig, load_config
 from .core import (
     DEFAULT_PROFILE,
     DerivedConstants,
@@ -48,6 +48,7 @@ from .errors import (
 )
 from .metrics import (
     KResult,
+    MetricsOptions,
     RateFit,
     TrajectoryObserver,
     TrajectoryRecord,

@@ -5,10 +5,10 @@ Subcommands: ``constants`` (derived-constant block + constants.csv),
 scalar parameter), and ``verify`` (the acceptance-criteria suite).
 
 Exit codes: 0 success, 2 config error (an output directory that cannot be
-created too), 3 integration or solver failure, 4 verification failure.  The
-output directory is ``--out`` if given, else the ``HRNET_OUTDIR``
-environment variable, else the config's ``[output] directory``; it is
-created before the command's work starts.
+created too), 3 integration or solver failure, 4 verification failure, 5 an
+artifact that cannot be written.  The output directory is ``--out`` if
+given, else the ``HRNET_OUTDIR`` environment variable, else the config's
+``[output] directory``; it is created before the command's work starts.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .runner import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VERIFY = 4
+EXIT_OUTPUT = 5
 
 
 def _add_common(parser, config_required=True):
@@ -146,6 +147,9 @@ def main(argv=None) -> int:
     except (ConfigError, SingularParameterError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as err:  # every read raises ConfigError, so this is a write
+        print(f"output error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 
@@ -22,34 +21,7 @@ from .core import DEFAULT_PROFILE, HRParameters
 from .domain import BoundaryMatching, Domain, build_domain, full_boundary_matching, parse_matching
 from .dynamics import IC_KINDS, SCHEMES, InitialCondition, IntegratorConfig
 from .errors import ConfigError, MatchingError
-
-
-@dataclass(frozen=True)
-class MetricsOptions:
-    """Tolerances and window rules used by the report writers and monitors."""
-
-    tolerance: float = 0.05
-    entry_slack: float = 0.10
-    decay_tolerance: float = 0.10
-    window_fraction: float = 0.5
-    tail_fraction: float = 0.2
-    floor: float = 1e-14
-
-    def __post_init__(self):
-        # nan fails every comparison, so it would slip past the range checks
-        # below and switch the monitors' checks off
-        for f in dataclasses.fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
-        for name in ("tolerance", "entry_slack", "decay_tolerance"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 < self.window_fraction <= 1.0:
-            raise ValueError("window_fraction must lie in (0, 1]")
-        if not 0.0 < self.tail_fraction <= 1.0:
-            raise ValueError("tail_fraction must lie in (0, 1]")
-        if self.floor <= 0:
-            raise ValueError("floor must be > 0")
+from .metrics import MetricsOptions
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ stimulation signal actually exceeds the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,6 +25,34 @@ from .dynamics import InitialCondition, IntegratorConfig, NetworkState, simulate
 from .errors import IntegrationError
 
 SYNC_FLOOR = 1e-14
+
+
+@dataclass(frozen=True)
+class MetricsOptions:
+    """Tolerances and window rules of the monitors and the report writers."""
+
+    tolerance: float = 0.05
+    entry_slack: float = 0.10
+    decay_tolerance: float = 0.10
+    window_fraction: float = 0.5
+    tail_fraction: float = 0.2
+    floor: float = SYNC_FLOOR
+
+    def __post_init__(self):
+        # nan fails every comparison, so it would slip past the range checks
+        # below and switch the monitors' checks off
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("tolerance", "entry_slack", "decay_tolerance"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0.0 < self.window_fraction <= 1.0:
+            raise ValueError("window_fraction must lie in (0, 1]")
+        if not 0.0 < self.tail_fraction <= 1.0:
+            raise ValueError("tail_fraction must lie in (0, 1]")
+        if self.floor <= 0:
+            raise ValueError("floor must be > 0")
 
 
 def pair_differences(state: NetworkState, domain: Domain) -> np.ndarray:
@@ -298,41 +326,26 @@ class EnvelopeReport:
         return out
 
 
-def _maximal_runs(mask: np.ndarray):
-    runs = []
-    start = None
-    for k, flag in enumerate(mask):
-        if flag and start is None:
-            start = k
-        elif not flag and start is not None:
-            runs.append((start, k - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(mask) - 1))
-    return runs
-
-
 def envelope_check(record: TrajectoryRecord, consts: DerivedConstants,
-                   tolerance: float = 0.05, entry_slack: float = 0.10,
-                   decay_tolerance: float = 0.10) -> EnvelopeReport:
+                   opts: MetricsOptions = MetricsOptions()) -> EnvelopeReport:
     """Check the decay-plus-constant bound, absorbing entry, and conditional decay.
 
-    The absorbing-entry deadline gets ``entry_slack`` plus one record
+    The absorbing-entry deadline gets ``opts.entry_slack`` plus one record
     interval of slack, since entry is only observable at record times.  The
     conditional decay envelope is the theorem's exponential
     2 max(g,1) Q exp(-mu (t - t_start)) anchored at each window start, and
-    window rows must also be non-increasing within ``decay_tolerance``.
+    window rows must also be non-increasing within ``opts.decay_tolerance``.
     """
     t = record.t
     violations = [
         GronwallViolation(float(tk), float(ek), float(bk))
         for tk, ek, bk in zip(t, record.total_energy, record.gronwall_envelope)
-        if ek > bk * (1.0 + tolerance)
+        if ek > bk * (1.0 + opts.tolerance)
     ]
 
     bound = entry_time(float(record.total_energy[0]), consts)
     interval = float(t[1] - t[0]) if len(record) > 1 else 0.0
-    allowed = bound * (1.0 + entry_slack) + interval
+    allowed = bound * (1.0 + opts.entry_slack) + interval
     below = np.flatnonzero(record.total_energy < consts.big_q)
     observed = float(t[below[0]]) if below.size else None
     due = float(t[-1]) >= allowed
@@ -342,26 +355,23 @@ def envelope_check(record: TrajectoryRecord, consts: DerivedConstants,
 
     sync = record.sync_total()
     above = record.stimulation_s > record.threshold_perpair
+    # every maximal run of rows above threshold, as its first row and the row after its last
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], above, [False]))))
     windows = []
     amplitude = 2.0 * max(consts.g, 1.0) * consts.big_q
-    for k0, k1 in _maximal_runs(above):
-        seg_t = t[k0:k1 + 1]
-        seg_s = sync[k0:k1 + 1]
+    for k0, k1 in edges.reshape(-1, 2):
+        seg_t = t[k0:k1]
+        seg_s = sync[k0:k1]
         env = amplitude * np.exp(-consts.mu * (seg_t - seg_t[0]))
-        ratios = seg_s / (env * (1.0 + decay_tolerance))
-        increases = (
-            seg_s[1:] / np.maximum(seg_s[:-1], SYNC_FLOOR)
-            if seg_s.size > 1 else np.array([])
-        )
+        ratios = seg_s / (env * (1.0 + opts.decay_tolerance))
+        increases = seg_s[1:] / np.maximum(seg_s[:-1], SYNC_FLOOR)
         windows.append(DecayWindow(
             t_start=float(seg_t[0]),
             t_end=float(seg_t[-1]),
             n_rows=int(seg_s.size),
             envelope_ok=bool(np.all(ratios <= 1.0)),
-            monotonic_ok=bool(
-                increases.size == 0 or np.all(increases <= 1.0 + decay_tolerance)
-            ),
-            max_envelope_ratio=float(ratios.max()) if ratios.size else 0.0,
+            monotonic_ok=bool(np.all(increases <= 1.0 + opts.decay_tolerance)),
+            max_envelope_ratio=float(ratios.max()),
         ))
     decay_ok = all(w.envelope_ok and w.monotonic_ok for w in windows)
 
@@ -411,15 +421,15 @@ class EnergyReport:
 
 
 def energy_monitor(record: TrajectoryRecord, consts: DerivedConstants,
-                   tolerance: float = 0.05) -> EnergyReport:
+                   opts: MetricsOptions = MetricsOptions()) -> EnergyReport:
     """Finite-difference check of the dissipation inequality between records.
 
     Per consecutive record pair: (B(t2) - B(t1)) / dt + r_star * (B(t1) +
-    B(t2)) / 2 must stay below (c2 + c1^2/32) N |Omega| within tolerance,
-    where B is the c1-weighted energy bracket.
+    B(t2)) / 2 must stay below (c2 + c1^2/32) N |Omega| within
+    ``opts.tolerance``, where B is the c1-weighted energy bracket.
     """
     rhs = (consts.c2 + consts.c1 * consts.c1 / 32.0) * record.n_neurons * consts.omega_measure
-    bound = rhs * (1.0 + tolerance)
+    bound = rhs * (1.0 + opts.tolerance)
     b = record.weighted_energy
     t = record.t
     lhs = (b[1:] - b[:-1]) / np.diff(t) + consts.r_star * 0.5 * (b[:-1] + b[1:])
@@ -452,20 +462,17 @@ class RateFit:
         ]
 
 
-def fit_sync_rate(record: TrajectoryRecord, window_fraction: float = 0.5,
-                  floor: float = SYNC_FLOOR) -> RateFit:
+def fit_sync_rate(record: TrajectoryRecord, opts: MetricsOptions = MetricsOptions()) -> RateFit:
     """Exponential rate of the summed G-weighted difference energy.
 
     Fits log(sum diff_energy_g) against t by least squares over the trailing
-    ``window_fraction`` of the time range before the signal first reaches
-    the floor.  A record entirely at the floor returns the
+    ``opts.window_fraction`` of the time range before the signal first
+    reaches ``opts.floor``.  A record entirely at the floor returns the
     already-synchronized sentinel with rate = +inf.
     """
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must lie in (0, 1]")
     s = record.sync_total()
     t = record.t
-    above = s > floor
+    above = s > opts.floor
     if not above.any():
         return RateFit(rate=math.inf, r_squared=1.0, t_start=float(t[0]),
                        t_end=float(t[-1]), n_points=0, already_synchronized=True)
@@ -473,11 +480,11 @@ def fit_sync_rate(record: TrajectoryRecord, window_fraction: float = 0.5,
     end = int(hit_floor[0]) if hit_floor.size else len(s)
     end = max(end, min(2, len(s)))
     seg_t = t[:end]
-    seg_y = np.log(np.maximum(s[:end], floor))
+    seg_y = np.log(np.maximum(s[:end], opts.floor))
     if seg_t.shape[0] < 2:
         return RateFit(rate=0.0, r_squared=1.0, t_start=float(seg_t[0]),
                        t_end=float(seg_t[-1]), n_points=1, already_synchronized=False)
-    cutoff = seg_t[-1] - window_fraction * (seg_t[-1] - seg_t[0])
+    cutoff = seg_t[-1] - opts.window_fraction * (seg_t[-1] - seg_t[0])
     mask = seg_t >= cutoff
     if int(mask.sum()) < 2:
         mask = np.zeros_like(mask)

@@ -18,11 +18,12 @@ from dataclasses import fields
 
 import numpy as np
 
-from .config import MetricsOptions, RunConfig
+from .config import RunConfig
 from .core import DerivedConstants, HRParameters, derive_constants
 from .domain import poincare_constants
 from .errors import ConfigError, IntegrationError, LinearSolveError
 from .metrics import (
+    MetricsOptions,
     TrajectoryRecord,
     energy_monitor,
     envelope_check,
@@ -60,21 +61,19 @@ def atomic_write_text(path, text):
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(err, OSError):  # name the artifact, not the temp file
+            raise OSError(err.errno, err.strerror, path) from err
         raise
 
 
-def resolve_output_dir(cfg: RunConfig, cli_out=None, env=None) -> str:
-    """Output directory precedence: --out flag, then env override, then config."""
-    env = os.environ if env is None else env
+def resolve_output_dir(cfg: RunConfig, cli_out=None) -> str:
+    """Output directory precedence: --out flag, then HRNET_OUTDIR, then config."""
     if cli_out:
         return os.fspath(cli_out)
-    from_env = env.get("HRNET_OUTDIR", "")
-    if from_env:
-        return from_env
-    return cfg.output_dir
+    return os.environ.get("HRNET_OUTDIR") or cfg.output_dir
 
 
 def build_setup(cfg: RunConfig) -> DerivedConstants:
@@ -162,15 +161,9 @@ def trajectory_csv(record: TrajectoryRecord | None, n_neurons: int) -> str:
 
 def simulation_report(record: TrajectoryRecord, consts: DerivedConstants,
                       opts: MetricsOptions) -> str:
-    lines = []
-    report = envelope_check(record, consts, tolerance=opts.tolerance,
-                            entry_slack=opts.entry_slack,
-                            decay_tolerance=opts.decay_tolerance)
-    lines.extend(report.lines())
-    lines.extend(energy_monitor(record, consts, tolerance=opts.tolerance).lines())
-    fit = fit_sync_rate(record, window_fraction=opts.window_fraction,
-                        floor=opts.floor)
-    lines.extend(fit.lines())
+    fit = fit_sync_rate(record, opts)
+    lines = (envelope_check(record, consts, opts).lines()
+             + energy_monitor(record, consts, opts).lines() + fit.lines())
     if not fit.already_synchronized and consts.mu > 0:
         lines.append(f"fitted rate / mu = {fit.rate / consts.mu:.6g} "
                      f"(mu = {consts.mu:.6g} is a sufficient-condition rate)")
@@ -251,8 +244,7 @@ def sweep_row(metrics: MetricsOptions, value, consts, record) -> dict:
     sync = record.sync_total()
     tail_start = record.t[-1] - metrics.tail_fraction * (record.t[-1] - record.t[0])
     tail = sync[record.t >= tail_start]
-    fit = fit_sync_rate(record, window_fraction=metrics.window_fraction,
-                        floor=metrics.floor)
+    fit = fit_sync_rate(record, metrics)
     return {
         "value": value,
         "status": "ok",

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import MetricsOptions, RunConfig
+from .config import RunConfig
 from .core import HRParameters, derive_constants, entry_time
 from .domain import (
     apply_diffusion,
@@ -38,6 +38,7 @@ from .domain import (
 from .dynamics import InitialCondition, IntegratorConfig, NetworkState, cfl_bound, simulate
 from .errors import IntegrationError
 from .metrics import (
+    MetricsOptions,
     asynchronous_degree,
     compute_K,
     energy_monitor,
@@ -289,7 +290,7 @@ def _criterion_gronwall(cfg: RunConfig, runs):
     worst_ratio = 0.0
     failures = []
     for seed, record in zip(ENVELOPE_SEEDS, runs["envelope"]):
-        report = envelope_check(record, record.consts, tolerance=0.05, entry_slack=0.10)
+        report = envelope_check(record, record.consts)
         worst_ratio = max(worst_ratio, float(
             (record.total_energy / record.gronwall_envelope).max()))
         if report.gronwall_violations:
@@ -307,7 +308,7 @@ def _criterion_energy_monitor(cfg: RunConfig, runs):
     worst = -math.inf
     failures = []
     for seed, record in zip(ENVELOPE_SEEDS, runs["envelope"]):
-        report = energy_monitor(record, record.consts, tolerance=0.05)
+        report = energy_monitor(record, record.consts)
         worst = max(worst, report.max_lhs / report.rhs)
         if not report.ok:
             failures.append(f"seed {seed}: {len(report.violations)} violations")
@@ -352,7 +353,7 @@ def _criterion_conditional_decay(cfg: RunConfig, runs):
     n_windows = 0
     failures = []
     for label, record in sources:
-        report = envelope_check(record, record.consts, decay_tolerance=0.10)
+        report = envelope_check(record, record.consts)
         n_windows += len(report.windows)
         if not report.decay_ok:
             failures.append(f"{label}: decay envelope violated")

@@ -204,6 +204,21 @@ def test_simulate_writes_trajectory_and_report(tmp_path):
     assert "absorbing entry" in report
 
 
+def test_metrics_section_reaches_the_report(tmp_path):
+    # an initial energy far outside the absorbing ball, so entry is not due at t = 0
+    text = replace_line(FAST, "offset = 1.0", "offset = 1e6")
+    text = replace_line(text, "t_end = 0.1", "t_end = 0.0")
+    allowed = []
+    for slack in ("0.10", "0.5"):
+        path, out = write_config(tmp_path, replace_line(
+            text, "[output]", f"[metrics]\nentry_slack = {slack}\n\n[output]"))
+        assert main(["simulate", "--config", str(path)]) == 0
+        report = (out / "report.txt").read_text()
+        allowed.append(float(report.split("allowed t=", 1)[1].split(" ", 1)[0]))
+    # one record, no interval: the deadline is entry_time * (1 + entry_slack)
+    assert allowed[1] / allowed[0] == pytest.approx(1.5 / 1.1, rel=1e-5)
+
+
 def test_simulate_t_end_zero_single_row(tmp_path):
     text = replace_line(FAST, "t_end = 0.1", "t_end = 0.0")
     path, out = write_config(tmp_path, text)
@@ -478,13 +493,17 @@ def test_bad_sweep_argument_exit_2_and_makes_nothing(tmp_path, bad):
     assert not out.exists()
 
 
-def test_failed_artifact_write_leaves_no_temp_file(tmp_path):
-    # trajectory.csv taken by a directory: the rename fails after the write
-    path, out = write_config(tmp_path)
-    (out / "trajectory.csv").mkdir(parents=True)
-    with pytest.raises(IsADirectoryError):
-        main(["simulate", "--config", str(path)])
-    assert sorted(p.name for p in out.iterdir()) == ["trajectory.csv"]
+def test_failed_artifact_write_leaves_no_temp_file(tmp_path, capsys):
+    # the artifact's name taken by a directory: the rename fails after the write
+    path, _ = write_config(tmp_path)
+    for command, artifact, extra in (("simulate", "trajectory.csv", []),
+                                     ("sweep", "sweep.csv", ["--param", "p", "--values", "1.0"])):
+        out = tmp_path / command
+        (out / artifact).mkdir(parents=True)
+        assert main([command, "--config", str(path), "--out", str(out), *extra]) == 5
+        assert capsys.readouterr().err == (f"output error: cannot write {out / artifact}: "
+                                           f"Is a directory\n")
+        assert [p.name for p in out.iterdir()] == [artifact]
 
 
 def test_sweep_invalid_value_marks_row_and_continues(tmp_path):

@@ -31,6 +31,7 @@ from hrnet.dynamics import (
 )
 from hrnet.errors import IntegrationError
 from hrnet.metrics import (
+    MetricsOptions,
     TrajectoryObserver,
     TrajectoryRecord,
     asynchronous_degree,
@@ -42,6 +43,7 @@ from hrnet.metrics import (
     record_trajectory,
     stimulation_signal,
 )
+from hrnet.runner import sweep_row
 
 # round-number constants so every envelope below is hand-checkable:
 # threshold_perpair = big_r_alt * omega = 1, decay amplitude 2*max(g,1)*Q = 2
@@ -397,7 +399,7 @@ def test_envelope_check_flags_gronwall_violation():
     record = synth_record(
         [0.0, 1.0, 2.0], total=[0.5, 2.0, 0.5], stim=[0.0, 0.0, 0.0],
         sync=[0.1, 0.1, 0.1], envelope=[1.0, 1.0, 1.0])
-    report = envelope_check(record, FRIENDLY, tolerance=0.05)
+    report = envelope_check(record, FRIENDLY)
     assert len(report.gronwall_violations) == 1
     v = report.gronwall_violations[0]
     assert v.t == 1.0 and v.energy == 2.0 and v.bound == 1.0
@@ -410,7 +412,7 @@ def test_envelope_check_entry_failure_when_due():
     record = synth_record(
         [0.0, 1.0, 2.0, 3.0, 4.0], total=[5.0] * 5, stim=[0.0] * 5,
         sync=[0.1] * 5)
-    report = envelope_check(record, FRIENDLY, entry_slack=0.10)
+    report = envelope_check(record, FRIENDLY)
     assert report.entry_allowed == pytest.approx(math.log(5.0) * 1.1 + 1.0, rel=1e-12)
     assert report.entry_time_observed is None
     assert report.entry_due
@@ -445,7 +447,7 @@ def test_envelope_decay_window_detection_and_pass():
         total=[0.5] * 5,
         stim=[0.0, 5.0, 5.0, 5.0, 0.0],
         sync=[1.0, 1.0, 0.5, 0.25, 0.25])
-    report = envelope_check(record, FRIENDLY, decay_tolerance=0.10)
+    report = envelope_check(record, FRIENDLY)
     assert len(report.windows) == 1
     w = report.windows[0]
     assert (w.t_start, w.t_end, w.n_rows) == (1.0, 3.0, 3)
@@ -464,7 +466,7 @@ def test_envelope_decay_window_fails_on_growth():
         total=[0.5] * 4,
         stim=[0.0, 5.0, 5.0, 0.0],
         sync=[0.1, 0.5, 1.0, 0.1])  # doubles inside the window
-    report = envelope_check(record, FRIENDLY, decay_tolerance=0.10)
+    report = envelope_check(record, FRIENDLY)
     assert len(report.windows) == 1
     assert not report.windows[0].monotonic_ok
     assert not report.decay_ok and not report.ok
@@ -483,7 +485,7 @@ def test_envelope_decay_window_fails_on_envelope():
         total=[0.5] * 4,
         stim=[5.0, 5.0, 5.0, 0.0],
         sync=[1.9, 1.9, 1.9, 0.1])
-    report = envelope_check(record, FRIENDLY, decay_tolerance=0.10)
+    report = envelope_check(record, FRIENDLY)
     assert len(report.windows) == 1
     w = report.windows[0]
     assert w.monotonic_ok and not w.envelope_ok
@@ -522,7 +524,7 @@ def test_energy_monitor_flags_violation():
     # lhs = 10 + 0.5 * 10 = 15 > 2.0625 * 1.05
     record = synth_record([0.0, 1.0], total=[0.0, 10.0], stim=[0.0, 0.0],
                           sync=[0.1, 0.1], weighted=[0.0, 10.0])
-    report = energy_monitor(record, FRIENDLY, tolerance=0.05)
+    report = energy_monitor(record, FRIENDLY)
     assert not report.ok
     assert len(report.violations) == 1
     v = report.violations[0]
@@ -586,12 +588,69 @@ def test_fit_sync_rate_uses_prefix_before_floor_crossing():
 
 
 def test_fit_sync_rate_window_fraction_validation():
-    record = synth_record([0.0, 1.0], total=[1.0, 1.0], stim=[0.0, 0.0],
-                          sync=[0.5, 0.4])
+    # the options hold the fit's window, so a bad one fails before any fit
     with pytest.raises(ValueError, match="window_fraction"):
-        fit_sync_rate(record, window_fraction=0.0)
+        MetricsOptions(window_fraction=0.0)
     with pytest.raises(ValueError, match="window_fraction"):
-        fit_sync_rate(record, window_fraction=1.5)
+        MetricsOptions(window_fraction=1.5)
+
+
+# ---------------------------------------------------------------------------
+# each option governs its result
+# ---------------------------------------------------------------------------
+
+def test_tolerance_governs_both_envelope_monitors():
+    # energy 1.04 over bound 1, and lhs 2.0625 * 1.04 over rhs 2.0625
+    gronwall = synth_record([0.0, 1.0], total=[0.5, 1.04], stim=[0.0, 0.0],
+                            sync=[0.1, 0.1], envelope=[1.0, 1.0])
+    jump = 2.0625 * 1.04 / 1.5
+    energy = synth_record([0.0, 1.0], total=[0.0, jump], stim=[0.0, 0.0],
+                          sync=[0.1, 0.1], weighted=[0.0, jump])
+    for opts, violated in ((MetricsOptions(), False), (MetricsOptions(tolerance=0.01), True)):
+        assert bool(envelope_check(gronwall, FRIENDLY, opts).gronwall_violations) == violated
+        assert bool(energy_monitor(energy, FRIENDLY, opts).violations) == violated
+
+
+def test_entry_slack_moves_the_entry_deadline():
+    record = synth_record([0.0, 1.0, 2.0, 3.0, 4.0], total=[5.0] * 5, stim=[0.0] * 5,
+                          sync=[0.1] * 5)
+    loose = envelope_check(record, FRIENDLY, MetricsOptions(entry_slack=0.5))
+    assert loose.entry_allowed == pytest.approx(math.log(5.0) * 1.5 + 1.0, rel=1e-12)
+    assert loose.entry_allowed > envelope_check(record, FRIENDLY).entry_allowed
+
+
+def test_decay_tolerance_governs_window_monotonicity():
+    # sync grows by 15 % inside one window, within its envelope throughout
+    record = synth_record([0.0, 1.0, 2.0], total=[0.5] * 3, stim=[0.0, 5.0, 5.0],
+                          sync=[0.1, 0.1, 0.115])
+    assert not envelope_check(record, FRIENDLY).windows[0].monotonic_ok
+    loose = envelope_check(record, FRIENDLY, MetricsOptions(decay_tolerance=0.2))
+    assert loose.windows[0].monotonic_ok
+
+
+def test_window_fraction_sets_the_fit_window():
+    t = np.linspace(0.0, 5.0, 51)
+    record = synth_record(t, total=np.ones_like(t), stim=np.zeros_like(t),
+                          sync=np.exp(-3.0 * t))
+    assert fit_sync_rate(record).n_points == 26
+    assert fit_sync_rate(record, MetricsOptions(window_fraction=1.0)).n_points == 51
+
+
+def test_floor_decides_already_synchronized():
+    t = np.linspace(0.0, 1.0, 11)
+    record = synth_record(t, total=np.ones_like(t), stim=np.zeros_like(t),
+                          sync=np.full_like(t, 1e-10))
+    assert not fit_sync_rate(record).already_synchronized
+    assert fit_sync_rate(record, MetricsOptions(floor=1e-8)).already_synchronized
+
+
+def test_tail_fraction_sets_the_sweep_tail():
+    t = np.linspace(0.0, 1.0, 11)
+    record = synth_record(t, total=np.ones_like(t), stim=np.zeros_like(t),
+                          sync=np.exp(-t))
+    # the tail maximum is the first row the tail holds
+    assert sweep_row(MetricsOptions(), 1.0, FRIENDLY, record)["tail"] == math.exp(-0.8)
+    assert sweep_row(MetricsOptions(tail_fraction=1.0), 1.0, FRIENDLY, record)["tail"] == 1.0
 
 
 # ---------------------------------------------------------------------------
