@@ -44,6 +44,7 @@ from .errors import (
     IntegrationError,
     LinearSolveError,
     MatchingError,
+    RunFailure,
     SingularParameterError,
 )
 from .metrics import (

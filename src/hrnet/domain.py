@@ -21,8 +21,9 @@ import scipy.sparse as sp
 
 from .errors import MatchingError
 
-_SIDES_1D = {"left": (0, 0), "right": (0, 1)}
-_SIDES_2D = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
+# the named sides of an interval and a rectangle, by dimension: name -> (axis, low 0 / high 1)
+_SIDES = {1: {"left": (0, 0), "right": (0, 1)},
+          2: {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}}
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,13 +60,8 @@ class Domain:
 
     def cell_center_coords(self) -> tuple:
         """Per-axis center coordinate of every cell, each shaped (n_cells,)."""
-        axes = [
-            (np.arange(n) + 0.5) * hk for n, hk in zip(self.cells, self.h)
-        ]
-        if self.dim == 1:
-            return (axes[0],)
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return gx.ravel(), gy.ravel()
+        axes = [(np.arange(n) + 0.5) * hk for n, hk in zip(self.cells, self.h)]
+        return tuple(g.ravel() for g in np.meshgrid(*axes, indexing="ij"))
 
 
 def build_domain(dim: int, extents, cells) -> Domain:
@@ -197,7 +193,7 @@ def parse_pairs(text) -> list:
 
 
 def _segment_faces(segment, domain: Domain, label: str) -> np.ndarray:
-    sides = _SIDES_1D if domain.dim == 1 else _SIDES_2D
+    sides = _SIDES[domain.dim]
     side_name = str(segment.get("side", "")).strip().lower()
     if side_name not in sides:
         raise MatchingError(
@@ -267,10 +263,7 @@ def parse_matching(segments, domain: Domain, n_neurons: int) -> BoundaryMatching
 
 def full_boundary_matching(domain: Domain, n_neurons: int, pairs) -> BoundaryMatching:
     """Matching with one pair list applied uniformly on the whole boundary."""
-    if domain.dim == 1:
-        segments = [{"side": "left", "pairs": pairs}, {"side": "right", "pairs": pairs}]
-    else:
-        segments = [{"side": s, "pairs": pairs} for s in ("left", "right", "bottom", "top")]
+    segments = [{"side": side, "pairs": pairs} for side in _SIDES[domain.dim]]
     return parse_matching(segments, domain, n_neurons)
 
 
@@ -302,20 +295,14 @@ def apply_diffusion(
 
     g = u_all.reshape(u_all.shape[:-1] + domain.cells)
     og = out.reshape(g.shape)
-    if domain.dim == 1:
-        (hx,) = domain.h
-        flux = (d / (hx * vol)) * (g[..., 1:] - g[..., :-1])  # already times area (=1)
-        og[..., :-1] += flux
-        og[..., 1:] -= flux
-    else:
-        hx, hy = domain.h
-        dg = np.reshape(d, np.shape(d) + (1,))  # per-member columns span both axes
-        fx = (dg * hy / (hx * vol)) * (g[..., 1:, :] - g[..., :-1, :])
-        og[..., :-1, :] += fx
-        og[..., 1:, :] -= fx
-        fy = (dg * hx / (hy * vol)) * (g[..., :, 1:] - g[..., :, :-1])
-        og[..., :, :-1] += fy
-        og[..., :, 1:] -= fy
+    dg = np.reshape(d, np.shape(d) + (1,) * (domain.dim - 1))  # member columns span the grid
+    for k, hk in enumerate(domain.h):
+        area = math.prod(domain.h[:k] + domain.h[k + 1:])  # the other axes' widths: 1 in 1D
+        rest = (slice(None),) * (domain.dim - 1 - k)  # the axes after k
+        lo, hi = (..., slice(None, -1), *rest), (..., slice(1, None), *rest)
+        flux = (dg * area / (hk * vol)) * (g[hi] - g[lo])
+        og[lo] += flux
+        og[hi] -= flux
 
     if matching is not None and np.any(p != 0.0):
         fc = domain.face_cell

@@ -320,9 +320,9 @@ class CapacitanceSolver:
 
     The build runs once per batch.  From the matching: the coupling's terms
     and ``W^T W``.  Per distinct d: ``S0``'s Green's block ``G`` at the
-    coupled edge cells; in 2D a cell's unit edge value has a 2D DCT that is
-    one outer product (a DCT-II basis column across the edge times a DCT row
-    along it), so ``G`` needs no forward transform.  Per distinct (d, p):
+    coupled edge cells; in 2D the unit value at grid cell (ix, iy) has a 2D
+    DCT that is one outer product (the DCT-II basis rows ix of x and iy of
+    y), so ``G`` needs no forward transform.  Per distinct (d, p):
     the assembled ``I - dt A`` and ``K = ((W^T W) * G) * s s^T + I`` (``s``
     the terms' square-root weights) with its factor.
     """
@@ -334,7 +334,7 @@ class CapacitanceSolver:
             self._face_at = domain.face_side.astype(np.intp)  # 0 left end, 1 right
             lap = _axis_laplacian(nc, domain.h[0])  # symmetric: its rows are its columns
             diagonal = lap.indices == np.repeat(np.arange(nc), np.diff(lap.indptr))
-            self._uncoupled = {}  # d -> (factor of S0, S0^-1 at the two end cells)
+            uncoupled = self._uncoupled = {}  # d -> (factor of S0, S0^-1 at the two end cells)
             for dm in dict.fromkeys(d):
                 # S0 = I - dt d L for one neuron, in compressed columns
                 s0 = sp.csc_matrix((diagonal - dt * dm * lap.data, lap.indices, lap.indptr))
@@ -342,8 +342,10 @@ class CapacitanceSolver:
                 # S0^-1's first column, from the bands so that the factor solves
                 # only steps; reversing the cells leaves S0 as it is
                 first = sla.solveh_banded(bands, np.eye(nc, 1))[:, 0]
-                self._uncoupled[dm] = (spla.splu(s0, permc_spec="NATURAL"),  # no fill
-                                       np.array([first, first[::-1]]))
+                uncoupled[dm] = (spla.splu(s0, permc_spec="NATURAL"),  # no fill
+                                 np.array([first, first[::-1]]))
+            # the end cells' Green's block; over the table, not self: no reference cycle
+            self._green = lambda ends, dm: uncoupled[dm][1][:, [0, -1]][np.ix_(ends, ends)]
         else:
             # imported here, on first 2D use: 1D runs never need its memory
             import scipy.fft
@@ -353,14 +355,17 @@ class CapacitanceSolver:
             kx, ky = (_axis_eigenvalues(m, h) for m, h in zip(domain.cells, domain.h))
             self._uncoupled = {dm: 1.0 + dt * dm * (kx[:, None] + ky[None, :])
                                for dm in d}  # S0's eigenvalues
-            # DCT-II basis vectors evaluated at the first and last cell of an axis
-            self._ends_x = scipy.fft.dct(np.eye(nx)[:, [0, nx - 1]], axis=0, norm="ortho")
-            self._ends_y = scipy.fft.dct(np.eye(ny)[:, [0, ny - 1]], axis=0, norm="ortho")
-            # edge position of each face's cell: first and last row (corners too), then column
-            ix, iy = np.divmod(domain.face_cell, ny)
-            side_x, side_y = (ix == nx - 1).astype(np.intp), (iy == ny - 1).astype(np.intp)
-            self._face_at = np.where((ix == 0) | (ix == nx - 1), side_x * ny + iy,
-                                     2 * ny + 2 * ix + side_y)
+            # per axis, row i: the orthonormal DCT-II of the unit value at cell i
+            self._basis = [scipy.fft.dct(np.eye(m), norm="ortho") for m in domain.cells]
+            # the first and last cell's, as C-ordered columns (products round by layout)
+            self._ends_x, self._ends_y = (np.ascontiguousarray(b[[0, -1]].T) for b in self._basis)
+            # grid cell (ix, iy) of each edge position: first and last row, then column ends
+            self._edge_cells = ix, iy = (
+                np.r_[np.repeat([0, nx - 1], ny), np.repeat(np.arange(nx), 2)],
+                np.r_[np.tile(np.arange(ny), 2), np.tile([0, ny - 1], nx)])
+            # each face's edge position: its cell's first, so a corner's is in its row
+            cells, first = np.unique(ix * ny + iy, return_index=True)
+            self._face_at = first[np.searchsorted(cells, domain.face_cell)]
         terms = self._coupling_terms(domain, matching)
         greens, built = {}, {}  # d -> Green's block; (d, p) -> (correction, system)
         for key in zip(d, p):
@@ -438,22 +443,11 @@ class CapacitanceSolver:
 
     def _green(self, cells, d):
         """Green's block of ``S0`` (diffusion ``d``) at the distinct edge positions ``cells``."""
-        if self._dim == 1:
-            return self._uncoupled[d][1][:, [0, -1]][np.ix_(cells, cells)]
-        nx, ny = self._grid
-        # the 2D DCT of a unit value on an edge cell is an outer product: for a
-        # row-edge cell, the DCT-II basis at its end cell of x times the 1D
-        # DCT of the unit vector along y; for a column-edge cell, the reverse
-        across, along = np.empty((cells.size, nx)), np.empty((cells.size, ny))
-        row = cells < 2 * ny
-        side, iy = np.divmod(cells[row], ny)
-        across[row] = self._ends_x.T[side]
-        along[row] = self._fft.dct(np.eye(ny), norm="ortho")[iy]
-        ix, side = np.divmod(cells[~row] - 2 * ny, 2)
-        across[~row] = self._fft.dct(np.eye(nx), norm="ortho")[ix]
-        along[~row] = self._ends_y.T[side]
+        # the 2D DCT of a unit value at grid cell (ix, iy) is an outer product:
+        # the basis row ix of x times the basis row iy of y
+        across, along = (b[at[cells]] for b, at in zip(self._basis, self._edge_cells))
         green = np.empty((cells.size, cells.size))
-        spectra = np.empty((8, nx, ny))  # 8 cells at a time
+        spectra = np.empty((8, *self._grid))  # 8 cells at a time
         for start in range(0, cells.size, len(spectra)):
             stop = min(start + len(spectra), cells.size)
             spectrum = spectra[:stop - start]
@@ -659,10 +653,9 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
     Member b starts from ``ics[b]`` (as in :func:`simulate`) and follows
     ``params_list[b]``, observed by ``observers[b]`` (None or absent: no
     rows).  Returns, per member and in order, its :class:`SimulationResult`
-    or the :class:`IntegrationError` / :class:`LinearSolveError` it failed
-    with, rows attached; a failed member keeps its slot in the batch,
-    unobserved, and the others go on.  Every member is bitwise equal to its
-    own serial run.
+    or the :class:`~hrnet.errors.RunFailure` it failed with, rows attached; a
+    failed member keeps its slot in the batch, unobserved, and the others go
+    on.  Every member is bitwise equal to its own serial run.
 
     Members that resolve to one step size and step count form one batch;
     batches run one after another.
@@ -727,10 +720,9 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
             for i, err in errors.items():
                 if i not in failed:
                     failed.add(i)
-                    if isinstance(err, LinearSolveError):
-                        err.rows = rows[i]
-                    else:
-                        err = IntegrationError(state.t, float(seen[i].max()), rows=rows[i])
+                    if err is None:
+                        err = IntegrationError(state.t, float(seen[i].max()))
+                    err.rows = rows[i]
                     results[members[i]] = err
                 # zeros keep the health check on its one-sum path; nothing reads them
                 state.u[i] = state.v[i] = state.w[i] = 0.0

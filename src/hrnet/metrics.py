@@ -22,7 +22,7 @@ import numpy as np
 from .core import DerivedConstants, HRParameters, entry_time
 from .domain import BoundaryMatching, Domain, integrate_domain
 from .dynamics import InitialCondition, IntegratorConfig, NetworkState, simulate_ensemble
-from .errors import IntegrationError
+from .errors import RunFailure
 
 SYNC_FLOOR = 1e-14
 
@@ -230,8 +230,8 @@ def record_trajectories(ics, params_list, domain: Domain,
     collect each member's observable record.
 
     Returns, per member in order, its :class:`TrajectoryRecord` or the
-    :class:`IntegrationError` / :class:`LinearSolveError` it failed with, the
-    partial record attached as ``partial_record`` (None without rows).
+    :class:`~hrnet.errors.RunFailure` it failed with, the partial record
+    attached as ``partial_record`` (None without rows).
     """
     observers = [TrajectoryObserver(params, domain, matching, consts)
                  for params, consts in zip(params_list, consts_list)]
@@ -529,12 +529,8 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
     n = params.n_neurons
     worst_sq = np.zeros(n * (n - 1) // 2)
     for k, result in enumerate(results):
-        if isinstance(result, IntegrationError):
-            raise IntegrationError(
-                result.t, result.max_abs_u,
-                note=f"asynchronous-degree sample {k} (seed {seed + k})",
-            ) from result
-        if isinstance(result, Exception):
+        if isinstance(result, RunFailure):
+            result.note = f"asynchronous-degree sample {k} (seed {seed + k})"
             raise result
         times = np.asarray(result.times)
         tail_start = times[-1] - 0.2 * (times[-1] - times[0])

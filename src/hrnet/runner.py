@@ -21,7 +21,7 @@ import numpy as np
 from .config import RunConfig
 from .core import DerivedConstants, HRParameters, derive_constants
 from .domain import poincare_constants
-from .errors import ConfigError, IntegrationError, LinearSolveError
+from .errors import ConfigError, RunFailure
 from .metrics import (
     MetricsOptions,
     TrajectoryRecord,
@@ -39,12 +39,6 @@ SWEEPABLE = ("a", "b", "alpha", "beta", "q", "r", "c", "J", "d", "p")
 
 SWEEP_COLUMNS = ("value", "tail_dE_G", "rate", "mu",
                  "crossed_literal", "crossed_perpair", "status")
-
-# run failures by error type: what report.txt says failed, and the sweep status
-FAILURES = {
-    IntegrationError: ("integration", "failed"),
-    LinearSolveError: ("linear solve", "failed(linear-solve)"),
-}
 
 
 def fmt_float(x) -> str:
@@ -191,10 +185,10 @@ def run_simulate(cfg: RunConfig, out_dir) -> int:
         consts = build_setup(cfg)
         record = record_trajectory(cfg.ic, cfg.params, cfg.domain, cfg.matching,
                                    cfg.integrator, consts)
-    except tuple(FAILURES) as err:
+    except RunFailure as err:
         partial = getattr(err, "partial_record", None)
         atomic_write_text(csv_path, trajectory_csv(partial, cfg.params.n_neurons))
-        atomic_write_text(report_path, f"{FAILURES[type(err)][0]} failed: {err}\n")
+        atomic_write_text(report_path, err.report() + "\n")
         return 3
     atomic_write_text(csv_path, trajectory_csv(record, cfg.params.n_neurons))
     atomic_write_text(report_path,
@@ -239,8 +233,8 @@ def sweep_row(metrics: MetricsOptions, value, consts, record) -> dict:
     """One sweep row: the tail maximum of the summed difference energy, the
     fitted rate and the threshold crossings of ``record``, or the status of
     the error it failed with."""
-    if isinstance(record, Exception):
-        return {"value": value, "status": FAILURES[type(record)][1], "mu": consts.mu}
+    if isinstance(record, RunFailure):
+        return {"value": value, "status": record.sweep_status, "mu": consts.mu}
     sync = record.sync_total()
     tail_start = record.t[-1] - metrics.tail_fraction * (record.t[-1] - record.t[0])
     tail = sync[record.t >= tail_start]

@@ -36,7 +36,7 @@ from .domain import (
     poincare_constants,
 )
 from .dynamics import InitialCondition, IntegratorConfig, NetworkState, cfl_bound, simulate
-from .errors import IntegrationError
+from .errors import RunFailure
 from .metrics import (
     MetricsOptions,
     asynchronous_degree,
@@ -486,8 +486,8 @@ def run_criterion(number: int, cfg: RunConfig, runs=None) -> CriterionResult:
                 if failed:
                     raise failed[0]
                 passed, detail = fn(cfg, runs)
-            except IntegrationError as err:
-                passed, detail = False, f"integration failed: {err}"
+            except RunFailure as err:
+                passed, detail = False, err.report()
             except Exception as err:  # a crashing criterion is a failed criterion
                 passed, detail = False, f"raised {type(err).__name__}: {err}"
             return CriterionResult(num, name, passed, detail)

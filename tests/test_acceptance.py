@@ -22,7 +22,7 @@ from hrnet.config import MetricsOptions, load_config
 from hrnet.core import HRParameters, derive_constants
 from hrnet.domain import build_domain, full_boundary_matching, poincare_constants
 from hrnet.dynamics import InitialCondition, IntegratorConfig
-from hrnet.errors import IntegrationError
+from hrnet.errors import IntegrationError, LinearSolveError
 from hrnet.metrics import record_trajectories
 from hrnet.verify import CRITERIA, SWEEP_P_VALUES, format_result, run_all, run_criterion
 
@@ -310,6 +310,28 @@ def stub_own_runs(monkeypatch):
     monkeypatch.setattr(verify, "CRITERIA", tuple(
         (number, name, fn if reads else lambda cfg, runs: (True, "own run"), reads)
         for number, name, fn, reads in CRITERIA))
+
+
+def test_a_linear_solve_failure_is_worded_as_in_report_txt():
+    # the envelope run's member fails its implicit solve: the criterion reads
+    # "linear solve failed: ...", as `hrnet simulate` writes it to report.txt
+    params = HRParameters.default()
+    domain = build_domain(1, [1.0], [8])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    pc = poincare_constants(domain)
+    consts = derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
+    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=1e-2, linear_tol=1e-30)
+    (failed,) = record_trajectories([InitialCondition(seed=3)], [params], domain, matching,
+                                    cfg, [consts])
+    assert isinstance(failed, LinearSolveError)
+    result = run_criterion(6, load_config(STOCK_CONFIG), {"envelope": [failed]})
+    assert not result.passed
+    assert result.detail == f"linear solve failed: {failed}"
+
+
+def test_run_criterion_rejects_an_unknown_number():
+    with pytest.raises(ValueError, match="no criterion numbered 14"):
+        run_criterion(14, load_config(STOCK_CONFIG))
 
 
 def test_a_failed_shared_member_fails_every_criterion_that_reads_it(monkeypatch, small_runs):

@@ -21,9 +21,11 @@ here, and no state it returns may share memory with those buffers.
 """
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -157,6 +159,22 @@ def test_greens_block_equals_the_unit_vector_route(network, dt):
     for cells in [np.arange(2 * sum(domain.cells))] + ([terms.cells] if terms else []):
         for d in GREEN_D:
             assert np.array_equal(solver._green(cells, d), oracle_green(solver, cells, d))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_solver_is_freed_with_its_last_reference(dim):
+    # no reference cycle: a batch's solver goes with its stepper, not at the
+    # next garbage collection
+    domain = build_domain(dim, [1.0] * dim, [8] * dim)
+    solver = CapacitanceSolver(domain, full_boundary_matching(domain, 2, "1-2"),
+                               [1.0], [2.0], 2, 0.05)
+    alive = weakref.ref(solver)
+    gc.disable()
+    try:
+        del solver
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def tiny_rectangle(nx, ny):

@@ -242,6 +242,19 @@ def test_matching_segment_bad_span(tmp_path):
         load_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("segment,message", [
+    ("side=left pairs=1-2 side2=right", "unknown segment field 'side2'"),
+    ("side=left side=right pairs=1-2", "segment field 'side' repeated"),
+    ("side=left span=lo:0.5 pairs=1-2", "span bounds must be numbers, got 'lo:0.5'"),
+])
+def test_matching_segment_field_errors(tmp_path, segment, message):
+    text = BASE.replace("dim = 1\nextents = 1.0\ncells = 16",
+                        "dim = 2\nextents = 1.0,1.0\ncells = 8,8")
+    text = text.replace("full = 1-2", f"segment1 = {segment}")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(write(tmp_path, text))
+
+
 def test_matching_overlap_located(tmp_path):
     text = BASE.replace(
         "full = 1-2",

@@ -233,6 +233,26 @@ def test_matching_constructor_validates_involution():
                          n_neurons=2)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"face_cell": np.zeros(3, dtype=np.intp)}, "one entry per boundary face"),
+    ({"partner": np.zeros((2, 3), dtype=np.intp)}, r"shape \(2, 2\), got \(2, 3\)"),
+    ({"partner": np.array([[1, 0], [1, 2]], dtype=np.intp)}, "out of range"),
+    ({"partner": np.array([[1, 0], [-1, 1]], dtype=np.intp)}, "out of range"),
+])
+def test_matching_constructor_validates_shapes_and_range(change, message):
+    d = build_domain(1, [1.0], [8])
+    fields = {"partner": np.array([[1, 0], [1, 0]], dtype=np.intp),
+              "face_area": d.face_area, "face_cell": d.face_cell, "n_neurons": 2}
+    with pytest.raises(MatchingError, match=message):
+        BoundaryMatching(**(fields | change))
+
+
+def test_matching_needs_two_neurons():
+    d = build_domain(1, [1.0], [8])
+    with pytest.raises(MatchingError, match="at least 2 neurons"):
+        parse_matching([{"side": "left", "pairs": ""}], d, 1)
+
+
 # ---------------------------------------------------------------------------
 # diffusion operator
 # ---------------------------------------------------------------------------
@@ -397,6 +417,12 @@ def test_integrate_stacked_fields():
     vals = integrate_domain(np.ones((3, 8)), d)
     assert vals.shape == (3,)
     assert np.allclose(vals, 1.0, rtol=1e-14)
+
+
+def test_integrate_rejects_the_wrong_cell_count():
+    d = build_domain(2, [1.0, 1.0], [4, 4])
+    with pytest.raises(ValueError, match="field must have 16 cells"):
+        integrate_domain(np.ones((2, 15)), d)
 
 
 def test_matched_pairs_lists_each_unordered_pair_once_in_row_major_order():

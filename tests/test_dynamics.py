@@ -316,6 +316,13 @@ def test_smooth_bump_defaults_to_domain_center():
     assert state.u[0].max() == pytest.approx(expected_peak, rel=1e-12)
 
 
+def test_smooth_bump_center_needs_one_coordinate_per_axis():
+    domain = build_domain(2, [1.0, 1.0], [8, 8])
+    ic = InitialCondition(kind="smooth-bump", center=(0.5,))
+    with pytest.raises(ValueError, match="center must have 2 coordinates"):
+        initial_state(ic, domain, 2)
+
+
 def test_uniform_random_ladder_and_bounds():
     domain = build_domain(1, [1.0], [128])
     ic = InitialCondition(kind="uniform-random", seed=11, offset=1.5, noise=0.1)
@@ -444,6 +451,35 @@ def test_integration_error_survives_pickling():
     assert str(back) == str(err)
     assert (back.t, back.max_abs_u, back.rows, back.note, back.partial_record) == (
         1.5, 42.0, [1, 2], "sample 3", "partial")
+
+
+def test_linear_solve_error_survives_pickling():
+    err = LinearSolveError("backward Euler solve at t=0: residual too large",
+                           rows=[1, 2], note="sample 3")
+    err.partial_record = "partial"
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is LinearSolveError and str(back) == str(err)
+    assert (back.rows, back.note, back.partial_record) == ([1, 2], "sample 3", "partial")
+
+
+def test_integrator_needs_members_of_one_step_size():
+    params, domain, matching = default_setup()
+    cfg = IntegratorConfig(t_end=0.1, scheme="explicit-rk4", dt="auto")
+    with pytest.raises(ValueError, match="at least one member"):
+        Integrator([], domain, matching, cfg)
+    # dt = auto follows d, so these two members resolve to different steps
+    with pytest.raises(ValueError, match="share the step size"):
+        Integrator([params, params.replace(d=2.0)], domain, matching, cfg)
+
+
+def test_simulate_ensemble_needs_one_of_each_per_member():
+    params, domain, matching = default_setup()
+    cfg = IntegratorConfig(t_end=0.1, scheme="explicit-rk4", dt="auto")
+    ic = InitialCondition()
+    with pytest.raises(ValueError, match="one initial condition, parameter set and observer"):
+        simulate_ensemble([ic], [params, params], domain, matching, cfg)
+    with pytest.raises(ValueError, match="one initial condition, parameter set and observer"):
+        simulate_ensemble([ic, ic], [params, params], domain, matching, cfg, [None])
 
 
 def unexpected_call(*args, **kwargs):

@@ -29,7 +29,7 @@ from hrnet.dynamics import (
     initial_state,
     simulate,
 )
-from hrnet.errors import IntegrationError
+from hrnet.errors import IntegrationError, LinearSolveError
 from hrnet.metrics import (
     MetricsOptions,
     TrajectoryObserver,
@@ -587,12 +587,33 @@ def test_fit_sync_rate_uses_prefix_before_floor_crossing():
     assert fit.r_squared > 1.0 - 1e-10
 
 
+def test_fit_sync_rate_falls_back_to_the_last_two_points():
+    # a window of a tenth of the range holds one point, so the fit takes the
+    # last two: the final step's rate, 3, not the earlier rate 1
+    t = np.arange(4.0)
+    record = synth_record(t, total=np.ones_like(t), stim=np.zeros_like(t),
+                          sync=np.exp(-np.array([0.0, 1.0, 2.0, 5.0])))
+    fit = fit_sync_rate(record, MetricsOptions(window_fraction=0.1))
+    assert (fit.n_points, fit.t_start, fit.t_end) == (2, 2.0, 3.0)
+    assert fit.rate == pytest.approx(3.0, rel=1e-12)
+
+
 def test_fit_sync_rate_window_fraction_validation():
     # the options hold the fit's window, so a bad one fails before any fit
     with pytest.raises(ValueError, match="window_fraction"):
         MetricsOptions(window_fraction=0.0)
     with pytest.raises(ValueError, match="window_fraction"):
         MetricsOptions(window_fraction=1.5)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"tail_fraction": 0.0}, "tail_fraction must lie in"),
+    ({"tail_fraction": 1.5}, "tail_fraction must lie in"),
+    ({"floor": 0.0}, "floor must be > 0"),
+])
+def test_tail_fraction_and_floor_validation(change, message):
+    with pytest.raises(ValueError, match=message):
+        MetricsOptions(**change)
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +739,28 @@ def test_asynchronous_degree_validates_sample_count():
     with pytest.raises(ValueError, match="sample_count"):
         asynchronous_degree(params, domain, matching, cfg,
                             sample_count=0, seed=0)
+
+
+def test_asynchronous_degree_default_initial_condition():
+    params = HRParameters.default()
+    domain = build_domain(1, [1.0], [8])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    cfg = IntegratorConfig(t_end=0.05, scheme="explicit-rk4", dt="auto", record_every=5)
+    stock = InitialCondition(kind="uniform-random", offset=1.0, noise=0.1)
+    deg = asynchronous_degree(params, domain, matching, cfg, sample_count=2, seed=3)
+    assert deg == asynchronous_degree(params, domain, matching, cfg, sample_count=2,
+                                      seed=3, ic=stock)
+    assert deg > 0.0
+
+
+def test_asynchronous_degree_linear_solve_failure_names_sample():
+    params = HRParameters.default()
+    domain = build_domain(1, [1.0], [8])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=1e-2, linear_tol=1e-30)
+    with pytest.raises(LinearSolveError, match="residual") as exc:
+        asynchronous_degree(params, domain, matching, cfg, sample_count=2, seed=4)
+    assert str(exc.value).endswith("; asynchronous-degree sample 0 (seed 4)")
 
 
 def test_asynchronous_degree_failure_names_sample():
