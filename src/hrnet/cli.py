@@ -150,7 +150,3 @@ def main(argv=None) -> int:
     except OSError as err:  # every read raises ConfigError, so this is a write
         print(f"output error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
         return EXIT_OUTPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -214,11 +214,7 @@ def _build_matching(sec, domain, n_neurons) -> BoundaryMatching:
             _parse_segment_value(sec, key, sec.read(key)) for key in keys
         ]
         return parse_matching(segments, domain, n_neurons)
-    except MatchingError as err:
-        raise ConfigError(f"{sec.path}: [matching]: {err}") from err
-    except ConfigError:
-        raise
-    except ValueError as err:
+    except (MatchingError, ValueError) as err:  # ValueError: too many neurons to allocate
         raise ConfigError(f"{sec.path}: [matching]: {err}") from err
 
 

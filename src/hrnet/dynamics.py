@@ -265,7 +265,9 @@ def reaction_rhs(state: NetworkState, params: HRParameters, out=None):
     return du, dv, dw
 
 
-REACTION_FIELDS = ("a", "b", "alpha", "beta", "q", "r", "c", "J")
+# the parameters of the reaction terms: all but the coupling (d, p) and N
+REACTION_FIELDS = tuple(f.name for f in dataclasses.fields(HRParameters)
+                        if f.name not in ("d", "p", "n_neurons"))
 
 
 def _member_constants(members, names):
@@ -550,22 +552,20 @@ class Integrator:
         self._reaction = _member_constants(members, REACTION_FIELDS)
         self._coupling = _member_constants(members, ("d", "p"))
 
-    def _rhs(self, t, u, v, w):
-        du, dv, dw = reaction_rhs(NetworkState(t, u, v, w), self._reaction)
+    def _rhs(self, u, v, w):
+        # the model is autonomous: no term reads the state's time
+        du, dv, dw = reaction_rhs(NetworkState(0.0, u, v, w), self._reaction)
         c = self._coupling
         return du + apply_diffusion(u, self.domain, self.matching, c.d, c.p), dv, dw
 
     def _step_rk4(self, state: NetworkState):
-        dt = self.dt
-        t, u, v, w = state.t, state.u, state.v, state.w
-        k1 = self._rhs(t, u, v, w)
-        k2 = self._rhs(t + dt / 2, u + dt / 2 * k1[0], v + dt / 2 * k1[1], w + dt / 2 * k1[2])
-        k3 = self._rhs(t + dt / 2, u + dt / 2 * k2[0], v + dt / 2 * k2[1], w + dt / 2 * k2[2])
-        k4 = self._rhs(t + dt, u + dt * k3[0], v + dt * k3[1], w + dt * k3[2])
-        u2 = u + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v2 = v + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        w2 = w + dt / 6 * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        return NetworkState(t + dt, u2, v2, w2), {}
+        dt, y = self.dt, (state.u, state.v, state.w)
+        k1 = self._rhs(*y)
+        k2 = self._rhs(*(x + dt / 2 * k for x, k in zip(y, k1)))
+        k3 = self._rhs(*(x + dt / 2 * k for x, k in zip(y, k2)))
+        k4 = self._rhs(*(x + dt * k for x, k in zip(y, k3)))
+        y2 = [x + dt / 6 * (a + 2 * b + 2 * c + d) for x, a, b, c, d in zip(y, k1, k2, k3, k4)]
+        return NetworkState(state.t + dt, *y2), {}
 
     def _step_imex(self, state: NetworkState):
         dt = self.dt

@@ -55,6 +55,11 @@ class MetricsOptions:
             raise ValueError("floor must be > 0")
 
 
+def trailing_window(t: np.ndarray, fraction: float) -> np.ndarray:
+    """The mask of the times ``t`` in the trailing ``fraction`` of their range."""
+    return t >= t[-1] - fraction * (t[-1] - t[0])
+
+
 def pair_differences(state: NetworkState, domain: Domain) -> np.ndarray:
     """Quadrature norms of u_i - u_j, v_i - v_j and w_i - w_j, each pair once.
 
@@ -484,8 +489,7 @@ def fit_sync_rate(record: TrajectoryRecord, opts: MetricsOptions = MetricsOption
     if seg_t.shape[0] < 2:
         return RateFit(rate=0.0, r_squared=1.0, t_start=float(seg_t[0]),
                        t_end=float(seg_t[-1]), n_points=1, already_synchronized=False)
-    cutoff = seg_t[-1] - opts.window_fraction * (seg_t[-1] - seg_t[0])
-    mask = seg_t >= cutoff
+    mask = trailing_window(seg_t, opts.window_fraction)
     if int(mask.sum()) < 2:
         mask = np.zeros_like(mask)
         mask[-2:] = True
@@ -505,18 +509,16 @@ def fit_sync_rate(record: TrajectoryRecord, opts: MetricsOptions = MetricsOption
 def asynchronous_degree(params: HRParameters, domain: Domain,
                         matching: BoundaryMatching, cfg: IntegratorConfig,
                         sample_count: int, seed: int,
-                        ic: InitialCondition | None = None) -> float:
+                        ic: InitialCondition = InitialCondition()) -> float:
     """Monte-Carlo estimate of the summed worst-case pairwise state gap.
 
     Draws ``sample_count`` initial conditions (sample k reseeds the template
     with seed + k), simulates each to ``cfg.t_end``, approximates the limiting
-    pairwise gap by the max over the trailing fifth of recorded times, and
-    sums the per-pair worst case over all ordered pairs.
+    pairwise gap by the max over the trailing ``MetricsOptions.tail_fraction``
+    of recorded times, and sums the per-pair worst case over all ordered pairs.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    if ic is None:
-        ic = InitialCondition(kind="uniform-random", offset=1.0, noise=0.1)
     ics = [replace(ic, seed=seed + k) if ic.kind != "file" else ic
            for k in range(sample_count)]
 
@@ -532,11 +534,8 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
         if isinstance(result, RunFailure):
             result.note = f"asynchronous-degree sample {k} (seed {seed + k})"
             raise result
-        times = np.asarray(result.times)
-        tail_start = times[-1] - 0.2 * (times[-1] - times[0])
-        tail_rows = [row for tk, row in zip(times, result.rows) if tk >= tail_start]
-        sample_worst = np.maximum.reduce(tail_rows)
-        worst_sq = np.maximum(worst_sq, sample_worst)
+        tail = trailing_window(np.asarray(result.times), MetricsOptions.tail_fraction)
+        worst_sq = np.maximum(worst_sq, np.max(np.asarray(result.rows)[tail], axis=0))
     # summed over ordered pairs: the worst gaps mirrored across a zero diagonal
     ordered = np.zeros((n, n))
     ordered[np.triu_indices(n, 1)] = worst_sq

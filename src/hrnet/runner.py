@@ -30,12 +30,13 @@ from .metrics import (
     fit_sync_rate,
     record_trajectories,
     record_trajectory,
+    trailing_window,
 )
 
 FLOAT_FMT = "%.16e"
 
-# parameters a sweep may scan (scalar model constants)
-SWEEPABLE = ("a", "b", "alpha", "beta", "q", "r", "c", "J", "d", "p")
+# parameters a sweep may scan: every scalar model constant
+SWEEPABLE = tuple(f.name for f in fields(HRParameters) if f.name != "n_neurons")
 
 SWEEP_COLUMNS = ("value", "tail_dE_G", "rate", "mu",
                  "crossed_literal", "crossed_perpair", "status")
@@ -80,31 +81,28 @@ def build_setup(cfg: RunConfig) -> DerivedConstants:
 # constants
 # ---------------------------------------------------------------------------
 
-def _eta1_line(cfg: RunConfig, consts: DerivedConstants) -> str:
-    """The printed eta1, with the continuum value beside it as a cross-check."""
-    analytic = poincare_constants(cfg.domain, mode="analytic").eta1
-    return f"eta1 = {fmt_float(consts.eta1)}  (analytic cross-check {fmt_float(analytic)})"
+# derived constants printed under a name other than their field's
+DISPLAY_NAMES = {"big_m": "M", "big_q": "Q", "g": "G", "big_r": "R_literal", "big_r_alt": "R_perpair"}
+# the derived constants that depend on the domain alone (--domain-only)
+DOMAIN_CONSTANTS = ("eta1", "eta2", "omega_measure")
 
 
-def constants_block(cfg: RunConfig, c: DerivedConstants) -> str:
-    lines = ["# model parameters"]
-    lines += [f"{f.name} = {getattr(cfg.params, f.name)!r}" for f in fields(HRParameters)]
-    lines.append("# derived constants")
-    derived = (("c1", c.c1), ("c2", c.c2), ("r_star", c.r_star), ("M", c.big_m),
-               ("Q", c.big_q), ("G", c.g), ("eta1", c.eta1), ("eta2", c.eta2),
-               ("R_literal", c.big_r), ("R_perpair", c.big_r_alt), ("mu", c.mu),
-               ("omega_measure", c.omega_measure))
-    lines += [_eta1_line(cfg, c) if name == "eta1" else f"{name} = {fmt_float(value)}"
-              for name, value in derived]
-    return "\n".join(lines) + "\n"
-
-
-def domain_block(cfg: RunConfig, consts: DerivedConstants) -> str:
-    lines = [
-        _eta1_line(cfg, consts),
-        f"eta2 = {fmt_float(consts.eta2)}",
-        f"omega_measure = {fmt_float(cfg.domain.omega_measure)}",
-    ]
+def constants_block(cfg: RunConfig, c: DerivedConstants, domain_only=False) -> str:
+    """The model parameters, then one line per derived constant in field
+    order; only the domain's constants with ``domain_only``.  eta1 has the
+    other ``eta_mode``'s value beside it as a cross-check."""
+    lines = [] if domain_only else (
+        ["# model parameters"]
+        + [f"{f.name} = {getattr(cfg.params, f.name)!r}" for f in fields(HRParameters)]
+        + ["# derived constants"])
+    for name in [f.name for f in fields(DerivedConstants)
+                 if not domain_only or f.name in DOMAIN_CONSTANTS]:
+        line = f"{DISPLAY_NAMES.get(name, name)} = {fmt_float(getattr(c, name))}"
+        if name == "eta1":
+            other = "analytic" if cfg.eta_mode == "discrete" else "discrete"
+            cross = poincare_constants(cfg.domain, mode=other).eta1
+            line += f"  ({other} cross-check {fmt_float(cross)})"
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -121,24 +119,25 @@ def constants_csv(cfg: RunConfig, consts: DerivedConstants) -> str:
 def run_constants(cfg: RunConfig, out_dir, domain_only=False) -> str:
     """Build constants artifacts; returns the printable block."""
     consts = build_setup(cfg)
-    if domain_only:
-        return domain_block(cfg, consts)
-    atomic_write_text(os.path.join(out_dir, "constants.csv"),
-                      constants_csv(cfg, consts))
-    return constants_block(cfg, consts)
+    if not domain_only:
+        atomic_write_text(os.path.join(out_dir, "constants.csv"),
+                          constants_csv(cfg, consts))
+    return constants_block(cfg, consts, domain_only)
 
 
 # ---------------------------------------------------------------------------
 # single simulation
 # ---------------------------------------------------------------------------
 
+# trajectory.csv columns named other than their TrajectoryRecord field
+COLUMN_NAMES = {"stimulation_s": "stimulation_S", "k_sum": "K_sum"}
+
+
 def trajectory_header(n_neurons: int) -> str:
     pair_cols = [f"dE_{i + 1}_{j + 1}" for i in range(n_neurons)
                  for j in range(i + 1, n_neurons)]
-    return ",".join([
-        "t", "total_energy", "gronwall_envelope", "stimulation_S",
-        "threshold_literal", "threshold_perpair", "boundary_diff_full", "K_sum",
-    ] + pair_cols)
+    return ",".join([COLUMN_NAMES.get(name, name) for name in TrajectoryRecord.SCALAR_FIELDS]
+                    + pair_cols)
 
 
 def trajectory_csv(record: TrajectoryRecord | None, n_neurons: int) -> str:
@@ -235,9 +234,7 @@ def sweep_row(metrics: MetricsOptions, value, consts, record) -> dict:
     the error it failed with."""
     if isinstance(record, RunFailure):
         return {"value": value, "status": record.sweep_status, "mu": consts.mu}
-    sync = record.sync_total()
-    tail_start = record.t[-1] - metrics.tail_fraction * (record.t[-1] - record.t[0])
-    tail = sync[record.t >= tail_start]
+    tail = record.sync_total()[trailing_window(record.t, metrics.tail_fraction)]
     fit = fit_sync_rate(record, metrics)
     return {
         "value": value,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import decimal
+import functools
 import math
 import os
 import pathlib
@@ -75,8 +76,7 @@ def stock_network():
 def _stock_ensemble(seeds, params_list, t_end, record_every):
     """Records of random-IC runs on the stock network, one per seed and parameters."""
     domain, matching, pc = stock_network()
-    ics = [InitialCondition(kind="uniform-random", seed=seed, offset=1.0, noise=0.1)
-           for seed in seeds]
+    ics = [InitialCondition(seed=seed) for seed in seeds]
     consts_list = [derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
                    for params in params_list]
     cfg = IntegratorConfig(t_end=t_end, scheme="imex-euler", dt=2e-3,
@@ -84,23 +84,17 @@ def _stock_ensemble(seeds, params_list, t_end, record_every):
     return record_trajectories(ics, params_list, domain, matching, cfg, consts_list)
 
 
-def sweep_records():
-    """Coupling-strength sweep to t = 200, one member per ``SWEEP_P_VALUES``
-    entry (criteria 8, 9)."""
-    return _stock_ensemble([42] * len(SWEEP_P_VALUES),
-                           [HRParameters.default(p=p) for p in SWEEP_P_VALUES], 200.0, 100)
-
-
-def envelope_records():
-    """Ten default-parameter random-IC runs to t = 20, one per
-    ``ENVELOPE_SEEDS`` entry (criteria 6, 7, 9)."""
-    return _stock_ensemble(ENVELOPE_SEEDS, [HRParameters.default()] * len(ENVELOPE_SEEDS),
-                           20.0, 50)
-
-
-# the runs several criteria read, by name: per member, its record or error;
-# the longest first, since run_all hands them to the workers in this order
-SHARED = {"sweep": sweep_records, "envelope": envelope_records}
+# the runs several criteria read, by name: a call that returns, per member,
+# its record or error; the longest first, since run_all hands them to the
+# workers in this order.  "sweep" is the coupling-strength sweep to t = 200,
+# one member per SWEEP_P_VALUES entry (criteria 8, 9); "envelope" is ten
+# default-parameter runs to t = 20, one per ENVELOPE_SEEDS entry (6, 7, 9)
+SHARED = {
+    "sweep": functools.partial(_stock_ensemble, [42] * len(SWEEP_P_VALUES),
+                               [HRParameters.default(p=p) for p in SWEEP_P_VALUES], 200.0, 100),
+    "envelope": functools.partial(_stock_ensemble, ENVELOPE_SEEDS,
+                                  [HRParameters.default()] * len(ENVELOPE_SEEDS), 20.0, 50),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, output-dir precedence."""
 
 import concurrent.futures
+import dataclasses
 import pathlib
 import shlex
 
@@ -8,6 +9,12 @@ import numpy as np
 import pytest
 
 from hrnet.cli import _COMMANDS, build_parser, main
+from hrnet.config import load_config
+from hrnet.core import DerivedConstants, HRParameters
+from hrnet.domain import build_domain, poincare_constants
+from hrnet.runner import SWEEPABLE, build_setup, check_sweepable
+
+RING_2D = pathlib.Path(__file__).resolve().parent / "golden" / "ring-2d" / "run.ini"
 
 FAST = """\
 [parameters]
@@ -82,6 +89,49 @@ def test_constants_domain_only(tmp_path, capsys):
     blocker.write_text("")
     assert main(["constants", "--config", str(path), "--domain-only",
                  "--out", str(blocker / "sub")]) == 0
+
+
+def test_constants_prints_one_line_per_derived_constant_in_field_order(tmp_path, capsys):
+    path, _ = write_config(tmp_path)
+    assert main(["constants", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.split("# derived constants\n")[1].splitlines()
+    consts = build_setup(load_config(path))
+    shown = {"big_m": "M", "big_q": "Q", "g": "G", "big_r": "R_literal", "big_r_alt": "R_perpair"}
+    names = [f.name for f in dataclasses.fields(DerivedConstants)]
+    assert len(lines) == len(names)
+    for line, name in zip(lines, names):
+        label, value = line.split(" = ")
+        assert label == shown.get(name, name)
+        assert float(value.split()[0]) == getattr(consts, name)
+
+
+def test_domain_only_prints_the_domain_lines_of_constants_in_2d(tmp_path, capsys):
+    argv = ["constants", "--config", str(RING_2D), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    full = capsys.readouterr().out.splitlines()
+    assert main(argv + ["--domain-only"]) == 0
+    domain_only = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in domain_only] == ["eta1", "eta2", "omega_measure"]
+    assert domain_only == [line for line in full if line in domain_only]
+
+
+@pytest.mark.parametrize("mode,other", [("discrete", "analytic"), ("analytic", "discrete")])
+@pytest.mark.parametrize("options", [[], ["--domain-only"]])
+def test_constants_eta1_cross_check_is_the_other_mode(tmp_path, capsys, mode, other, options):
+    path, _ = write_config(tmp_path, replace_line(FAST, "cells = 16",
+                                                  f"cells = 16\neta_mode = {mode}"))
+    domain = build_domain(1, [1.0], [16])
+    value, cross = (poincare_constants(domain, mode=m).eta1 for m in (mode, other))
+    assert value != cross
+    assert main(["constants", "--config", str(path), *options]) == 0
+    (line,) = [s for s in capsys.readouterr().out.splitlines() if s.startswith("eta1 =")]
+    assert line == f"eta1 = {value:.16e}  ({other} cross-check {cross:.16e})"
+
+
+def test_sweepable_is_every_scalar_model_parameter():
+    assert set(SWEEPABLE) == {f.name for f in dataclasses.fields(HRParameters)} - {"n_neurons"}
+    for name in SWEEPABLE:
+        check_sweepable(name)
 
 
 def test_constants_singular_parameter_exit_2(tmp_path, capsys):

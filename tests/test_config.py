@@ -188,6 +188,13 @@ def test_matching_empty_section(tmp_path):
         load_config(write(tmp_path, text))
 
 
+def test_matching_too_many_neurons_to_allocate(tmp_path):
+    # numpy refuses the partner table before allocating it, with a ValueError
+    text = BASE.replace("n_neurons = 2", "n_neurons = 10000000000000000000")
+    with pytest.raises(ConfigError, match=r"\[matching\]: Maximum allowed size exceeded"):
+        load_config(write(tmp_path, text))
+
+
 def test_matching_segments_parse(tmp_path):
     text = BASE.replace(
         "full = 1-2",

@@ -2,7 +2,8 @@
 
 Each case runs the CLI into a temporary directory and compares its artifacts
 with the files under ``tests/golden/<case>/``.  The stock cases derive their
-config from ``configs/default.ini`` with a shorter ``t_end``; the others keep
+config from ``configs/default.ini`` with one line changed (a shorter
+``t_end``, or ``eta_mode = analytic``); the others keep
 theirs next to the pinned files as ``run.ini``, except that ``sweep-2d``
 sweeps ``ring-2d``'s.  A command listed in ``STDOUT`` has its standard output
 pinned as a file of its own.
@@ -29,8 +30,10 @@ from hrnet.cli import main
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-# stock-config cases: t_end replacing the shipped 50.0
-STOCK_T_END = {"stock": "5.0", "sweep-p": "2.0"}
+# stock-config cases: the line each replaces in configs/default.ini, and its replacement
+STOCK_EDITS = {"stock": ("t_end = 50.0", "t_end = 5.0"),
+               "sweep-p": ("t_end = 50.0", "t_end = 2.0"),
+               "stock-analytic": ("eta_mode = discrete", "eta_mode = analytic")}
 
 # cases that run another case's run.ini
 SHARED_CONFIG = {"sweep-2d": "ring-2d"}
@@ -43,6 +46,8 @@ CASES = {
     "stock": ((["simulate"], ["constants"], ["constants", "--domain-only"]),
               ("trajectory.csv", "report.txt", "constants.csv",
                "constants.txt", "domain.txt")),
+    "stock-analytic": ((["constants"], ["constants", "--domain-only"]),
+                       ("constants.csv", "constants.txt", "domain.txt")),
     "ring-1d": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "ring-2d": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "sweep-p": ((["sweep", "--param", "p", "--values", "0,2,32"],),
@@ -53,10 +58,11 @@ CASES = {
 
 
 def config_text(case):
-    if case in STOCK_T_END:
+    if case in STOCK_EDITS:
+        old, new = STOCK_EDITS[case]
         text = (ROOT / "configs" / "default.ini").read_text()
-        assert "t_end = 50.0" in text
-        return text.replace("t_end = 50.0", f"t_end = {STOCK_T_END[case]}")
+        assert old in text
+        return text.replace(old, new)
     return (GOLDEN / SHARED_CONFIG.get(case, case) / "run.ini").read_text()
 
 

@@ -674,6 +674,18 @@ def test_tail_fraction_sets_the_sweep_tail():
     assert sweep_row(MetricsOptions(tail_fraction=1.0), 1.0, FRIENDLY, record)["tail"] == 1.0
 
 
+@pytest.mark.parametrize("t,fraction", [([0.0], 0.2), ([0.0], 1.0),
+                                        (np.linspace(0.0, 1.0, 11), 1.0)])
+def test_trailing_window_keeps_every_row_of_one_row_or_the_whole_range(t, fraction):
+    # row 0 holds the largest summed energy, so a tail maximum equal to it
+    # shows the sweep's window kept row 0; the fit's window holds every row
+    t = np.asarray(t)
+    record = synth_record(t, total=np.ones_like(t), stim=np.zeros_like(t), sync=np.exp(-t))
+    opts = MetricsOptions(tail_fraction=fraction, window_fraction=fraction)
+    assert sweep_row(opts, 1.0, FRIENDLY, record)["tail"] == 1.0
+    assert fit_sync_rate(record, opts).n_points == len(t)
+
+
 # ---------------------------------------------------------------------------
 # asynchronous degree
 # ---------------------------------------------------------------------------
@@ -703,6 +715,18 @@ def test_asynchronous_degree_uncoupled_constant_gap_oracle():
     ic = InitialCondition(kind="constant-per-neuron", u_values=(1.0, 0.0))
     deg = asynchronous_degree(params, domain, matching, cfg,
                               sample_count=3, seed=0, ic=ic)
+    assert deg == pytest.approx(2.0, rel=1e-12)
+
+
+def test_asynchronous_degree_of_a_one_row_run_is_its_initial_gap():
+    # t_end = 0 records the initial state alone, and the tail keeps it: the
+    # unit gap over |Omega| = 1, summed over both ordered pairs
+    params = HRParameters.default()
+    domain = build_domain(1, [1.0], [8])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    cfg = IntegratorConfig(t_end=0.0, scheme="explicit-rk4", dt=1e-3)
+    ic = InitialCondition(kind="constant-per-neuron", u_values=(1.0, 0.0))
+    deg = asynchronous_degree(params, domain, matching, cfg, sample_count=1, seed=0, ic=ic)
     assert deg == pytest.approx(2.0, rel=1e-12)
 
 
