@@ -76,8 +76,8 @@ class _Section:
         raise ConfigError(f"{self.path}: [{self.name}] {key}: {problem}")
 
     def read(self, key, kind="str", default=None, required=False):
-        """``key``'s value parsed as the type ``kind`` (its name, or the type),
-        or ``default`` where the key is absent."""
+        """``key``'s value parsed as the type named ``kind``, or ``default``
+        where the key is absent."""
         if key not in self.mapping:
             if required:
                 self._fail(key, "required key is missing")
@@ -87,7 +87,7 @@ class _Section:
             self._fail(key, "value is empty")
         if key in _CHOICES and value not in _CHOICES[key]:
             self._fail(key, f"must be one of {', '.join(_CHOICES[key])}; got {value!r}")
-        parse, expected = _PARSERS[kind if isinstance(kind, str) else kind.__name__]
+        parse, expected = _PARSERS[kind]
         try:
             return parse(value)
         except ValueError:

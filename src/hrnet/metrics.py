@@ -24,8 +24,6 @@ from .domain import BoundaryMatching, Domain, integrate_domain
 from .dynamics import InitialCondition, IntegratorConfig, NetworkState, simulate_ensemble
 from .errors import RunFailure
 
-SYNC_FLOOR = 1e-14
-
 
 @dataclass(frozen=True)
 class MetricsOptions:
@@ -36,7 +34,7 @@ class MetricsOptions:
     decay_tolerance: float = 0.10
     window_fraction: float = 0.5
     tail_fraction: float = 0.2
-    floor: float = SYNC_FLOOR
+    floor: float = 1e-14
 
     def __post_init__(self):
         # nan fails every comparison, so it would slip past the range checks
@@ -218,12 +216,12 @@ def record_trajectory(ic, params: HRParameters, domain: Domain,
                       consts: DerivedConstants) -> TrajectoryRecord:
     """Run one simulation and collect the full observable record.
 
-    On integration or linear-solve failure the partial record (rows up to
-    the failure) is attached to the raised error as ``partial_record``.
-    This is the one-member case of :func:`record_trajectories`.
+    On integration or linear-solve failure the :class:`~hrnet.errors.RunFailure`
+    is raised, the rows recorded up to the failure on its ``rows``.  This is
+    the one-member case of :func:`record_trajectories`.
     """
     (record,) = record_trajectories([ic], [params], domain, matching, cfg, [consts])
-    if isinstance(record, Exception):
+    if isinstance(record, RunFailure):
         raise record
     return record
 
@@ -235,20 +233,15 @@ def record_trajectories(ics, params_list, domain: Domain,
     collect each member's observable record.
 
     Returns, per member in order, its :class:`TrajectoryRecord` or the
-    :class:`~hrnet.errors.RunFailure` it failed with, the partial record
-    attached as ``partial_record`` (None without rows).
+    :class:`~hrnet.errors.RunFailure` it failed with, which holds the rows
+    recorded before the failure.
     """
     observers = [TrajectoryObserver(params, domain, matching, consts)
                  for params, consts in zip(params_list, consts_list)]
     results = simulate_ensemble(ics, params_list, domain, matching, cfg, observers)
-    records = []
-    for params, consts, result in zip(params_list, consts_list, results):
-        record = (TrajectoryRecord.from_rows(result.rows, params.n_neurons, consts)
-                  if result.rows else None)
-        if isinstance(result, Exception):
-            result.partial_record, record = record, result
-        records.append(record)
-    return records
+    return [result if isinstance(result, RunFailure)
+            else TrajectoryRecord.from_rows(result.rows, params.n_neurons, consts)
+            for params, consts, result in zip(params_list, consts_list, results)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +362,7 @@ def envelope_check(record: TrajectoryRecord, consts: DerivedConstants,
         seg_s = sync[k0:k1]
         env = amplitude * np.exp(-consts.mu * (seg_t - seg_t[0]))
         ratios = seg_s / (env * (1.0 + opts.decay_tolerance))
-        increases = seg_s[1:] / np.maximum(seg_s[:-1], SYNC_FLOOR)
+        increases = seg_s[1:] / np.maximum(seg_s[:-1], opts.floor)
         windows.append(DecayWindow(
             t_start=float(seg_t[0]),
             t_end=float(seg_t[-1]),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -180,16 +180,17 @@ def run_simulate(cfg: RunConfig, out_dir) -> int:
     """
     csv_path = os.path.join(out_dir, "trajectory.csv")
     report_path = os.path.join(out_dir, "report.txt")
+    consts = build_setup(cfg)
+    n = cfg.params.n_neurons
     try:
-        consts = build_setup(cfg)
         record = record_trajectory(cfg.ic, cfg.params, cfg.domain, cfg.matching,
                                    cfg.integrator, consts)
     except RunFailure as err:
-        partial = getattr(err, "partial_record", None)
-        atomic_write_text(csv_path, trajectory_csv(partial, cfg.params.n_neurons))
+        partial = TrajectoryRecord.from_rows(err.rows, n, consts) if err.rows else None
+        atomic_write_text(csv_path, trajectory_csv(partial, n))
         atomic_write_text(report_path, err.report() + "\n")
         return 3
-    atomic_write_text(csv_path, trajectory_csv(record, cfg.params.n_neurons))
+    atomic_write_text(csv_path, trajectory_csv(record, n))
     atomic_write_text(report_path,
                       simulation_report(record, consts, cfg.metrics))
     return 0
@@ -250,20 +251,17 @@ def sweep_row(metrics: MetricsOptions, value, consts, record) -> dict:
 def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
     """Run the sweep and return one result mapping per value, in order.
 
-    No sweepable parameter changes the domain, so its Poincare constants are
-    computed once.  The runnable values form one ensemble, split into at most
-    ``jobs`` contiguous batches of near-equal size, one task each
-    (:func:`run_tasks`); every row is the same as from a run of its own, for
-    any ``jobs``.
+    The runnable values form one ensemble, split into at most ``jobs``
+    contiguous batches of near-equal size, one task each (:func:`run_tasks`);
+    every row is the same as from a run of its own, for any ``jobs``.
     """
     check_sweepable(param)
-    pc = poincare_constants(cfg.domain, mode=cfg.eta_mode)
     rows = [None] * len(values)
     positions, params_list, consts_list = [], [], []
     for k, value in enumerate(values):
         try:
             params = cfg.params.replace(**{param: value})
-            consts = derive_constants(params, cfg.domain.omega_measure, pc.eta1, pc.eta2)
+            consts = build_setup(replace(cfg, params=params))
         except ValueError as err:
             rows[k] = {"value": value, "status": f"invalid({err})"}
             continue

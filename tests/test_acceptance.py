@@ -21,7 +21,7 @@ import hrnet.verify as verify
 from hrnet.config import MetricsOptions, load_config
 from hrnet.core import HRParameters, derive_constants
 from hrnet.domain import build_domain, full_boundary_matching, poincare_constants
-from hrnet.dynamics import InitialCondition, IntegratorConfig
+from hrnet.dynamics import InitialCondition, IntegratorConfig, cfl_bound
 from hrnet.errors import IntegrationError, LinearSolveError
 from hrnet.metrics import record_trajectories
 from hrnet.verify import CRITERIA, SWEEP_P_VALUES, format_result, run_all, run_criterion
@@ -97,6 +97,15 @@ def test_step_size_guard_names_the_bound_of_strong_coupling():
     result = run_criterion(13, strong)
     assert result.passed
     assert result.detail == "auto step size respects the bound 6.233378e-06 by construction"
+
+
+def test_step_size_guard_passes_a_numeric_step_within_the_bound():
+    cfg = load_config(STOCK_CONFIG)
+    integ = cfg.integrator.replace(scheme="explicit-rk4")
+    bound = cfl_bound(cfg.domain, cfg.params.d, cfg.params.p) * integ.cfl_safety
+    result = run_criterion(13, dataclasses.replace(cfg, integrator=integ.replace(dt=bound / 2)))
+    assert result.passed
+    assert result.detail == "configured dt 1.373291e-05 within the stability bound 2.746582e-05"
 
 
 def test_coupling_sweep_ignores_the_configured_floor(small_runs):
@@ -303,6 +312,19 @@ def test_conditional_decay_criterion_catches_a_rising_window(small_runs):
     result = seeded_result(9, small_runs, envelope=perturbed)
     assert not result.passed
     assert result.detail == "seed 100: decay envelope violated"
+
+
+def test_conditional_decay_criterion_counts_a_decaying_window(small_runs):
+    record = small_runs["envelope"][0]
+    stimulation, sync = record.stimulation_s.copy(), record.diff_energy_g.copy()
+    # above the per-pair threshold for rows 10..15, the difference energy halving
+    stimulation[10:16] = 2.0 * record.threshold_perpair[10:16]
+    sync[10:16] = sync[10] * 0.5 ** np.arange(6)[:, None]
+    decaying_window = dataclasses.replace(record, stimulation_s=stimulation, diff_energy_g=sync)
+    result = seeded_result(9, small_runs, envelope=[decaying_window], sweep=[])
+    assert result.passed
+    assert result.detail == ("1 above-threshold window(s) across 1 runs, all within the "
+                             "exponential envelope at 10% tolerance")
 
 
 def stub_own_runs(monkeypatch):

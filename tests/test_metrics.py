@@ -352,8 +352,8 @@ def test_record_from_rows_requires_rows():
         TrajectoryRecord.from_rows([], 2, FRIENDLY)
 
 
-def blown_up_record():
-    """The partial record of a run that overflows within its 10 steps."""
+def blown_up_rows():
+    """The rows kept by a run that overflows within its 10 steps, and its constants."""
     params = HRParameters.default()
     domain = build_domain(1, [1.0], [32])
     matching = full_boundary_matching(domain, 2, "1-2")
@@ -363,16 +363,21 @@ def blown_up_record():
     cfg = IntegratorConfig(t_end=10.0, scheme="explicit-rk4", dt=1.0, record_every=1)
     with pytest.raises(IntegrationError) as exc:
         record_trajectory(ic, params, domain, matching, cfg, consts)
-    return exc.value.partial_record
+    return exc.value.rows, consts
 
 
-def test_record_trajectory_attaches_partial_record_on_blowup():
-    partial = blown_up_record()
-    assert isinstance(partial, TrajectoryRecord)
-    assert partial.t[0] == 0.0
+def blown_up_record():
+    """The partial record of a run that overflows within its 10 steps."""
+    rows, consts = blown_up_rows()
+    return TrajectoryRecord.from_rows(rows, 2, consts)
+
+
+def test_record_trajectory_keeps_rows_on_blowup():
+    rows, _ = blown_up_rows()
+    assert 0 < len(rows) < 11
+    assert rows[0][ROW.index("t")] == 0.0
     # recorded rows predate the failure, so all finite
-    for name in TrajectoryRecord.SCALAR_FIELDS + ("weighted_energy", "diff_energy_g"):
-        assert np.isfinite(getattr(partial, name)).all(), name
+    assert np.isfinite(np.array(rows)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +668,17 @@ def test_floor_decides_already_synchronized():
                           sync=np.full_like(t, 1e-10))
     assert not fit_sync_rate(record).already_synchronized
     assert fit_sync_rate(record, MetricsOptions(floor=1e-8)).already_synchronized
+
+
+def test_floor_clamps_the_window_monotonicity():
+    # inside one above-threshold window the pair energy rises from 2e-13 to
+    # 1e-12: growth at the default floor, two zeros at floor 1e-10
+    consts = derive_constants(HRParameters.default(), 1.0, 9.0, 9.0)
+    stim = 2.0 * consts.big_r_alt * consts.omega_measure
+    rows = [[t, 1.0, 1.0, stim, 0.0, 0.0, pair] for t, pair in ((0.0, 2e-13), (1.0, 1e-12))]
+    record = TrajectoryRecord.from_rows(rows, 2, consts)
+    assert not envelope_check(record, consts).windows[0].monotonic_ok
+    assert envelope_check(record, consts, MetricsOptions(floor=1e-10)).windows[0].monotonic_ok
 
 
 def test_tail_fraction_sets_the_sweep_tail():
