@@ -32,6 +32,7 @@ from .runner import (
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
+EXIT_RUN = 3
 EXIT_VERIFY = 4
 EXIT_OUTPUT = 5
 
@@ -91,11 +92,10 @@ def _constants(cfg, out_dir, args) -> int:
 
 
 def _simulate(cfg, out_dir, args) -> int:
-    code = run_simulate(cfg, out_dir)
-    if code != EXIT_OK:
-        print("run failed; partial trajectory flushed, see report.txt",
-              file=sys.stderr)
-    return code
+    if run_simulate(cfg, out_dir) is None:
+        return EXIT_OK
+    print("run failed; partial trajectory flushed, see report.txt", file=sys.stderr)
+    return EXIT_RUN
 
 
 def _sweep(cfg, out_dir, args) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_PROFILE, HRParameters
 from .domain import BoundaryMatching, Domain, build_domain, full_boundary_matching, parse_matching
-from .dynamics import IC_KINDS, SCHEMES, InitialCondition, IntegratorConfig
+from .dynamics import IC_KINDS, SCHEMES, InitialCondition, IntegratorConfig, resolve_dt
 from .errors import ConfigError, MatchingError
 from .metrics import MetricsOptions
 
@@ -232,7 +232,9 @@ def load_config(path, seed=None) -> RunConfig:
     n = params.n_neurons
     ic = _build(_section(path, parser, "initial"), InitialCondition,
                 lengths={"u_values": n, "v_values": n, "w_values": n, "center": domain.dim})
-    integrator = _build(_section(path, parser, "integrator"), IntegratorConfig)
+    # the step size and step count the run resolves to, checked once here
+    integrator = _build(_section(path, parser, "integrator"), IntegratorConfig,
+                        check=lambda built: resolve_dt(built, domain, params))
     metrics = _build(_section(path, parser, "metrics"), MetricsOptions)
     output_dir = _section(path, parser, "output").read("directory", default="out")
 

@@ -65,7 +65,8 @@ class Domain:
 
 
 def build_domain(dim: int, extents, cells) -> Domain:
-    """Construct the grid; rejects 3D and degenerate shapes.
+    """Construct the grid; rejects 3D and degenerate shapes, and a grid whose
+    cell volume, |Omega| or Poincare constants leave float range.
 
     Flat cell index runs x-major in 2D: ``cell = ix * ny + iy``.
     """
@@ -101,7 +102,7 @@ def build_domain(dim: int, extents, cells) -> Domain:
         face_area = np.repeat([hy, hx], [2 * ny, 2 * nx])
         face_pos = np.concatenate([np.tile((iy + 0.5) * hy, 2), np.tile((ix + 0.5) * hx, 2)])
 
-    return Domain(
+    domain = Domain(
         dim=dim,
         extents=extents,
         cells=cells,
@@ -115,6 +116,18 @@ def build_domain(dim: int, extents, cells) -> Domain:
         face_area=np.asarray(face_area, dtype=np.float64),
         face_pos=np.asarray(face_pos, dtype=np.float64),
     )
+    # float ** and / raise where numpy gives inf or nan: an analytic eta1 past
+    # float range, or eta2 on |Omega| = 0
+    try:
+        with np.errstate(over="ignore"):
+            pcs = [poincare_constants(domain, mode) for mode in ("discrete", "analytic")]
+        etas = [eta for pc in pcs for eta in (pc.eta1, pc.eta2)]
+    except ArithmeticError:
+        etas = [math.inf]
+    if not all(0.0 < x < math.inf for x in (cell_volume, omega_measure, *etas)):
+        raise ValueError(f"extents {extents} on cells {cells} leave float range: the cell "
+                         f"volume, |Omega|, eta1 and eta2 must be finite and > 0")
+    return domain
 
 
 @dataclass(frozen=True, eq=False)

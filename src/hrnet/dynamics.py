@@ -220,14 +220,20 @@ def cfl_bound(domain: Domain, d: float, p: float = 0.0) -> float:
 
 
 def resolve_dt(cfg: IntegratorConfig, domain: Domain, params: HRParameters):
-    """Pick (dt, n_steps) with n_steps * dt = t_end exactly."""
+    """Pick (dt, n_steps) with n_steps * dt = t_end exactly; a step size that
+    is not positive or a step count past float range is a ValueError."""
     if isinstance(cfg.dt, str):
         target = cfg.cfl_safety * cfl_bound(domain, params.d, params.p)
     else:
         target = float(cfg.dt)
+    if not target > 0:
+        raise ValueError(f"the step size {target:.6g} is not positive")
     if cfg.t_end == 0.0:
         return target, 0
-    n_steps = max(1, math.ceil(cfg.t_end / target - 1e-12))
+    count = cfg.t_end / target - 1e-12
+    if not math.isfinite(count):
+        raise ValueError(f"t_end / dt = {cfg.t_end:.6g} / {target:.6g} is too many steps to count")
+    n_steps = max(1, math.ceil(count))
     return cfg.t_end / n_steps, n_steps
 
 
@@ -573,37 +579,31 @@ class Integrator:
         v2 = state.v + dt * dv
         w2 = state.w + dt * dw
         du *= dt
-        du += state.u  # u + dt du, in du's buffer
-        ustar = du
-        u2 = self._solver.solve(ustar)
-        rhs = ustar.reshape(ustar.shape[0], -1)
+        du += state.u  # u + dt du, in du's buffer: the solve's right-hand side
+        u2 = self._solver.solve(du)
+        rhs = du.reshape(du.shape[0], -1)
         residuals = (self._solver.system @ u2.ravel()).reshape(rhs.shape)
         residuals -= rhs
         # every member's squared residual and right-hand side norms, two row reductions
         residual = np.vecdot(residuals, residuals)
         scale = np.maximum(np.vecdot(rhs, rhs), 1.0)
         passed = residual <= self.cfg.linear_tol ** 2 * scale
-        errors = {}
-        for b in () if passed.all() else np.flatnonzero(~passed).tolist():
-            # a non-finite explicit update leaves the member's new state
-            # non-finite: the caller's health check reports it, not the solve
-            if all(np.isfinite(x[b]).all() for x in (rhs, v2, w2)):
-                errors[b] = LinearSolveError(
-                    f"backward Euler solve at t={state.t:.6g}: residual "
-                    f"{math.sqrt(residual[b]):.3e} exceeds tolerance "
-                    f"{self.cfg.linear_tol:.3e} (scale {math.sqrt(scale[b]):.3e})"
-                )
+        failed = () if passed.all() else np.flatnonzero(~passed).tolist()
+        errors = {b: LinearSolveError(
+            f"backward Euler solve at t={state.t:.6g}: residual {math.sqrt(residual[b]):.3e} "
+            f"exceeds tolerance {self.cfg.linear_tol:.3e} (scale {math.sqrt(scale[b]):.3e})")
+            for b in failed}
         return NetworkState(state.t + dt, u2, v2, w2), errors
 
     def step(self, state: NetworkState):
         """Advance the batch ``state`` of (B, N, cells) arrays by one step.
 
         Returns ``(state, errors)``: ``errors`` maps the batch position of
-        each member whose implicit solve failed the residual guard on finite
-        data to its :class:`LinearSolveError`; the returned state is valid
-        for every other member whose values are all finite.  A member whose
-        explicit update is non-finite gets a non-finite state and no entry:
-        the caller checks the state's health.  A run of zero steps
+        each member whose implicit solve failed the residual guard to its
+        :class:`LinearSolveError`; the returned state is valid for every
+        other member whose values are all finite.  The caller checks the
+        state's health, and a member whose new state is non-finite failed
+        integration, whatever the guard said.  A run of zero steps
         (``t_end = 0``) prepares no solver and has nothing to step: it
         raises :class:`ValueError`.
         """
@@ -621,8 +621,6 @@ class SimulationResult:
     state: NetworkState
     times: list = field(default_factory=list)
     rows: list = field(default_factory=list)
-    dt: float = 0.0
-    n_steps: int = 0
 
 
 def simulate(ic, params: HRParameters, domain: Domain, matching,
@@ -632,11 +630,11 @@ def simulate(ic, params: HRParameters, domain: Domain, matching,
     ``ic`` is an InitialCondition or a prebuilt NetworkState (taken as t=0
     data).  The observer is called with each recorded state (including the
     initial one and the final step) and its return values are collected in
-    order.  A non-finite state, or a non-finite explicit update ahead of the
-    implicit solve, aborts with :class:`IntegrationError` carrying the
-    failure time, the largest finite |u| seen, and the rows recorded so far,
-    so partial output can still be flushed; a failed implicit solve raises
-    :class:`LinearSolveError` with those rows attached.
+    order.  A non-finite state aborts with :class:`IntegrationError`
+    carrying the failure time, the largest finite |u| seen, and the rows
+    recorded so far, so partial output can still be flushed; otherwise a
+    failed implicit solve raises :class:`LinearSolveError` with those rows
+    attached.
 
     This is the one-member case of :func:`simulate_ensemble`.
     """
@@ -715,13 +713,11 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
             if not math.isfinite(state.u.sum() + state.v.sum() + state.w.sum()):
                 finite = np.all([np.isfinite(x).all(axis=(1, 2))
                                  for x in (state.u, state.v, state.w)], axis=0)
-                for i in np.flatnonzero(~finite).tolist():
-                    errors.setdefault(i, None)
+                for i in np.flatnonzero(~finite).tolist():  # replaces any guard error
+                    errors[i] = IntegrationError(state.t, float(seen[i].max()))
             for i, err in errors.items():
                 if i not in failed:
                     failed.add(i)
-                    if err is None:
-                        err = IntegrationError(state.t, float(seen[i].max()))
                     err.rows = rows[i]
                     results[members[i]] = err
                 # zeros keep the health check on its one-sum path; nothing reads them
@@ -737,5 +733,4 @@ def _run_batch(members, starts, params_list, domain, matching, cfg, observers, r
     for i, b in enumerate(members):
         if i not in failed:
             results[b] = SimulationResult(state=_member(state, i), times=list(times),
-                                          rows=rows[i], dt=stepper.dt,
-                                          n_steps=stepper.n_steps)
+                                          rows=rows[i])

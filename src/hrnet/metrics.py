@@ -97,12 +97,6 @@ class KResult:
     boundary_diff_full: float
     matched_gap: float
 
-    @property
-    def ek_ratio(self) -> float:
-        if self.boundary_diff_full == 0.0:
-            return math.nan
-        return self.k_sum / self.boundary_diff_full
-
 
 def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
     """Every boundary observable of ``state``, from one gather of its face values."""

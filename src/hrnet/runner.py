@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import math
 import os
 from dataclasses import fields, replace
 
@@ -21,6 +22,7 @@ import numpy as np
 from .config import RunConfig
 from .core import DerivedConstants, HRParameters, derive_constants
 from .domain import poincare_constants
+from .dynamics import resolve_dt
 from .errors import ConfigError, RunFailure
 from .metrics import (
     MetricsOptions,
@@ -38,8 +40,10 @@ FLOAT_FMT = "%.16e"
 # parameters a sweep may scan: every scalar model constant
 SWEEPABLE = tuple(f.name for f in fields(HRParameters) if f.name != "n_neurons")
 
-SWEEP_COLUMNS = ("value", "tail_dE_G", "rate", "mu",
-                 "crossed_literal", "crossed_perpair", "status")
+# sweep.csv's columns in order, each with the value a failed or invalid run's
+# row takes where it has none (every row has a value and a status)
+SWEEP_COLUMNS = {"value": None, "tail_dE_G": math.nan, "rate": math.nan, "mu": math.nan,
+                 "crossed_literal": False, "crossed_perpair": False, "status": None}
 
 
 def fmt_float(x) -> str:
@@ -133,22 +137,16 @@ def run_constants(cfg: RunConfig, out_dir, domain_only=False) -> str:
 COLUMN_NAMES = {"stimulation_s": "stimulation_S", "k_sum": "K_sum"}
 
 
-def trajectory_header(n_neurons: int) -> str:
-    pair_cols = [f"dE_{i + 1}_{j + 1}" for i in range(n_neurons)
-                 for j in range(i + 1, n_neurons)]
-    return ",".join([COLUMN_NAMES.get(name, name) for name in TrajectoryRecord.SCALAR_FIELDS]
-                    + pair_cols)
-
-
-def trajectory_csv(record: TrajectoryRecord | None, n_neurons: int) -> str:
-    lines = [trajectory_header(n_neurons)]
-    if record is not None:
-        for k in range(len(record)):
-            # the scalar columns, in header order
-            cells = [fmt_float(getattr(record, name)[k])
-                     for name in TrajectoryRecord.SCALAR_FIELDS]
-            cells += [fmt_float(v) for v in record.diff_energy_g[k]]
-            lines.append(",".join(cells))
+def trajectory_csv(record: TrajectoryRecord) -> str:
+    n = record.n_neurons
+    pair_cols = [f"dE_{i + 1}_{j + 1}" for i in range(n) for j in range(i + 1, n)]
+    lines = [",".join([COLUMN_NAMES.get(name, name) for name in TrajectoryRecord.SCALAR_FIELDS]
+                      + pair_cols)]
+    for k in range(len(record)):
+        # the scalar columns, in header order
+        cells = [fmt_float(getattr(record, name)[k]) for name in TrajectoryRecord.SCALAR_FIELDS]
+        cells += [fmt_float(v) for v in record.diff_energy_g[k]]
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -171,29 +169,26 @@ def simulation_report(record: TrajectoryRecord, consts: DerivedConstants,
     return "\n".join(lines) + "\n"
 
 
-def run_simulate(cfg: RunConfig, out_dir) -> int:
+def run_simulate(cfg: RunConfig, out_dir) -> RunFailure | None:
     """Simulate per config, writing trajectory.csv and report.txt.
 
-    Returns the process exit code: 0 on completion, 3 on an integration or
-    linear-solve failure (with the trajectory rows recorded so far flushed
-    and the failure named in report.txt).
+    Returns None on completion, or the :class:`RunFailure` the run stopped
+    with, after flushing the rows recorded so far and naming the failure in
+    report.txt.
     """
-    csv_path = os.path.join(out_dir, "trajectory.csv")
-    report_path = os.path.join(out_dir, "report.txt")
     consts = build_setup(cfg)
-    n = cfg.params.n_neurons
     try:
         record = record_trajectory(cfg.ic, cfg.params, cfg.domain, cfg.matching,
                                    cfg.integrator, consts)
     except RunFailure as err:
-        partial = TrajectoryRecord.from_rows(err.rows, n, consts) if err.rows else None
-        atomic_write_text(csv_path, trajectory_csv(partial, n))
-        atomic_write_text(report_path, err.report() + "\n")
-        return 3
-    atomic_write_text(csv_path, trajectory_csv(record, n))
-    atomic_write_text(report_path,
-                      simulation_report(record, consts, cfg.metrics))
-    return 0
+        # the time loop observes t = 0 before its first step: rows is never empty
+        record = TrajectoryRecord.from_rows(err.rows, cfg.params.n_neurons, consts)
+        failure, report = err, err.report() + "\n"
+    else:
+        failure, report = None, simulation_report(record, consts, cfg.metrics)
+    atomic_write_text(os.path.join(out_dir, "trajectory.csv"), trajectory_csv(record))
+    atomic_write_text(os.path.join(out_dir, "report.txt"), report)
+    return failure
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +225,20 @@ def check_sweepable(param: str):
 
 
 def sweep_row(metrics: MetricsOptions, value, consts, record) -> dict:
-    """One sweep row: the tail maximum of the summed difference energy, the
-    fitted rate and the threshold crossings of ``record``, or the status of
-    the error it failed with."""
+    """One sweep row, keyed by ``SWEEP_COLUMNS``: the tail maximum of the
+    summed difference energy, the fitted rate and the threshold crossings of
+    ``record``, or the status of the error it failed with."""
     if isinstance(record, RunFailure):
         return {"value": value, "status": record.sweep_status, "mu": consts.mu}
     tail = record.sync_total()[trailing_window(record.t, metrics.tail_fraction)]
-    fit = fit_sync_rate(record, metrics)
     return {
         "value": value,
-        "status": "ok",
-        "tail": float(tail.max()),
-        "rate": fit.rate,
+        "tail_dE_G": float(tail.max()),
+        "rate": fit_sync_rate(record, metrics).rate,
         "mu": consts.mu,
         "crossed_literal": bool(np.any(record.stimulation_s > record.threshold_literal)),
         "crossed_perpair": bool(np.any(record.stimulation_s > record.threshold_perpair)),
+        "status": "ok",
     }
 
 
@@ -262,6 +256,7 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
         try:
             params = cfg.params.replace(**{param: value})
             consts = build_setup(replace(cfg, params=params))
+            resolve_dt(cfg.integrator, cfg.domain, params)  # an auto step depends on d and p
         except ValueError as err:
             rows[k] = {"value": value, "status": f"invalid({err})"}
             continue
@@ -278,16 +273,15 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
     return rows
 
 
+def _sweep_cell(value) -> str:
+    if isinstance(value, str):  # the status
+        return value.replace(",", ";")
+    return str(int(value)) if isinstance(value, bool) else fmt_float(value)
+
+
 def sweep_csv(rows) -> str:
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
-        if row["status"] == "ok":
-            cells = [fmt_float(row[key]) for key in ("value", "tail", "rate", "mu")]
-            cells += ["1" if row[key] else "0" for key in ("crossed_literal", "crossed_perpair")]
-            cells.append("ok")
-        else:
-            cells = [fmt_float(row["value"]), "nan", "nan",
-                     fmt_float(row.get("mu", float("nan"))), "0", "0",
-                     row["status"].replace(",", ";")]
-        lines.append(",".join(cells))
+        row = {**SWEEP_COLUMNS, **row}
+        lines.append(",".join(_sweep_cell(row[name]) for name in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"

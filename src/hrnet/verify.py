@@ -320,7 +320,7 @@ def _criterion_coupling_sweep(cfg: RunConfig, runs):
     metrics = MetricsOptions()
     rows = [sweep_row(metrics, p, record.consts, record)
             for p, record in zip(SWEEP_P_VALUES, runs["sweep"])]
-    clamped = [max(row["tail"], metrics.floor) for row in rows]
+    clamped = [max(row["tail_dE_G"], metrics.floor) for row in rows]
     monotone = all(clamped[k + 1] <= clamped[k] * 1.05
                    for k in range(len(clamped) - 1))
     last = rows[-1]
@@ -328,7 +328,7 @@ def _criterion_coupling_sweep(cfg: RunConfig, runs):
     below = final_sync <= 1e-8
     rate_ok = last["rate"] > 0
     passed = monotone and below and rate_ok
-    tail_text = ", ".join(f"p={row['value']:g}: {row['tail']:.2e}" for row in rows)
+    tail_text = ", ".join(f"p={row['value']:g}: {row['tail_dE_G']:.2e}" for row in rows)
     return passed, (f"tails ({tail_text}) non-increasing with floor {metrics.floor:g}: "
                     f"{monotone}; p={last['value']:g} final {final_sync:.2e} <= 1e-8: "
                     f"{below}; fitted rate {last['rate']:.4g} > 0 "
@@ -378,10 +378,11 @@ def _criterion_k_probe(cfg: RunConfig, runs):
     rel_sum = abs(res.k_sum - want_sum) / want_sum
     rel_diff = abs(res.boundary_diff_full - want_diff) / want_diff
     passed = rel_sum <= 1e-10 and rel_diff <= 1e-10
+    ratio = res.k_sum / res.boundary_diff_full  # the gap is 2 d^2 |Gamma| > 0
     return passed, (f"u1 - u2 = {delta}: summed K = {res.k_sum:.12g} "
                     f"(4 d^2 |Gamma|, rel {rel_sum:.1e}), full boundary gap "
                     f"= {res.boundary_diff_full:.12g} (2 d^2 |Gamma|, rel "
-                    f"{rel_diff:.1e}); measured ratio {res.ek_ratio:.6g} — the "
+                    f"{rel_diff:.1e}); measured ratio {ratio:.6g} — the "
                     f"factor-2 discrepancy is documented output, not a failure")
 
 
@@ -392,9 +393,9 @@ def _criterion_k_probe(cfg: RunConfig, runs):
 def _criterion_determinism(cfg: RunConfig, runs):
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [os.path.join(tmp, name) for name in ("a", "b")]
-        codes = [run_simulate(cfg, out_dir) for out_dir in dirs]
-        if any(codes):
-            return False, f"stock simulation failed (exit {codes[0]}, {codes[1]})"
+        for out_dir in dirs:
+            if (failure := run_simulate(cfg, out_dir)) is not None:
+                raise failure  # run_criterion reports it in the failure's own words
         bytes_a, bytes_b = (pathlib.Path(out_dir, "trajectory.csv").read_bytes()
                             for out_dir in dirs)
     identical = bytes_a == bytes_b

@@ -184,7 +184,7 @@ def test_determinism_criterion_catches_a_changed_rerun(monkeypatch, tmp_path):
         runs.append(out_dir)
         pathlib.Path(out_dir).mkdir()
         (pathlib.Path(out_dir) / "trajectory.csv").write_text(f"run {len(runs)}\n")
-        return 0
+        return None  # completed
 
     monkeypatch.setattr(verify, "run_simulate", run_simulate)
     monkeypatch.setattr(verify, "sweep_rows", lambda cfg, param, values, jobs: [
@@ -194,6 +194,16 @@ def test_determinism_criterion_catches_a_changed_rerun(monkeypatch, tmp_path):
     assert not result.passed
     assert result.detail == ("repeated stock run byte-identical: False (6 bytes); "
                              "duplicate sweep values give identical rows: True")
+
+
+def test_determinism_criterion_words_a_failed_stock_run_as_report_txt(tmp_path):
+    cfg = load_config(STOCK_CONFIG)
+    cfg = dataclasses.replace(cfg, integrator=cfg.integrator.replace(linear_tol=1e-30))
+    assert isinstance(verify.run_simulate(cfg, tmp_path), LinearSolveError)
+    result = run_criterion(11, cfg)
+    assert not result.passed
+    assert result.detail + "\n" == (tmp_path / "report.txt").read_text()
+    assert result.detail.startswith("linear solve failed: backward Euler solve at t=0: ")
 
 
 def test_async_degree_criterion_catches_a_zero_estimate(monkeypatch):

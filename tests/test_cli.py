@@ -12,7 +12,7 @@ from hrnet.cli import _COMMANDS, build_parser, main
 from hrnet.config import load_config
 from hrnet.core import DerivedConstants, HRParameters
 from hrnet.domain import build_domain, poincare_constants
-from hrnet.runner import SWEEPABLE, build_setup, check_sweepable
+from hrnet.runner import SWEEPABLE, build_setup, check_sweepable, run_simulate
 
 RING_2D = pathlib.Path(__file__).resolve().parent / "golden" / "ring-2d" / "run.ini"
 
@@ -287,6 +287,12 @@ def test_simulate_synchronized_ic_has_zero_diff_columns(tmp_path):
         assert abs(float(row.split(",")[-1])) <= 1e-18
 
 
+def test_run_simulate_returns_none_on_completion(tmp_path):
+    path, out = write_config(tmp_path)
+    assert run_simulate(load_config(path), out) is None
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt", "trajectory.csv"]
+
+
 def test_simulate_rerun_byte_identical(tmp_path):
     path, out = write_config(tmp_path)
     assert main(["simulate", "--config", str(path)]) == 0
@@ -554,6 +560,46 @@ def test_failed_artifact_write_leaves_no_temp_file(tmp_path, capsys):
         assert capsys.readouterr().err == (f"output error: cannot write {out / artifact}: "
                                            f"Is a directory\n")
         assert [p.name for p in out.iterdir()] == [artifact]
+
+
+# finite settings whose step or grid leaves float range: each once ended in
+# exit 1 with a traceback
+OUT_OF_RANGE = {
+    "step count": ({"t_end = 0.1": "t_end = 1e300", "dt = 1e-2": "dt = 1e-10"}, "[integrator]"),
+    "step size": ({"scheme = imex-euler": "scheme = explicit-rk4",
+                   "dt = 1e-2": "dt = auto\ncfl_safety = 5e-324"}, "[integrator]"),
+    "long interval": ({"extents = 1.0": "extents = 1e300"}, "[domain]"),
+    "short interval": ({"extents = 1.0": "extents = 1e-300"}, "[domain]"),
+    "large square": ({"dim = 1": "dim = 2", "extents = 1.0": "extents = 1e200, 1e200",
+                      "cells = 16": "cells = 4, 4"}, "[domain]"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_setting_outside_float_range_exit_2(tmp_path, capsys, case, command):
+    changes, section = OUT_OF_RANGE[case]
+    text = FAST
+    for old, new in changes.items():
+        text = replace_line(text, old, new)
+    path, out = write_config(tmp_path, text)
+    extra = ["--param", "p", "--values", "1.0"] if command == "sweep" else []
+    assert main([command, "--config", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: {section}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_sweep_value_whose_auto_step_underflows_marks_row_invalid(tmp_path):
+    # the config's own step is a positive subnormal; at p = 1e300 it is 0
+    text = replace_line(FAST, "scheme = imex-euler", "scheme = explicit-rk4")
+    text = replace_line(text, "dt = 1e-2", "dt = auto\ncfl_safety = 1e-310")
+    path, out = write_config(tmp_path, replace_line(text, "t_end = 0.1", "t_end = 0.0"))
+    assert main(["sweep", "--config", str(path), "--param", "p", "--values", "2,1e300"]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert lines[1].endswith(",ok")
+    assert lines[2] == ("1.0000000000000001e+300,nan,nan,nan,0,0,"
+                        "invalid(the step size 0 is not positive)")
 
 
 def test_sweep_invalid_value_marks_row_and_continues(tmp_path):

@@ -9,7 +9,8 @@ by a directory.  Whatever happens:
 
 - the exit code is one of README's (an argument the parser rejects exits 2
   through ``SystemExit``), and no other exception escapes;
-- exit 2 leaves the file tree as it was;
+- a config that cannot run exits 2, and exit 2 leaves the file tree as it
+  was;
 - no ``*.tmp`` file is ever left behind;
 - exit 3 from ``simulate`` leaves ``trajectory.csv``, and ``report.txt``
   starts with the failure's report word and `` failed: ``.
@@ -38,8 +39,7 @@ n_neurons = 2
 
 [domain]
 dim = 1
-extents = 1.0
-cells = {cells}
+{domain}
 
 [matching]
 full = 1-2
@@ -57,18 +57,27 @@ directory = {out}
 
 STABLE = "scheme = imex-euler\ndt = 1e-2\nt_end = 0.02"
 RANDOM = "kind = uniform-random\nseed = 3"
-# config name -> (cells, [initial], [integrator], the report word of simulate's failure)
+FOUR = "extents = 1.0\ncells = 4"
+# config name -> ([domain] extents and cells, [initial], [integrator], the
+# report word of simulate's failure)
 CONFIGS = {
-    "ok": (4, RANDOM, STABLE, None),
+    "ok": (FOUR, RANDOM, STABLE, None),
     # no backward Euler residual meets 1e-30: the first step fails
-    "linear": (4, RANDOM, STABLE + "\nlinear_tol = 1e-30", LinearSolveError.report_word),
+    "linear": (FOUR, RANDOM, STABLE + "\nlinear_tol = 1e-30", LinearSolveError.report_word),
     # far above the stability bound: the cubic reaction overflows within 10 steps
-    "blowup": (4, "kind = constant-per-neuron\nu_values = 50.0, -50.0",
+    "blowup": (FOUR, "kind = constant-per-neuron\nu_values = 50.0, -50.0",
                "scheme = explicit-rk4\ndt = 1.0\nt_end = 10.0", IntegrationError.report_word),
-    "invalid": (2, RANDOM, STABLE, None),
+    "invalid": ("extents = 1.0\ncells = 2", RANDOM, STABLE, None),
+    # a step count past float range
+    "steps": (FOUR, RANDOM, "scheme = imex-euler\ndt = 1e-10\nt_end = 1e300", None),
+    # eta1 and eta2 underflow to 0
+    "domain": ("extents = 1e300\ncells = 4", RANDOM, STABLE, None),
     "missing": None,
 }
-CONFIG_DRAWS = ["ok", "ok", "linear", "linear", "blowup", "blowup", "invalid", "missing"]
+# the configs every command but verify --list rejects with exit 2
+BROKEN = {"invalid", "steps", "domain", "missing"}
+CONFIG_DRAWS = ["ok", "ok", "linear", "linear", "blowup", "blowup", "invalid", "steps",
+                "domain", "missing"]
 ARTIFACTS = ("constants.csv", "trajectory.csv", "report.txt", "sweep.csv", "verify_report.txt")
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -110,8 +119,8 @@ def lay_out(root: pathlib.Path, config: str, out: str):
     """Write the config and the output location; return (config path, --out or None)."""
     path = root / "run.ini"
     if CONFIGS[config] is not None:
-        cells, initial, integrator, _ = CONFIGS[config]
-        path.write_text(TINY.format(cells=cells, initial=initial, integrator=integrator,
+        domain, initial, integrator, _ = CONFIGS[config]
+        path.write_text(TINY.format(domain=domain, initial=initial, integrator=integrator,
                                     out=root / "from-config"))
     (root / "a-file").write_text("not a directory\n")
     (root / "existing").mkdir()
@@ -149,6 +158,8 @@ def guard_only(cfg, jobs=1):
 @example(("ok", "taken:sweep.csv", ["sweep", "--param", "p", "--values=0,2", "--jobs=2"]))
 @example(("ok", "taken:report.txt", ["simulate", "--seed=4"]))
 @example(("ok", "file/sub", ["constants"]))
+@example(("steps", "new", ["sweep", "--param", "p", "--values=0,2"]))
+@example(("domain", "config", ["constants", "--domain-only"]))
 def test_main_keeps_its_exit_code_and_file_promises(invocation):
     config, out, argv = invocation
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -167,6 +178,8 @@ def test_main_keeps_its_exit_code_and_file_promises(invocation):
         assert code in EXIT_CODES, (argv, code)
         event(f"{argv[0]} exit {code}")
         after = tree(root)
+        if config in BROKEN and "--list" not in argv:
+            assert code == 2, argv
         if code == 2:
             assert after == before, argv
         assert not [name for name in after if name.endswith(".tmp")], argv

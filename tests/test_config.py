@@ -288,6 +288,32 @@ def test_integrator_dt_auto(tmp_path):
     assert load_config(write(tmp_path, text)).integrator.dt == "auto"
 
 
+@pytest.mark.parametrize("changes,message", [
+    ({"t_end = 0.5": "t_end = 1e300", "dt = 1e-2": "dt = 1e-10"},
+     "t_end / dt = 1e+300 / 1e-10 is too many steps to count"),
+    ({"scheme = imex-euler": "scheme = explicit-rk4",
+      "dt = 1e-2": "dt = auto\ncfl_safety = 5e-324"}, "the step size 0 is not positive"),
+])
+def test_integrator_step_outside_float_range_located(tmp_path, changes, message):
+    text = BASE
+    for old, new in changes.items():
+        text = text.replace(old, new)
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}: [integrator]: {message}"
+
+
+@pytest.mark.parametrize("domain", ["dim = 1\nextents = 1e300\ncells = 16",
+                                    "dim = 1\nextents = 1e-300\ncells = 16",
+                                    "dim = 2\nextents = 1e200, 1e200\ncells = 4, 4"])
+def test_domain_outside_float_range_located(tmp_path, domain):
+    path = write(tmp_path, BASE.replace("dim = 1\nextents = 1.0\ncells = 16", domain))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: \[domain\]: extents "
+                                          rf".* leave float range: "):
+        load_config(path)
+
+
 def test_metrics_range_check_located(tmp_path):
     text = BASE.replace("tolerance = 0.05", "tolerance = -0.05")
     with pytest.raises(ConfigError, match=r"\[metrics\]"):

@@ -29,7 +29,7 @@ from hrnet.domain import (
     network_diffusion_matrix,
     parse_matching,
 )
-from hrnet.dynamics import IntegratorConfig, NetworkState, simulate
+from hrnet.dynamics import IntegratorConfig, NetworkState, resolve_dt, simulate
 
 RECORD_EVERY = 10
 
@@ -74,7 +74,7 @@ def record_ratios(domain, matching, p, scheme, dt, records=3):
                       lambda state: np.linalg.norm(state.u))
     norms = np.array(result.rows)
     assert len(norms) == records + 1
-    return lam, norms[1:] / norms[:-1], result.dt
+    return lam, norms[1:] / norms[:-1], resolve_dt(cfg, domain, reaction_off(p))[0]
 
 
 def amplification(scheme, z):

@@ -130,6 +130,19 @@ def test_build_domain_rejections():
         build_domain(2, [1.0], [8, 8])
 
 
+@pytest.mark.parametrize("extents,cells", [
+    ((1e300,), (8,)),  # eta1 and eta2 underflow to 0
+    ((1e-300,), (8,)),  # eta1 overflows; the analytic one by float ** (OverflowError)
+    ((1e200, 1e200), (4, 4)),  # the cell volume overflows
+    ((1e-200, 1e-200), (4, 4)),  # the cell volume underflows to 0 (ZeroDivisionError)
+])
+def test_build_domain_rejects_a_grid_outside_float_range(extents, cells):
+    with pytest.raises(ValueError) as exc:
+        build_domain(len(cells), extents, cells)
+    assert str(exc.value) == (f"extents {extents} on cells {cells} leave float range: the "
+                              f"cell volume, |Omega|, eta1 and eta2 must be finite and > 0")
+
+
 # ---------------------------------------------------------------------------
 # matching
 # ---------------------------------------------------------------------------

@@ -235,6 +235,22 @@ def test_imex_linear_tolerance_enforced():
         simulate(ic, params, domain, matching, cfg)
 
 
+def test_non_finite_update_fails_integration_whatever_the_guard_says():
+    # no residual meets 1e-30, so the guard fails both members at the first
+    # step; the member whose u^3 overflows has a non-finite new state, and
+    # the health check reports it as an integration failure
+    params, domain, matching = default_setup()
+    ics = [InitialCondition(kind="constant-per-neuron", u_values=(1e103, 0.0)),
+           InitialCondition(kind="uniform-random", seed=3)]
+    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=1e-2, linear_tol=1e-30)
+    blown, unsolved = simulate_ensemble(ics, [params] * 2, domain, matching, cfg)
+    assert type(blown) is IntegrationError
+    assert (blown.t, blown.max_abs_u) == (1e-2, 1e103)
+    assert type(unsolved) is LinearSolveError
+    assert str(unsolved).startswith("backward Euler solve at t=0: residual ")
+    assert len(blown.rows) == len(unsolved.rows) == 1
+
+
 # ---------------------------------------------------------------------------
 # config and dt resolution
 # ---------------------------------------------------------------------------
@@ -262,6 +278,20 @@ def test_resolve_dt_lands_on_t_end():
     dt, n = resolve_dt(cfg, domain, params)
     assert n * dt == pytest.approx(1.0, rel=1e-15)
     assert dt <= 3e-4 * (1 + 1e-9)
+
+
+def test_resolve_dt_rejects_a_step_that_underflows_to_zero():
+    params, domain, _ = default_setup()
+    cfg = IntegratorConfig(t_end=1.0, scheme="explicit-rk4", dt="auto", cfl_safety=5e-324)
+    with pytest.raises(ValueError, match=r"^the step size 0 is not positive$"):
+        resolve_dt(cfg, domain, params)
+
+
+def test_resolve_dt_rejects_a_step_count_past_float_range():
+    params, domain, _ = default_setup()
+    cfg = IntegratorConfig(t_end=1e300, dt=1e-10)
+    with pytest.raises(ValueError, match=r"^t_end / dt = 1e\+300 / 1e-10 is too many steps"):
+        resolve_dt(cfg, domain, params)
 
 
 def test_auto_dt_respects_stability_bound():
@@ -380,10 +410,11 @@ def test_initial_condition_rejects_non_finite_settings(name, value):
 def test_zero_horizon_records_only_initial_row():
     params, domain, matching = default_setup()
     ic = InitialCondition(kind="uniform-random", seed=1)
-    res = simulate(ic, params, domain, matching, IntegratorConfig(t_end=0.0))
+    cfg = IntegratorConfig(t_end=0.0)
+    res = simulate(ic, params, domain, matching, cfg)
     assert res.times == [0.0]
     assert len(res.rows) == 1
-    assert res.n_steps == 0
+    assert resolve_dt(cfg, domain, params)[1] == 0
 
 
 def test_simulate_is_bit_deterministic():
@@ -405,7 +436,7 @@ def test_record_cadence_and_final_step():
     seen = []
     res = simulate(ic, params, domain, matching, cfg, observer=lambda s: s.t)
     # 10 steps: records at 0, 3, 6, 9 and the final step 10
-    assert res.n_steps == 10
+    assert resolve_dt(cfg, domain, params)[1] == 10
     assert len(res.times) == 5
     assert res.times[-1] == pytest.approx(0.01, rel=1e-15)
     assert res.rows == res.times

@@ -43,7 +43,7 @@ from hrnet.metrics import (
     record_trajectory,
     stimulation_signal,
 )
-from hrnet.runner import sweep_row
+from hrnet.runner import simulation_report, sweep_row
 
 # round-number constants so every envelope below is hand-checkable:
 # threshold_perpair = big_r_alt * omega = 1, decay amplitude 2*max(g,1)*Q = 2
@@ -199,7 +199,7 @@ def test_compute_K_two_neuron_constant_gap_probe():
     assert res.k[1, 0] == res.k[0, 1]
     assert res.k_sum == pytest.approx(2.0, rel=1e-12)
     assert res.boundary_diff_full == pytest.approx(1.0, rel=1e-12)
-    assert res.ek_ratio == pytest.approx(2.0, rel=1e-12)
+    assert res.k_sum / res.boundary_diff_full == pytest.approx(2.0, rel=1e-12)
 
 
 def test_compute_K_symmetry_and_full_sum_random_fields():
@@ -231,10 +231,22 @@ def test_compute_K_trivial_matching_zero_cross_term():
     res = compute_K(state, matching)
     assert np.all(res.k == 0.0)
     assert res.boundary_diff_full == 4.0  # unit gap, two unit faces, both orders
-    assert res.ek_ratio == 0.0
-    # identical fields: both sides vanish and the ratio is undefined
+    assert res.k_sum == 0.0
+    # identical fields: both sides vanish
     same = compute_K(make_state(domain, constant_rows(domain, (1.0, 1.0))), matching)
-    assert math.isnan(same.ek_ratio)
+    assert same.k_sum == same.boundary_diff_full == 0.0
+
+
+def test_report_gives_the_k_ratio_only_where_there_is_a_gap():
+    t = np.linspace(0.0, 1.0, 4)
+    record = synth_record(t, total=np.ones_like(t), stim=np.zeros_like(t), sync=np.exp(-t))
+    # no gap on any row: no ratio to report
+    assert "summed-K" not in simulation_report(record, FRIENDLY, MetricsOptions())
+    # rows without a gap are left out of the range
+    record.boundary_diff_full[:] = (0.0, 1.0, 2.0, 0.0)
+    record.k_sum[:] = (5.0, 2.0, 2.0, 0.0)
+    assert ("summed-K to boundary-gap ratio over run: min 1, max 2 (measured, not presumed)\n"
+            in simulation_report(record, FRIENDLY, MetricsOptions()))
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +698,9 @@ def test_tail_fraction_sets_the_sweep_tail():
     record = synth_record(t, total=np.ones_like(t), stim=np.zeros_like(t),
                           sync=np.exp(-t))
     # the tail maximum is the first row the tail holds
-    assert sweep_row(MetricsOptions(), 1.0, FRIENDLY, record)["tail"] == math.exp(-0.8)
-    assert sweep_row(MetricsOptions(tail_fraction=1.0), 1.0, FRIENDLY, record)["tail"] == 1.0
+    assert sweep_row(MetricsOptions(), 1.0, FRIENDLY, record)["tail_dE_G"] == math.exp(-0.8)
+    assert sweep_row(MetricsOptions(tail_fraction=1.0), 1.0, FRIENDLY,
+                     record)["tail_dE_G"] == 1.0
 
 
 @pytest.mark.parametrize("t,fraction", [([0.0], 0.2), ([0.0], 1.0),
@@ -698,7 +711,7 @@ def test_trailing_window_keeps_every_row_of_one_row_or_the_whole_range(t, fracti
     t = np.asarray(t)
     record = synth_record(t, total=np.ones_like(t), stim=np.zeros_like(t), sync=np.exp(-t))
     opts = MetricsOptions(tail_fraction=fraction, window_fraction=fraction)
-    assert sweep_row(opts, 1.0, FRIENDLY, record)["tail"] == 1.0
+    assert sweep_row(opts, 1.0, FRIENDLY, record)["tail_dE_G"] == 1.0
     assert fit_sync_rate(record, opts).n_points == len(t)
 
 
