@@ -12,15 +12,18 @@ pinned as a file of its own.
 ``tests/test_acceptance.py`` compares it with the results it already has, so
 verify runs once per test session.
 
-Re-pin only for an intended change of numbers, and log it in CHANGES.md::
+Re-pin only for an intended change of numbers, and log it in CHANGES.md.
+With case names, only those cases are re-pinned (``verify`` is one); with
+none, every case and ``verify``::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 import contextlib
 import io
 import pathlib
 import shutil
+import sys
 import tempfile
 
 import pytest
@@ -49,6 +52,7 @@ CASES = {
     "stock-analytic": ((["constants"], ["constants", "--domain-only"]),
                        ("constants.csv", "constants.txt", "domain.txt")),
     "ring-1d": ((["simulate"],), ("trajectory.csv", "report.txt")),
+    "ring-1d-n32": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "ring-2d": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "sweep-p": ((["sweep", "--param", "p", "--values", "0,2,32"],),
                 ("sweep.csv",)),
@@ -85,17 +89,27 @@ def test_golden_artifacts_byte_identical(case, tmp_path, capsys):
         assert got == (GOLDEN / case / name).read_bytes(), f"{case}/{name} changed"
 
 
-if __name__ == "__main__":
-    for case, (_, artifacts) in CASES.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            run_case(case, pathlib.Path(tmp))
-            (GOLDEN / case).mkdir(parents=True, exist_ok=True)
-            for name in artifacts:
-                shutil.copyfile(pathlib.Path(tmp) / name, GOLDEN / case / name)
-        print(f"pinned {case}: {', '.join(artifacts)}")
+def pin(case):
+    """Rewrite the pinned files of ``case``, or of ``verify``, from a fresh run."""
     with tempfile.TemporaryDirectory() as tmp:
-        main(["verify", "--config", str(ROOT / "configs" / "default.ini"), "--out", tmp])
-        (GOLDEN / "verify").mkdir(exist_ok=True)
-        shutil.copyfile(pathlib.Path(tmp) / "verify_report.txt",
-                        GOLDEN / "verify" / "verify_report.txt")
-    print("pinned verify: verify_report.txt")
+        out_dir = pathlib.Path(tmp)
+        if case == "verify":
+            main(["verify", "--config", str(ROOT / "configs" / "default.ini"), "--out", tmp])
+            artifacts = ("verify_report.txt",)
+        else:
+            run_case(case, out_dir)
+            artifacts = CASES[case][1]
+        (GOLDEN / case).mkdir(parents=True, exist_ok=True)
+        for name in artifacts:
+            shutil.copyfile(out_dir / name, GOLDEN / case / name)
+    print(f"pinned {case}: {', '.join(artifacts)}")
+
+
+if __name__ == "__main__":
+    known = (*CASES, "verify")
+    names = sys.argv[1:] or known
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        sys.exit(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(known)}")
+    for case in names:
+        pin(case)
