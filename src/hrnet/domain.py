@@ -58,6 +58,14 @@ class Domain:
     def boundary_measure(self) -> float:
         return float(np.sum(self.face_area))
 
+    @functools.cached_property
+    def poincare(self) -> dict:
+        """:func:`poincare_constants` of each eta mode, evaluated once."""
+        eta1 = {"discrete": min(float(_axis_eigenvalues(n, h)[1])
+                                for n, h in zip(self.cells, self.h)),
+                "analytic": (math.pi / max(self.extents)) ** 2}
+        return {mode: PoincareConstants(x, x / self.omega_measure) for mode, x in eta1.items()}
+
     def cell_center_coords(self) -> tuple:
         """Per-axis center coordinate of every cell, each shaped (n_cells,)."""
         axes = [(np.arange(n) + 0.5) * hk for n, hk in zip(self.cells, self.h)]
@@ -120,8 +128,7 @@ def build_domain(dim: int, extents, cells) -> Domain:
     # float range, or eta2 on |Omega| = 0
     try:
         with np.errstate(over="ignore"):
-            pcs = [poincare_constants(domain, mode) for mode in ("discrete", "analytic")]
-        etas = [eta for pc in pcs for eta in (pc.eta1, pc.eta2)]
+            etas = [eta for pc in domain.poincare.values() for eta in (pc.eta1, pc.eta2)]
     except ArithmeticError:
         etas = [math.inf]
     if not all(0.0 < x < math.inf for x in (cell_volume, omega_measure, *etas)):
@@ -175,11 +182,16 @@ class BoundaryMatching:
         return tuple(divmod(int(code), n) for code in codes)
 
     @functools.cached_property
-    def pair_faces(self) -> tuple:
-        """Per matched pair (i, j), in ``matched_pairs`` order: i, the faces
-        where i is matched to j, and their areas."""
+    def face_groups(self) -> tuple:
+        """``matched_pairs`` grouped by face count: per group the pairs' positions,
+        their i as a column, and one row per pair of the faces where i is
+        matched to j, then of those faces' areas."""
         faces = [np.flatnonzero(self.partner[:, i] == j) for i, j in self.matched_pairs]
-        return tuple((i, f, self.face_area[f]) for (i, _), f in zip(self.matched_pairs, faces))
+        owners = np.array([i for i, _ in self.matched_pairs])
+        counts = np.array([f.size for f in faces])
+        ats = [np.flatnonzero(counts == count) for count in np.unique(counts)]
+        rows = [np.array([faces[k] for k in at]) for at in ats]
+        return tuple((at, owners[at, None], r, self.face_area[r]) for at, r in zip(ats, rows))
 
 
 def parse_pairs(text) -> list:
@@ -431,12 +443,8 @@ def poincare_constants(domain: Domain, mode: str = "discrete") -> PoincareConsta
     ``discrete`` is the exact eigenvalue of the grid operator
     :func:`neumann_laplacian`, min over the axes of (2 sin(pi/2n) / h)^2
     (its eigenvectors are the DCT-II modes); ``analytic`` is the continuum
-    value (pi / longest extent)^2.
+    value (pi / longest extent)^2.  Both are evaluated once per domain.
     """
-    if mode == "analytic":
-        eta1 = (math.pi / max(domain.extents)) ** 2
-    elif mode == "discrete":
-        eta1 = min(float(_axis_eigenvalues(n, h)[1]) for n, h in zip(domain.cells, domain.h))
-    else:
+    if mode not in domain.poincare:
         raise ValueError(f"mode must be 'discrete' or 'analytic', got {mode!r}")
-    return PoincareConstants(eta1=eta1, eta2=eta1 / domain.omega_measure)
+    return domain.poincare[mode]

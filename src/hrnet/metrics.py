@@ -14,13 +14,14 @@ stimulation signal actually exceeds the threshold.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .core import DerivedConstants, HRParameters, entry_time
-from .domain import BoundaryMatching, Domain, integrate_domain
+from .domain import BoundaryMatching, Domain
 from .dynamics import InitialCondition, IntegratorConfig, NetworkState, simulate_ensemble
 from .errors import RunFailure
 
@@ -58,16 +59,30 @@ def trailing_window(t: np.ndarray, fraction: float) -> np.ndarray:
     return t >= t[-1] - fraction * (t[-1] - t[0])
 
 
+# the pairs i < j of n neurons in row-major order, computed once per n
+_pairs = functools.cache(functools.partial(np.triu_indices, k=1))
+
+
 def pair_differences(state: NetworkState, domain: Domain) -> np.ndarray:
     """Quadrature norms of u_i - u_j, v_i - v_j and w_i - w_j, each pair once.
 
     Returns a (3, pairs) array, one column per pair i < j in row-major order.
+    Per block of pairs, one gather of each side and one row sum per pair and field.
     """
-    n = state.n_neurons
     # C order: a row reduction over another layout sums in another order
     fields = np.ascontiguousarray([state.u, state.v, state.w])
-    diffs = (fields[:, i, None] - fields[:, i + 1:] for i in range(n - 1))
-    return np.concatenate([integrate_domain(diff * diff, domain) for diff in diffs], axis=1)
+    i, j = _pairs(state.n_neurons)
+    # blocks of at most 8192 cells per field, one pair at least: 192 KB of
+    # differences, the fastest measured for 1D and for 2D rows
+    size = max(1, 8192 // domain.n_cells)
+    out = np.empty((3, i.size))
+    for s in range(0, i.size, size):
+        diff = fields.take(i[s:s + size], axis=1)
+        diff -= fields.take(j[s:s + size], axis=1)
+        diff *= diff
+        np.sum(diff, axis=2, out=out[:, s:s + size])
+    out *= domain.cell_volume
+    return out
 
 
 def stimulation_signal(state: NetworkState, matching: BoundaryMatching, p: float) -> float:
@@ -99,7 +114,8 @@ class KResult:
 
 
 def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
-    """Every boundary observable of ``state``, from one gather of its face values."""
+    """Every boundary observable of ``state``, from one gather of its face values
+    and, for the matched gap, one per group of ``matching.face_groups``."""
     # the gather comes back Fortran-ordered; C order makes row sums add in
     # the same order as 1-D sums
     uf = np.ascontiguousarray(state.u[:, matching.face_cell])
@@ -113,11 +129,13 @@ def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
     # ordered pairs summed left to right in row-major order; the zero
     # diagonal leaves the running sum unchanged
     boundary_diff_full = float(np.cumsum(gap)[-1])
-    matched_gap = 0.0
-    for i, faces, face_area in matching.pair_faces:
+    # slot 0 starts the running sum over the pairs in matched_pairs order
+    gaps = np.zeros(len(matching.matched_pairs) + 1)
+    for at, owner, faces, face_area in matching.face_groups:
         # on the faces where i is matched to j, resid[i] is u_i - u_j
-        pair_gap = resid[i, faces]
-        matched_gap += float(np.sum(pair_gap * pair_gap * face_area))
+        pair_gap = resid[owner, faces]
+        gaps[1:][at] = np.sum(pair_gap * pair_gap * face_area, axis=1)
+    matched_gap = float(np.cumsum(gaps)[-1])
     return KResult(k=k, k_sum=float(k.sum()), boundary_diff_full=boundary_diff_full,
                    matched_gap=matched_gap)
 

@@ -1,10 +1,17 @@
 """Property tests: the pair observables equal their per-pair reference loops.
 
-``pair_differences``, ``stimulation_signal`` and ``compute_K`` loop over
-neurons, not pairs.  The ``oracle_*`` functions below are the per-ordered-pair
-loops they replaced, kept as the reference; on random grids, random involution
-matchings and random states the two must agree bit for bit
-(``np.array_equal``, float ``==``), not merely to a tolerance.
+``pair_differences`` takes the pairs in blocks, one gather of each side and
+one row sum per pair and field; ``compute_K`` and ``stimulation_signal`` take
+the matched pairs in groups that share a face count, one gather and one row
+sum per group, then add the pairs in order.  The ``oracle_*`` functions below
+are the per-ordered-pair loops they replaced, kept as the reference; on random
+grids, random involution matchings and random states the two must agree bit
+for bit (``np.array_equal``, float ``==``), not merely to a tolerance.  A row
+sum adds in the order of a 1D ``np.sum`` only over C-contiguous rows, and
+numpy's pairwise summation changes the order from 8 terms on, so the wide
+cases below have up to 40 neurons (several blocks of pairs in 1D) and 2D
+matchings whose pairs span unequal face counts, a whole edge of 8 faces or
+more among them.
 """
 
 import numpy as np
@@ -24,6 +31,8 @@ from hrnet.metrics import (
 # a fixed example sequence keeps tier-1 reproducible and writes no database
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
+# the per-pair oracles cost O(N^2) Python calls: fewer of the wide examples
+WIDE = settings(PROPERTY, max_examples=25)
 
 
 def oracle_pair_differences(state, domain, g):
@@ -79,10 +88,10 @@ def oracle_compute_K(state, matching):
 
 
 @st.composite
-def involution_pairs(draw, n):
-    """A random partial pairing of 1..n as text, fixed points written i-i."""
-    order = draw(st.permutations(range(1, n + 1)))
-    n_pairs = draw(st.integers(0, n // 2))
+def involution_pairs(draw, n, first=1):
+    """A random partial pairing of first..n as text, fixed points written i-i."""
+    order = draw(st.permutations(range(first, n + 1)))
+    n_pairs = draw(st.integers(0, len(order) // 2))
     pairs = [f"{order[2 * k]}-{order[2 * k + 1]}" for k in range(n_pairs)]
     pairs += [f"{i}-{i}" for i in order[2 * n_pairs:] if draw(st.booleans())]
     return ", ".join(pairs)
@@ -123,6 +132,32 @@ def networks():
 
 
 @st.composite
+def wide_networks(draw):
+    """(domain, matching, n): up to 40 neurons on a 1D grid of 16-256 cells,
+    or 3-12 neurons on a 2D grid of 8-32 cells per axis where pair 1-2 is
+    matched on the whole left edge and the bottom edge is cut into spans.
+    Either way ``pair_differences`` mostly takes more than one block."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 40))
+        domain = build_domain(1, [1.0], [draw(st.integers(16, 256))])
+        segments = [{"side": side, "pairs": draw(involution_pairs(n))}
+                    for side in ("left", "right")]
+    else:
+        n = draw(st.integers(3, 12))
+        cells = [draw(st.integers(8, 32)) for _ in range(2)]
+        domain = build_domain(2, [1.0, 1.3], cells)
+        rest = draw(involution_pairs(n, first=3))
+        segments = [{"side": "left", "pairs": ", ".join(filter(None, ["1-2", rest]))}]
+        cuts = draw(st.lists(st.integers(1, cells[0] - 1), min_size=1, max_size=3, unique=True))
+        bounds = [0] + sorted(cuts) + [cells[0]]
+        segments += [{"side": "bottom", "span": (lo * domain.h[0], hi * domain.h[0]),
+                      "pairs": draw(involution_pairs(n))} for lo, hi in zip(bounds, bounds[1:])]
+        segments += [{"side": side, "pairs": draw(involution_pairs(n))}
+                     for side in ("right", "top") if draw(st.booleans())]
+    return domain, parse_matching(segments, domain, n), n
+
+
+@st.composite
 def states(draw, domain, n):
     """Random fields; some neurons copy others, some arrays are not C-ordered."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -146,14 +181,12 @@ def states(draw, domain, n):
 
 
 @st.composite
-def scenarios(draw):
-    domain, matching, n = draw(networks())
+def scenarios(draw, nets=networks()):
+    domain, matching, n = draw(nets)
     return domain, matching, draw(states(domain, n))
 
 
-@PROPERTY
-@given(scenarios(), st.floats(0.0, 100.0), st.floats(0.0, 50.0))
-def test_observables_equal_per_pair_oracle(scenario, g, p):
+def assert_observables_equal_oracle(scenario, g, p):
     domain, matching, state = scenario
     u_sq, v_sq, w_sq = pair_differences(state, domain)
     got = (u_sq, v_sq, w_sq, u_sq + v_sq + w_sq, g * u_sq + v_sq + w_sq)
@@ -174,9 +207,7 @@ def test_observables_equal_per_pair_oracle(scenario, g, p):
     assert res.boundary_diff_full == boundary_diff_full
 
 
-@PROPERTY
-@given(scenarios(), st.floats(0.0, 50.0))
-def test_observer_row_columns_follow_pair_order(scenario, p):
+def assert_observer_row_equals_oracle(scenario, p):
     domain, matching, state = scenario
     n = state.n_neurons
     params = HRParameters.default(n_neurons=n, p=p)
@@ -192,6 +223,25 @@ def test_observer_row_columns_follow_pair_order(scenario, p):
     assert k_sum_row == k_sum
     assert boundary_gap == boundary_diff_full
     assert stimulation == oracle_stimulation_signal(state, matching, params.p)
+
+
+@PROPERTY
+@given(scenarios(), st.floats(0.0, 100.0), st.floats(0.0, 50.0))
+def test_observables_equal_per_pair_oracle(scenario, g, p):
+    assert_observables_equal_oracle(scenario, g, p)
+
+
+@PROPERTY
+@given(scenarios(), st.floats(0.0, 50.0))
+def test_observer_row_columns_follow_pair_order(scenario, p):
+    assert_observer_row_equals_oracle(scenario, p)
+
+
+@WIDE
+@given(scenarios(wide_networks()), st.floats(0.0, 100.0), st.floats(0.0, 50.0))
+def test_wide_observables_equal_per_pair_oracle(scenario, g, p):
+    assert_observables_equal_oracle(scenario, g, p)
+    assert_observer_row_equals_oracle(scenario, p)
 
 
 @PROPERTY
