@@ -4,8 +4,8 @@ Each case runs the CLI into a temporary directory and compares its artifacts
 with the files under ``tests/golden/<case>/``.  The stock cases derive their
 config from ``configs/default.ini`` with one line changed (a shorter
 ``t_end``, or ``eta_mode = analytic``); the others keep
-theirs next to the pinned files as ``run.ini``, except that ``sweep-2d``
-sweeps ``ring-2d``'s.  A command listed in ``STDOUT`` has its standard output
+theirs next to the pinned files as ``run.ini``, except that ``sweep-2d`` and
+``sweep-2d-d`` sweep ``ring-2d``'s.  A command listed in ``STDOUT`` has its standard output
 pinned as a file of its own.
 
 ``verify/verify_report.txt`` is the stock config's ``hrnet verify`` report;
@@ -36,10 +36,11 @@ GOLDEN = ROOT / "tests" / "golden"
 # stock-config cases: the line each replaces in configs/default.ini, and its replacement
 STOCK_EDITS = {"stock": ("t_end = 50.0", "t_end = 5.0"),
                "sweep-p": ("t_end = 50.0", "t_end = 2.0"),
+               "sweep-d": ("t_end = 50.0", "t_end = 2.0"),
                "stock-analytic": ("eta_mode = discrete", "eta_mode = analytic")}
 
 # cases that run another case's run.ini
-SHARED_CONFIG = {"sweep-2d": "ring-2d"}
+SHARED_CONFIG = {"sweep-2d": "ring-2d", "sweep-2d-d": "ring-2d"}
 
 # CLI command -> the file its stdout is pinned as
 STDOUT = {("constants",): "constants.txt", ("constants", "--domain-only"): "domain.txt"}
@@ -58,6 +59,11 @@ CASES = {
                 ("sweep.csv",)),
     "sweep-2d": ((["sweep", "--param", "p", "--values", "0,1,4"],),
                  ("sweep.csv",)),
+    # members of different d in one batch: per-d uncoupled solves and Green's blocks
+    "sweep-d": ((["sweep", "--param", "d", "--values", "0.5,1,2"],),
+                ("sweep.csv",)),
+    "sweep-2d-d": ((["sweep", "--param", "d", "--values", "0.5,1,2"],),
+                   ("sweep.csv",)),
 }
 
 
