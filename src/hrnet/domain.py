@@ -139,28 +139,20 @@ def build_domain(dim: int, extents, cells) -> Domain:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryMatching:
-    """Per-face involution on neuron indices (0-based internally).
+    """Per-face involution on neuron indices (0-based internally), on the
+    ``domain`` whose boundary faces it matches.
 
     ``partner[f, i] = j`` means neuron i exchanges boundary flux with neuron
     j at face f; ``partner[f, i] = i`` is a zero-flux face for neuron i.
-    Carries the face geometry (areas and owning cells) so boundary
-    observables can be computed from a matching alone.
     """
 
     partner: np.ndarray
-    face_area: np.ndarray
-    face_cell: np.ndarray
-    n_neurons: int
+    domain: Domain
 
     def __post_init__(self):
-        n_faces = self.face_area.shape[0]
-        if self.face_cell.shape != (n_faces,):
-            raise MatchingError("face_cell must have one entry per boundary face")
-        if self.partner.shape != (n_faces, self.n_neurons):
-            raise MatchingError(
-                f"partner table must have shape ({n_faces}, {self.n_neurons}), "
-                f"got {self.partner.shape}"
-            )
+        if self.partner.ndim != 2 or self.partner.shape[0] != self.domain.n_faces:
+            raise MatchingError(f"partner table must have one row per boundary face "
+                                f"({self.domain.n_faces}), got shape {self.partner.shape}")
         if self.partner.min(initial=0) < 0 or self.partner.max(initial=0) >= self.n_neurons:
             raise MatchingError("partner indices out of range")
         idx = np.arange(self.n_neurons)
@@ -171,6 +163,10 @@ class BoundaryMatching:
                 f"matching is not an involution: at face {f}, neuron {i + 1} maps to "
                 f"{self.partner[f, i] + 1} which maps back to {back[f, i] + 1}"
             )
+
+    @property
+    def n_neurons(self) -> int:
+        return self.partner.shape[1]
 
     @functools.cached_property
     def matched_pairs(self) -> tuple:
@@ -191,7 +187,7 @@ class BoundaryMatching:
         counts = np.array([f.size for f in faces])
         ats = [np.flatnonzero(counts == count) for count in np.unique(counts)]
         rows = [np.array([faces[k] for k in at]) for at in ats]
-        return tuple((at, owners[at, None], r, self.face_area[r]) for at, r in zip(ats, rows))
+        return tuple((at, owners[at, None], r, self.domain.face_area[r]) for at, r in zip(ats, rows))
 
 
 def parse_pairs(text) -> list:
@@ -282,8 +278,7 @@ def parse_matching(segments, domain: Domain, n_neurons: int) -> BoundaryMatching
             i, j = i1 - 1, j1 - 1
             partner[faces, i] = j
             partner[faces, j] = i
-    return BoundaryMatching(partner=partner, face_area=domain.face_area,
-                            face_cell=domain.face_cell, n_neurons=n_neurons)
+    return BoundaryMatching(partner=partner, domain=domain)
 
 
 def full_boundary_matching(domain: Domain, n_neurons: int, pairs) -> BoundaryMatching:

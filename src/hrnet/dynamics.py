@@ -352,8 +352,6 @@ class CapacitanceSolver:
                 first = sla.solveh_banded(bands, np.eye(nc, 1))[:, 0]
                 uncoupled[dm] = (spla.splu(s0, permc_spec="NATURAL"),  # no fill
                                  np.array([first, first[::-1]]))
-            # the end cells' Green's block; over the table, not self: no reference cycle
-            self._green = lambda ends, dm: uncoupled[dm][1][:, [0, -1]][np.ix_(ends, ends)]
         else:
             # imported here, on first 2D use: 1D runs never need its memory
             import scipy.fft
@@ -451,6 +449,8 @@ class CapacitanceSolver:
 
     def _green(self, cells, d):
         """Green's block of ``S0`` (diffusion ``d``) at the distinct edge positions ``cells``."""
+        if self._dim == 1:  # S0^-1 at the two end cells, read at the ends in ``cells``
+            return self._uncoupled[d][1][:, [0, -1]][np.ix_(cells, cells)]
         # the 2D DCT of a unit value at grid cell (ix, iy) is an outer product:
         # the basis row ix of x times the basis row iy of y
         across, along = (b[at[cells]] for b, at in zip(self._basis, self._edge_cells))

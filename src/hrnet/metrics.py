@@ -118,10 +118,10 @@ def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
     and, for the matched gap, one per group of ``matching.face_groups``."""
     # the gather comes back Fortran-ordered; C order makes row sums add in
     # the same order as 1-D sums
-    uf = np.ascontiguousarray(state.u[:, matching.face_cell])
+    uf = np.ascontiguousarray(state.u[:, matching.domain.face_cell])
     # coupling residuals u_i - u_partner(i)
     resid = uf - uf[matching.partner.T, np.arange(uf.shape[1])]
-    area = matching.face_area
+    area = matching.domain.face_area
     # (N, N, F): entry (i, j) summed over contiguous faces, as a row of its own
     du = uf[:, None] - uf
     k = np.sum((resid[:, None] - resid) * du * area, axis=2)
@@ -168,9 +168,17 @@ class TrajectoryRecord:
         "t", "total_energy", "gronwall_envelope", "stimulation_s",
         "threshold_literal", "threshold_perpair", "boundary_diff_full", "k_sum",
     )
+    # trajectory.csv's scalar columns named other than their field
+    COLUMN_NAMES = {"stimulation_s": "stimulation_S", "k_sum": "K_sum"}
 
     def __len__(self) -> int:
         return self.t.shape[0]
+
+    def columns(self) -> list:
+        """trajectory.csv's header: the scalar fields, then ``dE_i_j`` (1-based) per pair."""
+        i, j = _pairs(self.n_neurons)
+        return ([self.COLUMN_NAMES.get(name, name) for name in self.SCALAR_FIELDS]
+                + [f"dE_{a}_{b}" for a, b in zip(i + 1, j + 1)])
 
     def sync_total(self) -> np.ndarray:
         """Sum of G-weighted pair difference energies per row."""
@@ -203,20 +211,20 @@ class TrajectoryObserver:
     envelope and threshold columns (:meth:`TrajectoryRecord.from_rows`).
     """
 
-    def __init__(self, params: HRParameters, domain: Domain,
-                 matching: BoundaryMatching, consts: DerivedConstants):
+    def __init__(self, params: HRParameters, matching: BoundaryMatching,
+                 consts: DerivedConstants):
         self.params = params
-        self.domain = domain
         self.matching = matching
         self.consts = consts
 
     def __call__(self, state: NetworkState) -> np.ndarray:
         c = self.consts
-        vol = self.domain.cell_volume
+        domain = self.matching.domain
+        vol = domain.cell_volume
         u_energy = float(np.sum(state.u * state.u)) * vol
         v_energy = float(np.sum(state.v * state.v)) * vol
         w_energy = float(np.sum(state.w * state.w)) * vol
-        u_sq, v_sq, w_sq = pair_differences(state, self.domain)
+        u_sq, v_sq, w_sq = pair_differences(state, domain)
         kres = compute_K(state, self.matching)
         scalars = (state.t, u_energy + v_energy + w_energy, c.c1 * u_energy + v_energy + w_energy,
                    self.params.p * kres.matched_gap, kres.boundary_diff_full, kres.k_sum)
@@ -248,7 +256,7 @@ def record_trajectories(ics, params_list, domain: Domain,
     :class:`~hrnet.errors.RunFailure` it failed with, which holds the rows
     recorded before the failure.
     """
-    observers = [TrajectoryObserver(params, domain, matching, consts)
+    observers = [TrajectoryObserver(params, matching, consts)
                  for params, consts in zip(params_list, consts_list)]
     results = simulate_ensemble(ics, params_list, domain, matching, cfg, observers)
     return [result if isinstance(result, RunFailure)
@@ -534,7 +542,7 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
     results = simulate_ensemble(ics, [params] * sample_count, domain, matching,
                                 cfg, [observer] * sample_count)
     n = params.n_neurons
-    worst_sq = np.zeros(n * (n - 1) // 2)
+    worst_sq = 0.0  # per pair i < j, its largest tail maximum so far
     for k, result in enumerate(results):
         if isinstance(result, RunFailure):
             result.note = f"asynchronous-degree sample {k} (seed {seed + k})"
@@ -543,5 +551,5 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
         worst_sq = np.maximum(worst_sq, np.max(np.asarray(result.rows)[tail], axis=0))
     # summed over ordered pairs: the worst gaps mirrored across a zero diagonal
     ordered = np.zeros((n, n))
-    ordered[np.triu_indices(n, 1)] = worst_sq
+    ordered[_pairs(n)] = worst_sq
     return float(np.sqrt(ordered + ordered.T).sum())

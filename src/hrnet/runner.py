@@ -133,15 +133,8 @@ def run_constants(cfg: RunConfig, out_dir, domain_only=False) -> str:
 # single simulation
 # ---------------------------------------------------------------------------
 
-# trajectory.csv columns named other than their TrajectoryRecord field
-COLUMN_NAMES = {"stimulation_s": "stimulation_S", "k_sum": "K_sum"}
-
-
 def trajectory_csv(record: TrajectoryRecord) -> str:
-    n = record.n_neurons
-    pair_cols = [f"dE_{i + 1}_{j + 1}" for i in range(n) for j in range(i + 1, n)]
-    lines = [",".join([COLUMN_NAMES.get(name, name) for name in TrajectoryRecord.SCALAR_FIELDS]
-                      + pair_cols)]
+    lines = [",".join(record.columns())]
     for k in range(len(record)):
         # the scalar columns, in header order
         cells = [fmt_float(getattr(record, name)[k]) for name in TrajectoryRecord.SCALAR_FIELDS]
@@ -255,6 +248,7 @@ def sweep_rows(cfg: RunConfig, param: str, values, jobs: int = 1) -> list:
     for k, value in enumerate(values):
         try:
             params = cfg.params.replace(**{param: value})
+            params.validate_strict()  # the values a config may hold
             consts = build_setup(replace(cfg, params=params))
             resolve_dt(cfg.integrator, cfg.domain, params)  # an auto step depends on d and p
         except ValueError as err:

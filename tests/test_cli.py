@@ -613,6 +613,30 @@ def test_sweep_invalid_value_marks_row_and_continues(tmp_path):
     assert lines[2].endswith(",ok")
 
 
+@pytest.mark.parametrize("name", SWEEPABLE)
+def test_sweep_accepts_a_value_exactly_when_a_config_may_hold_it(tmp_path, name):
+    from hrnet.errors import ConfigError
+    from hrnet.runner import sweep_rows
+
+    path, _ = write_config(tmp_path)
+    cfg = load_config(path)
+    values = (0.0, -1.0, getattr(cfg.params, name))
+    for value, row in zip(values, sweep_rows(cfg, name, values)):
+        # the config with this one value changed
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith(f"{name} = ")]
+        lines.insert(lines.index("[parameters]") + 1, f"{name} = {value!r}")
+        changed = tmp_path / "changed.ini"
+        changed.write_text("\n".join(lines) + "\n")
+        try:
+            load_config(changed)
+        except ConfigError:
+            rejected = True
+        else:
+            rejected = False
+        assert row["status"].startswith("invalid(") == rejected, (value, row["status"])
+
+
 def test_verify_list_prints_names_without_running(tmp_path, capsys):
     assert main(["verify", "--list"]) == 0
     out = capsys.readouterr().out.strip().splitlines()

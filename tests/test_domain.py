@@ -242,20 +242,18 @@ def test_matching_constructor_validates_involution():
     d = build_domain(1, [1.0], [8])
     bad = np.array([[1, 0], [1, 1]], dtype=np.intp)  # face 1: 0 -> 1 -> 1
     with pytest.raises(MatchingError, match="involution"):
-        BoundaryMatching(partner=bad, face_area=d.face_area, face_cell=d.face_cell,
-                         n_neurons=2)
+        BoundaryMatching(partner=bad, domain=d)
 
 
 @pytest.mark.parametrize("change,message", [
-    ({"face_cell": np.zeros(3, dtype=np.intp)}, "one entry per boundary face"),
-    ({"partner": np.zeros((2, 3), dtype=np.intp)}, r"shape \(2, 2\), got \(2, 3\)"),
+    ({"partner": np.zeros((3, 2), dtype=np.intp)}, "one row per boundary face"),
+    ({"domain": build_domain(2, [1.0, 1.0], [4, 4])}, r"face \(16\), got shape \(2, 2\)"),
     ({"partner": np.array([[1, 0], [1, 2]], dtype=np.intp)}, "out of range"),
     ({"partner": np.array([[1, 0], [-1, 1]], dtype=np.intp)}, "out of range"),
 ])
 def test_matching_constructor_validates_shapes_and_range(change, message):
     d = build_domain(1, [1.0], [8])
-    fields = {"partner": np.array([[1, 0], [1, 0]], dtype=np.intp),
-              "face_area": d.face_area, "face_cell": d.face_cell, "n_neurons": 2}
+    fields = {"partner": np.array([[1, 0], [1, 0]], dtype=np.intp), "domain": d}
     with pytest.raises(MatchingError, match=message):
         BoundaryMatching(**(fields | change))
 

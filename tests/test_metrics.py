@@ -61,7 +61,7 @@ PAIRS = slice(len(ROW), None)
 def observe(domain, consts, state):
     """One observer row of ``state``, on a network with both ends coupled."""
     matching = full_boundary_matching(domain, state.n_neurons, "1-2")
-    return TrajectoryObserver(HRParameters.default(), domain, matching, consts)(state)
+    return TrajectoryObserver(HRParameters.default(), matching, consts)(state)
 
 
 def make_state(domain, u_rows, v_rows=None, w_rows=None, t=0.0):
@@ -216,9 +216,9 @@ def test_compute_K_symmetry_and_full_sum_random_fields():
     assert np.array_equal(res.k, res.k.T)
     assert np.all(np.diag(res.k) == 0.0)
     # the full-boundary gap sum counts every ordered pair on every face
-    uf = state.u[:, matching.face_cell]
+    uf = state.u[:, matching.domain.face_cell]
     expected = sum(
-        float(np.sum((uf[i] - uf[j]) ** 2 * matching.face_area))
+        float(np.sum((uf[i] - uf[j]) ** 2 * matching.domain.face_area))
         for i in range(3) for j in range(3) if i != j
     )
     assert res.boundary_diff_full == pytest.approx(expected, rel=1e-12)
@@ -286,7 +286,7 @@ def test_trajectory_observer_row_contents():
                         constant_rows(domain, (0.5, 0.5)),
                         constant_rows(domain, (0.25, 0.25)))
     later_state = make_state(domain, constant_rows(domain, (0.0, 0.0)), t=1.5)
-    obs = TrajectoryObserver(HRParameters.default(p=2.0), domain,
+    obs = TrajectoryObserver(HRParameters.default(p=2.0),
                              full_boundary_matching(domain, 2, "1-2"), FRIENDLY)
     # the observer keeps no state: the order of calls changes no row
     later = obs(later_state)
@@ -353,7 +353,7 @@ def test_observer_row_gathers_the_boundary_once(monkeypatch):
                         lambda state, m: calls.append(state) or compute_K(state, m))
     # the stimulation signal comes from compute_K's own gather
     monkeypatch.setattr(metrics, "stimulation_signal", unexpected_call)
-    obs = TrajectoryObserver(params, domain, matching, FRIENDLY)
+    obs = TrajectoryObserver(params, matching, FRIENDLY)
     row = obs(make_state(domain, constant_rows(domain, (1.0, 0.0))))
     assert len(calls) == 1
     assert row[ROW.index("stimulation_s")] == 4.0  # p * 2 unit faces of unit gap

@@ -54,7 +54,7 @@ def oracle_pair_differences(state, domain, g):
 
 
 def oracle_stimulation_signal(state, matching, p):
-    uf = state.u[:, matching.face_cell]
+    uf = state.u[:, matching.domain.face_cell]
     total = 0.0
     n = matching.n_neurons
     for i in range(n):
@@ -62,19 +62,19 @@ def oracle_stimulation_signal(state, matching, p):
             mask = matching.partner[:, i] == j
             if mask.any():
                 du = uf[i, mask] - uf[j, mask]
-                total += float(np.sum(du * du * matching.face_area[mask]))
+                total += float(np.sum(du * du * matching.domain.face_area[mask]))
     return p * total
 
 
 def oracle_compute_K(state, matching):
     n = matching.n_neurons
-    n_faces = matching.face_cell.shape[0]
-    uf = state.u[:, matching.face_cell]
+    n_faces = matching.domain.n_faces
+    uf = state.u[:, matching.domain.face_cell]
     face_idx = np.arange(n_faces)
     resid = np.empty_like(uf)
     for i in range(n):
         resid[i] = uf[i] - uf[matching.partner[:, i], face_idx]
-    area = matching.face_area
+    area = matching.domain.face_area
     k = np.zeros((n, n))
     boundary_diff_full = 0.0
     for i in range(n):
@@ -212,7 +212,7 @@ def assert_observer_row_equals_oracle(scenario, p):
     n = state.n_neurons
     params = HRParameters.default(n_neurons=n, p=p)
     consts = derive_constants(params, domain.omega_measure, 1.0, 1.0)
-    row = TrajectoryObserver(params, domain, matching, consts)(state)
+    row = TrajectoryObserver(params, matching, consts)(state)
     # t, total and weighted energy, stimulation, boundary gap, K, then pairs
     t, _, _, stimulation, boundary_gap, k_sum_row, *pair_cols = row.tolist()
     *_, g_weighted = oracle_pair_differences(state, domain, consts.g)
