@@ -287,6 +287,23 @@ def full_boundary_matching(domain: Domain, n_neurons: int, pairs) -> BoundaryMat
     return parse_matching(segments, domain, n_neurons)
 
 
+def run_matching(members, domain: Domain, matching) -> BoundaryMatching:
+    """A run's matching, every face self-matched for None.  Members and matching
+    must share one network size, and ``domain`` must be the matching's grid:
+    dim, extents and cells compared by value, so that grids built apart or
+    unpickled agree.  Else a ValueError."""
+    sizes = sorted({m.n_neurons for m in [*members, matching] if m is not None})
+    if len(sizes) > 1:
+        raise ValueError(f"members and matching must share one network size, got n_neurons {sizes}")
+    if matching is None:
+        return parse_matching([], domain, sizes[0]) if sizes else None
+    grid = matching.domain
+    if (domain.dim, domain.extents, domain.cells) != (grid.dim, grid.extents, grid.cells):
+        raise ValueError(f"a run's grid is its matching's: domain cells {domain.cells} on extents "
+                         f"{domain.extents}, matching cells {grid.cells} on extents {grid.extents}")
+    return matching
+
+
 def apply_diffusion(
     u_all: np.ndarray,
     domain: Domain,

@@ -34,6 +34,7 @@ from .domain import (
     _diagonal_positions,
     apply_diffusion,
     network_diffusion_matrix,
+    run_matching,
 )
 from .errors import ConfigError, IntegrationError, LinearSolveError
 
@@ -289,10 +290,10 @@ def _member_constants(members, names):
 
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Upper triangular ``R`` with ``a = R^T R``, the same bits at any BLAS
-    thread count (OpenBLAS's ``potrf`` and wide products round differently
+    thread count (OpenBLAS's ``potrf`` and deep products round differently
     with more threads).  Right-looking and blocked: LAPACK factors each
     64-wide diagonal block, one triangular solve makes its block row, and
-    64 x 64 x 64 products update the trailing upper triangle."""
+    one 64-deep product per block row updates the trailing upper triangle."""
     r, n, block = np.triu(a), a.shape[0], 64
     for k in range(0, n, block):
         e = k + block
@@ -302,14 +303,14 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         r[k:e, e:] = sla.solve_triangular(r[k:e, k:e], r[k:e, e:], trans="T",
                                           check_finite=False)
         for j in range(e, n, block):
-            for g in range(j, n, block):
-                r[j:j + block, g:g + block] -= r[k:e, j:j + block].T @ r[k:e, g:g + block]
+            r[j:j + block, j:] -= r[k:e, j:j + block].T @ r[k:e, j:]
     return r
 
 
 class CapacitanceSolver:
     """Exact solver of a batch's backward Euler systems ``I - dt A_b``, ``A_b``
-    the :func:`~hrnet.domain.network_diffusion_matrix` of member b's d and p.
+    the :func:`~hrnet.domain.network_diffusion_matrix` of member b's d and p
+    on ``matching`` (the grid and network size are the matching's).
 
     ``I - dt A = S0 + dt W D W^T``: the uncoupled ``S0 = I - dt d L`` plus a
     rank-one term per face and pair i < j matched there, ``w = e_(i,c) -
@@ -335,8 +336,9 @@ class CapacitanceSolver:
     the terms' square-root weights) with its factor.
     """
 
-    def __init__(self, domain: Domain, matching, d, p, n_neurons: int, dt: float):
-        self._dim, self._n = domain.dim, n_neurons
+    def __init__(self, matching, d, p, dt: float):
+        domain = matching.domain
+        self._dim, self._n, self._volume = domain.dim, matching.n_neurons, domain.cell_volume
         if domain.dim == 1:
             nc = domain.n_cells
             self._face_at = domain.face_side.astype(np.intp)  # 0 left end, 1 right
@@ -372,16 +374,16 @@ class CapacitanceSolver:
             # each face's edge position: its cell's first, so a corner's is in its row
             cells, first = np.unique(ix * ny + iy, return_index=True)
             self._face_at = first[np.searchsorted(cells, domain.face_cell)]
-        terms = self._coupling_terms(domain, matching)
+        terms = self._coupling_terms(matching)
         greens, built = {}, {}  # d -> Green's block; (d, p) -> (correction, system)
         for key in zip(d, p):
             if key not in built:
-                system = network_diffusion_matrix(domain, matching, *key, n_neurons)
+                system = network_diffusion_matrix(domain, matching, *key, self._n)
                 # I - dt A in A's storage: every entry times -dt, then 1 added
                 # on the diagonal, which the operator always stores
                 system.data *= -dt
                 system.data[_diagonal_positions(system)] += 1.0
-                built[key] = (self._capacitance(domain, terms, greens, *key, dt), system)
+                built[key] = (self._capacitance(terms, greens, *key, dt), system)
         self._corrections, systems = zip(*(built[key] for key in zip(d, p)))
         self.system = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csr")
         if self._dim == 2:
@@ -393,13 +395,13 @@ class CapacitanceSolver:
         self._blocks = np.stack(self._corrections)
         self._columns = np.stack([self._uncoupled[dm][1] for dm in d])[:, None]
 
-    def _coupling_terms(self, domain, matching):
+    def _coupling_terms(self, matching):
         """The rank-one terms of the coupling, shared by every member: per
         term its faces' slots and areas, its edge position ``at`` and pair
         i < j, the distinct positions with each term's rank among them, and
         ``W^T W`` (entries 0, +-1 and 2).  None without coupled faces."""
         n = self._n
-        upper = matching.partner > np.arange(n) if matching is not None else np.zeros(0)
+        upper = matching.partner > np.arange(n)
         if not upper.any():
             return None
         f, i = np.nonzero(upper)
@@ -415,15 +417,15 @@ class CapacitanceSolver:
         incidence[np.arange(pairs.size), i[first]] = 1
         incidence[np.arange(pairs.size), j[first]] = -1
         products = (incidence @ incidence.T).take(which, 0).take(which, 1)
-        return SimpleNamespace(slot=slot, area=domain.face_area[f], at=at, i=i, j=j,
+        return SimpleNamespace(slot=slot, area=matching.domain.face_area[f], at=at, i=i, j=j,
                                cells=cells, rank=rank, products=products)
 
-    def _capacitance(self, domain, terms, greens, d, p, dt):
+    def _capacitance(self, terms, greens, d, p, dt):
         """A member's correction: 1D ``U K^-1 U^T``; 2D ``K``'s factor and
         terms, or None.  ``greens`` caches the Green's block of each d."""
         if p == 0.0 or terms is None:
             return np.zeros((2 * self._n, 2 * self._n)) if self._dim == 1 else None
-        weight = (dt * d * p / domain.cell_volume) * terms.area
+        weight = (dt * d * p / self._volume) * terms.area
         scale = np.sqrt(np.bincount(terms.slot, weights=weight))
         if d not in greens:
             greens[d] = self._green(terms.cells, d)
@@ -518,12 +520,6 @@ class CapacitanceSolver:
         return self._fft.idctn(spectrum, axes=(-2, -1), norm="ortho").reshape(b.shape)
 
 
-def _check_network_size(params_list, matching) -> None:
-    sizes = sorted({m.n_neurons for m in [*params_list, matching] if m is not None})
-    if len(sizes) > 1:
-        raise ValueError(f"members and matching must share one network size, got n_neurons {sizes}")
-
-
 class Integrator:
     """Prepared batch stepper: operators are assembled and solvers built once.
 
@@ -535,15 +531,16 @@ class Integrator:
     :func:`~hrnet.domain.apply_diffusion` to the batch at each stage; backward
     Euler solves it with one :class:`CapacitanceSolver`, every solve checked
     against the assembled system by the residual guard, and reuses one set of
-    reaction buffers: an instance steps for one caller at a time.
+    reaction buffers: an instance steps for one caller at a time.  ``domain``
+    must describe the matching's grid (else a ValueError); a None matching
+    couples no face.
     """
 
     def __init__(self, params, domain: Domain, matching, cfg: IntegratorConfig):
         members = (params,) if isinstance(params, HRParameters) else tuple(params)
         if not members:
             raise ValueError("an integrator needs at least one member")
-        _check_network_size(members, matching)
-        self.domain, self.matching, self.cfg = domain, matching, cfg
+        self.matching, self.cfg = run_matching(members, domain, matching), cfg
         steps = {resolve_dt(cfg, domain, m) for m in members}
         if len(steps) != 1:
             raise ValueError("batched members must share the step size and step count")
@@ -551,10 +548,9 @@ class Integrator:
         d, p = [m.d for m in members], [m.p for m in members]
         self._solver = self._buffers = None
         if cfg.scheme == "imex-euler" and self.n_steps > 0:
-            n = members[0].n_neurons
-            self._solver = CapacitanceSolver(domain, matching, d, p, n, self.dt)
+            self._solver = CapacitanceSolver(self.matching, d, p, self.dt)
             # the step's reaction terms, reused: no returned state refers to them
-            self._buffers = np.empty((3, len(members), n, domain.n_cells))
+            self._buffers = np.empty((3, len(members), self.matching.n_neurons, domain.n_cells))
         self._reaction = _member_constants(members, REACTION_FIELDS)
         self._coupling = _member_constants(members, ("d", "p"))
 
@@ -562,7 +558,7 @@ class Integrator:
         # the model is autonomous: no term reads the state's time
         du, dv, dw = reaction_rhs(NetworkState(0.0, u, v, w), self._reaction)
         c = self._coupling
-        return du + apply_diffusion(u, self.domain, self.matching, c.d, c.p), dv, dw
+        return du + apply_diffusion(u, self.matching.domain, self.matching, c.d, c.p), dv, dw
 
     def _step_rk4(self, state: NetworkState):
         dt, y = self.dt, (state.u, state.v, state.w)
@@ -634,9 +630,8 @@ def simulate(ic, params: HRParameters, domain: Domain, matching,
     carrying the failure time, the largest finite |u| seen, and the rows
     recorded so far, so partial output can still be flushed; otherwise a
     failed implicit solve raises :class:`LinearSolveError` with those rows
-    attached.
-
-    This is the one-member case of :func:`simulate_ensemble`.
+    attached.  ``domain`` must describe the matching's grid (else a
+    ValueError).  This is the one-member case of :func:`simulate_ensemble`.
     """
     (result,) = simulate_ensemble([ic], [params], domain, matching, cfg, [observer])
     if isinstance(result, Exception):
@@ -656,18 +651,24 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
     on.  Every member is bitwise equal to its own serial run.
 
     Members that resolve to one step size and step count form one batch;
-    batches run one after another.
+    batches run one after another.  ``domain`` must describe the matching's
+    grid and a prebuilt state be (N, n_cells) on it, else a ValueError.
     """
     params_list = list(params_list)
     observers = [None] * len(params_list) if observers is None else list(observers)
     if not len(ics) == len(params_list) == len(observers):
         raise ValueError("need one initial condition, parameter set and observer per member")
-    # with one network size, each initial condition object is materialized (a
-    # file read) once, before any solver is built, so bad initial data fail first
-    _check_network_size(params_list, matching)
+    # with one network size and grid, each initial condition is checked or made
+    # (a file read) once, before any solver is built, so bad initial data fail first
+    matching = run_matching(params_list, domain, matching)
     made = {}
     for ic, params in zip(ics, params_list):
-        if not isinstance(ic, NetworkState) and id(ic) not in made:
+        if isinstance(ic, NetworkState):
+            shape = (params.n_neurons, domain.n_cells)
+            for name, found in zip("uvw", map(np.shape, (ic.u, ic.v, ic.w))):
+                if found != shape:
+                    raise ValueError(f"initial state {name} has shape {found}, expected {shape}")
+        elif id(ic) not in made:
             made[id(ic)] = initial_state(ic, domain, params.n_neurons)
     starts = [ic if isinstance(ic, NetworkState) else made[id(ic)] for ic in ics]
     batches = {}
@@ -675,7 +676,7 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
         batches.setdefault(resolve_dt(cfg, domain, params), []).append(b)
     results = [None] * len(params_list)
     for members in batches.values():
-        _run_batch(members, starts, params_list, domain, matching, cfg, observers, results)
+        _run_batch(members, starts, params_list, matching, cfg, observers, results)
     return results
 
 
@@ -687,13 +688,13 @@ def _observe(observer, state: NetworkState, i: int):
     return observer(_member(state, i)) if observer is not None else None
 
 
-def _run_batch(members, starts, params_list, domain, matching, cfg, observers, results):
+def _run_batch(members, starts, params_list, matching, cfg, observers, results):
     """The time loop of one batch; writes each member's outcome into ``results``.
 
     One stepper serves the whole run.  A failed member keeps its slot, unobserved:
     its error, with its rows, is recorded the first time, and later ones are not.
     """
-    stepper = Integrator([params_list[b] for b in members], domain, matching, cfg)
+    stepper = Integrator([params_list[b] for b in members], matching.domain, matching, cfg)
     # C-contiguous (B, N, cells) copies: the inputs are never mutated
     state = NetworkState(0.0, *(np.stack([getattr(starts[b], name) for b in members])
                                 for name in ("u", "v", "w")))

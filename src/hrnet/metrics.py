@@ -237,8 +237,9 @@ def record_trajectory(ic, params: HRParameters, domain: Domain,
     """Run one simulation and collect the full observable record.
 
     On integration or linear-solve failure the :class:`~hrnet.errors.RunFailure`
-    is raised, the rows recorded up to the failure on its ``rows``.  This is
-    the one-member case of :func:`record_trajectories`.
+    is raised, the rows recorded up to the failure on its ``rows``.  ``domain``
+    must describe the matching's grid (else a ValueError).  This is the
+    one-member case of :func:`record_trajectories`.
     """
     (record,) = record_trajectories([ic], [params], domain, matching, cfg, [consts])
     if isinstance(record, RunFailure):
@@ -254,7 +255,8 @@ def record_trajectories(ics, params_list, domain: Domain,
 
     Returns, per member in order, its :class:`TrajectoryRecord` or the
     :class:`~hrnet.errors.RunFailure` it failed with, which holds the rows
-    recorded before the failure.
+    recorded before the failure.  ``domain`` must describe the matching's
+    grid (else a ValueError).
     """
     observers = [TrajectoryObserver(params, matching, consts)
                  for params, consts in zip(params_list, consts_list)]
@@ -529,6 +531,7 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
     with seed + k), simulates each to ``cfg.t_end``, approximates the limiting
     pairwise gap by the max over the trailing ``MetricsOptions.tail_fraction``
     of recorded times, and sums the per-pair worst case over all ordered pairs.
+    ``domain`` must describe the matching's grid (else a ValueError).
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -536,7 +539,7 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
            for k in range(sample_count)]
 
     def observer(state):
-        u_sq, v_sq, w_sq = pair_differences(state, domain)
+        u_sq, v_sq, w_sq = pair_differences(state, matching.domain)
         return u_sq + v_sq + w_sq
 
     results = simulate_ensemble(ics, [params] * sample_count, domain, matching,

@@ -22,6 +22,7 @@ here, and no state it returns may share memory with those buffers.
 
 import dataclasses
 import gc
+import inspect
 import os
 import subprocess
 import sys
@@ -104,7 +105,7 @@ MEMBERS = st.lists(st.tuples(st.sampled_from([0.3, 1.0, 2.5]),
 def check_solver(network, members, dt, seed):
     domain, matching, n = network
     d, p = zip(*members)
-    solver = CapacitanceSolver(domain, matching, d, p, n, dt)
+    solver = CapacitanceSolver(matching, d, p, dt)
     b = np.random.default_rng(seed).normal(size=(len(members), n, domain.n_cells))
     x = solver.solve(b)
     assert x.shape == b.shape
@@ -116,7 +117,7 @@ def check_solver(network, members, dt, seed):
         want = spla.splu(system).solve(rhs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         # a member of a batch is solved exactly as on its own
-        alone = CapacitanceSolver(domain, matching, [dk], [pk], n, dt)
+        alone = CapacitanceSolver(matching, [dk], [pk], dt)
         assert np.array_equal(alone.solve(b[k:k + 1])[0], x[k])
 
 
@@ -152,9 +153,9 @@ GREEN_D = [0.3, 1.0, 2.5]
 @PROPERTY
 @given(rectangles(), st.sampled_from([1e-3, 0.05]))
 def test_greens_block_equals_the_unit_vector_route(network, dt):
-    domain, matching, n = network
-    solver = CapacitanceSolver(domain, matching, GREEN_D, [0.0] * 3, n, dt)
-    terms = solver._coupling_terms(domain, matching)
+    domain, matching, _ = network
+    solver = CapacitanceSolver(matching, GREEN_D, [0.0] * 3, dt)
+    terms = solver._coupling_terms(matching)
     # every edge position, and the coupled ones of the (partial) matching
     for cells in [np.arange(2 * sum(domain.cells))] + ([terms.cells] if terms else []):
         for d in GREEN_D:
@@ -166,8 +167,7 @@ def test_a_solver_is_freed_with_its_last_reference(dim):
     # no reference cycle: a batch's solver goes with its stepper, not at the
     # next garbage collection
     domain = build_domain(dim, [1.0] * dim, [8] * dim)
-    solver = CapacitanceSolver(domain, full_boundary_matching(domain, 2, "1-2"),
-                               [1.0], [2.0], 2, 0.05)
+    solver = CapacitanceSolver(full_boundary_matching(domain, 2, "1-2"), [1.0], [2.0], 0.05)
     alive = weakref.ref(solver)
     gc.disable()
     try:
@@ -189,7 +189,7 @@ def tiny_rectangle(nx, ny):
 @pytest.mark.parametrize("cells", [(2, 2), (3, 5), (5, 3)])
 def test_greens_block_of_tiny_grids_equals_the_unit_vector_route(cells):
     domain = tiny_rectangle(*cells)
-    solver = CapacitanceSolver(domain, None, GREEN_D, [0.0] * 3, 2, 0.05)
+    solver = CapacitanceSolver(parse_matching([], domain, 2), GREEN_D, [0.0] * 3, 0.05)
     positions = np.arange(2 * sum(cells))
     for d in GREEN_D:
         assert np.array_equal(solver._green(positions, d), oracle_green(solver, positions, d))
@@ -208,7 +208,7 @@ def test_system_is_stored_as_setdiag_leaves_it(network, members, dt):
 
     systems = [stored(key) for key in members]
     want = systems[0] if len(systems) == 1 else sp.block_diag(systems, format="csr")
-    got = CapacitanceSolver(domain, matching, d, p, n, dt).system
+    got = CapacitanceSolver(matching, d, p, dt).system
     for name in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
@@ -235,21 +235,43 @@ def test_solver_factors_one_neuron_block_per_d(monkeypatch):
     monkeypatch.setattr(dynamics.spla, "splu",
                         lambda a, **options: factored.append(CountingLU(a, **options))
                         or factored[-1])
-    solver = CapacitanceSolver(domain, matching, [1.0, 2.0, 1.0, 2.0], [0.5, 0.5, 3.0, 0.0],
-                               3, 1e-2)
+    solver = CapacitanceSolver(matching, [1.0, 2.0, 1.0, 2.0], [0.5, 0.5, 3.0, 0.0], 1e-2)
     assert [lu.shape for lu in factored] == [(16, 16), (16, 16)]
     solver.solve(np.ones((4, 3, 16)))
     # one call per d, each with every neuron of its members as a column
     assert [lu.solves for lu in factored] == [[(16, 6)], [(16, 6)]]
 
 
+def per_block_cholesky(a):
+    """The blocked Cholesky factor with one 64 x 64 x 64 product per trailing
+    block: the reference whose bits :func:`cholesky` keeps."""
+    r, n, block = np.triu(a), a.shape[0], 64
+    for k in range(0, n, block):
+        e = k + block
+        r[k:e, k:e] = sla.cholesky(r[k:e, k:e], check_finite=False)
+        if e >= n:
+            break
+        r[k:e, e:] = sla.solve_triangular(r[k:e, k:e], r[k:e, e:], trans="T",
+                                          check_finite=False)
+        for j in range(e, n, block):
+            for g in range(j, n, block):
+                r[j:j + block, g:g + block] -= r[k:e, j:j + block].T @ r[k:e, g:g + block]
+    return r
+
+
 def test_cholesky_bits_do_not_depend_on_the_thread_count():
+    # at each thread count: equal to the per-block reference, at n = 300 and
+    # 1024 (einsum builds the matrices without BLAS)
     code = (
-        "import hashlib, numpy as np\n"
+        "import hashlib, numpy as np, scipy.linalg as sla\n"
         "from hrnet.dynamics import cholesky\n"
-        "x = np.random.default_rng(3).normal(size=(300, 300))\n"
-        "a = np.einsum('ik,jk->ij', x, x) / 300 + np.eye(300)\n"
-        "print(hashlib.sha256(cholesky(a).tobytes()).hexdigest())\n"
+        + inspect.getsource(per_block_cholesky)
+        + "for n in (300, 1024):\n"
+        "    x = np.random.default_rng(3).normal(size=(n, 300))\n"
+        "    a = np.einsum('ik,jk->ij', x, x) / 300 + np.eye(n)\n"
+        "    r = cholesky(a)\n"
+        "    assert np.array_equal(r, per_block_cholesky(a)), n\n"
+        "    print(hashlib.sha256(r.tobytes()).hexdigest())\n"
     )
     # the children import the package from where this process found it
     path = os.pathsep.join(filter(None, [os.path.dirname(os.path.dirname(dynamics.__file__)),
@@ -318,8 +340,8 @@ def test_imex_step_equals_the_unfused_formula(network, members, dt, seed):
     for got in (reaction_rhs(batch, c), reaction_rhs(batch, c, out=np.empty((3,) + u.shape))):
         assert all(np.array_equal(x, y) for x, y in zip(got, (du, dv, dw)))
     ustar = u + dt * du
-    solved = CapacitanceSolver(domain, matching, [m.d for m in params], [m.p for m in params],
-                               n, dt).solve(ustar)
+    solved = CapacitanceSolver(matching, [m.d for m in params], [m.p for m in params],
+                               dt).solve(ustar)
     assert new.t == dt
     for got, want in zip((new.u, new.v, new.w), (solved, v + dt * dv, w + dt * dw)):
         assert np.array_equal(got, want)
