@@ -304,29 +304,26 @@ def run_matching(members, domain: Domain, matching) -> BoundaryMatching:
     return matching
 
 
-def apply_diffusion(
-    u_all: np.ndarray,
-    domain: Domain,
-    matching,
-    d: float,
-    p: float,
-) -> np.ndarray:
-    """Finite-volume diffusion with boundary-coupling fluxes.
+def apply_diffusion(u_all: np.ndarray, matching: BoundaryMatching, d: float, p: float) -> np.ndarray:
+    """Finite-volume diffusion with boundary-coupling fluxes on the matching's
+    grid and network.
 
     ``u_all`` has shape (N, n_cells), or (B, N, n_cells) for a batch whose
     member b has its own ``d[b]`` and ``p[b]``, given as (B, 1, 1) columns
-    (or scalars shared by every member).  Interior face flux is
-    d (u_next - u_cell) / h * area; a boundary face matched to neuron j
-    contributes d p (u_j - u_i) * area; each cell's net flux is divided by
-    the cell volume, and a cell's faces are added in face order.  Fixed-point
-    faces contribute exactly zero.  The arithmetic is elementwise, so every
-    batch member gets the bits of its own (N, n_cells) call.
+    (or scalars shared by every member); N and n_cells are the matching's,
+    else a ValueError.  Interior face flux is d (u_next - u_cell) / h * area;
+    a boundary face matched to neuron j contributes d p (u_j - u_i) * area;
+    each cell's net flux is divided by the cell volume, and a cell's faces
+    are added in face order.  Self-matched faces contribute exactly zero.
+    The arithmetic is elementwise, so every batch member gets the bits of
+    its own (N, n_cells) call.
     """
+    domain = matching.domain
     u_all = np.asarray(u_all, dtype=np.float64)
-    if u_all.ndim not in (2, 3) or u_all.shape[-1] != domain.n_cells:
-        raise ValueError(
-            f"u_all must have shape ([B,] N, {domain.n_cells}), got {u_all.shape}"
-        )
+    network = (matching.n_neurons, domain.n_cells)
+    if u_all.ndim not in (2, 3) or u_all.shape[-2:] != network:
+        raise ValueError(f"u_all must have shape ([B,] {network[0]}, {network[1]}), "
+                         f"got {u_all.shape}")
     out = np.zeros_like(u_all)
     vol = domain.cell_volume
 
@@ -341,7 +338,7 @@ def apply_diffusion(
         og[lo] += flux
         og[hi] -= flux
 
-    if matching is not None and np.any(p != 0.0):
+    if np.any(p != 0.0):
         fc = domain.face_cell
         coef = (d * p / vol) * domain.face_area
         uf = u_all[..., fc]  # ([B,] N, F)
@@ -397,10 +394,9 @@ def neumann_laplacian(domain: Domain) -> sp.csr_matrix:
     return (sp.kron(lx, sp.identity(ny)) + sp.kron(sp.identity(nx), ly)).tocsr()
 
 
-def network_diffusion_matrix(
-    domain: Domain, matching, d: float, p: float, n_neurons: int
-) -> sp.csr_matrix:
-    """Joint operator on the stacked u-fields: block diffusion plus coupling.
+def network_diffusion_matrix(matching: BoundaryMatching, d: float, p: float) -> sp.csr_matrix:
+    """Joint operator on the stacked u-fields of the matching's network:
+    block diffusion on its grid plus the coupling.
 
     Acts on a vector of length N * n_cells laid out neuron-major; equals
     apply_diffusion as a linear map.  A face matching neuron i to j adds its
@@ -409,6 +405,7 @@ def network_diffusion_matrix(
     sorted columns, built directly: one neuron's rows tiled over the
     diagonal blocks, and the coupling entries inserted where they sort.
     """
+    domain, n_neurons = matching.domain, matching.n_neurons
     nc = domain.n_cells
     n_total = n_neurons * nc
     lap = d * neumann_laplacian(domain)  # sorted columns, one diagonal entry per row
@@ -418,7 +415,7 @@ def network_diffusion_matrix(
     indptr = np.empty(n_total + 1, dtype=block.dtype)
     indptr[:-1] = (block[:, None] * lap.nnz + lap.indptr[:-1]).ravel()
     indptr[-1] = n_neurons * lap.nnz
-    if p != 0.0 and matching is not None:
+    if p != 0.0:
         f, i = np.nonzero(matching.partner != np.arange(n_neurons))  # face-major
         coef = ((d * p / domain.cell_volume) * domain.face_area)[f]
         cell = domain.face_cell[f]

@@ -378,7 +378,7 @@ class CapacitanceSolver:
         greens, built = {}, {}  # d -> Green's block; (d, p) -> (correction, system)
         for key in zip(d, p):
             if key not in built:
-                system = network_diffusion_matrix(domain, matching, *key, self._n)
+                system = network_diffusion_matrix(matching, *key)
                 # I - dt A in A's storage: every entry times -dt, then 1 added
                 # on the diagonal, which the operator always stores
                 system.data *= -dt
@@ -558,7 +558,7 @@ class Integrator:
         # the model is autonomous: no term reads the state's time
         du, dv, dw = reaction_rhs(NetworkState(0.0, u, v, w), self._reaction)
         c = self._coupling
-        return du + apply_diffusion(u, self.matching.domain, self.matching, c.d, c.p), dv, dw
+        return du + apply_diffusion(u, self.matching, c.d, c.p), dv, dw
 
     def _step_rk4(self, state: NetworkState):
         dt, y = self.dt, (state.u, state.v, state.w)

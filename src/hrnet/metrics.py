@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import DerivedConstants, HRParameters, entry_time
-from .domain import BoundaryMatching, Domain
+from .domain import BoundaryMatching, Domain, run_matching
 from .dynamics import InitialCondition, IntegratorConfig, NetworkState, simulate_ensemble
 from .errors import RunFailure
 
@@ -256,8 +256,9 @@ def record_trajectories(ics, params_list, domain: Domain,
     Returns, per member in order, its :class:`TrajectoryRecord` or the
     :class:`~hrnet.errors.RunFailure` it failed with, which holds the rows
     recorded before the failure.  ``domain`` must describe the matching's
-    grid (else a ValueError).
+    grid (else a ValueError); a None matching couples no face.
     """
+    matching = run_matching(params_list, domain, matching)  # the observers read it
     observers = [TrajectoryObserver(params, matching, consts)
                  for params, consts in zip(params_list, consts_list)]
     results = simulate_ensemble(ics, params_list, domain, matching, cfg, observers)
@@ -531,10 +532,11 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
     with seed + k), simulates each to ``cfg.t_end``, approximates the limiting
     pairwise gap by the max over the trailing ``MetricsOptions.tail_fraction``
     of recorded times, and sums the per-pair worst case over all ordered pairs.
-    ``domain`` must describe the matching's grid (else a ValueError).
+    ``domain`` must be the matching's grid (else a ValueError); None couples no face.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    matching = run_matching([params], domain, matching)  # the observer reads it
     ics = [replace(ic, seed=seed + k) if ic.kind != "file" else ic
            for k in range(sample_count)]
 

@@ -216,8 +216,8 @@ def _criterion_operator_order(cfg: RunConfig, runs):
     for n in (32, 64, 128):
         domain = build_domain(1, [length], [n])
         (x,) = domain.cell_center_coords()
-        u = np.cos(math.pi * x / length)[None, :]
-        got = apply_diffusion(u, domain, None, d=d, p=0.0)
+        u = np.cos(math.pi * x / length)[None, :].repeat(2, axis=0)  # two equal neurons
+        got = apply_diffusion(u, parse_matching([], domain, 2), d=d, p=0.0)
         want = -d * (math.pi / length) ** 2 * u
         errors.append(float(np.abs(got - want).max()))
     orders = [math.log2(errors[0] / errors[1]), math.log2(errors[1] / errors[2])]

@@ -110,7 +110,7 @@ def check_solver(network, members, dt, seed):
     x = solver.solve(b)
     assert x.shape == b.shape
     for k, (dk, pk) in enumerate(members):
-        a = network_diffusion_matrix(domain, matching, dk, pk, n)
+        a = network_diffusion_matrix(matching, dk, pk)
         system = (sp.identity(a.shape[0], format="csc") - dt * a).tocsc()
         got, rhs = x[k].ravel(), b[k].ravel()
         assert np.linalg.norm(system @ got - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -202,7 +202,7 @@ def test_system_is_stored_as_setdiag_leaves_it(network, members, dt):
     d, p = zip(*members)
 
     def stored(key):
-        system = network_diffusion_matrix(domain, matching, *key, n) * -dt
+        system = network_diffusion_matrix(matching, *key) * -dt
         system.setdiag(system.diagonal() + 1.0)
         return system
 
@@ -348,7 +348,7 @@ def test_imex_step_equals_the_unfused_formula(network, members, dt, seed):
     # the guard: each member's squared residual against its squared right-hand side
     failed = set()
     for b, m in enumerate(params):
-        a = network_diffusion_matrix(domain, matching, m.d, m.p, n)
+        a = network_diffusion_matrix(matching, m.d, m.p)
         rhs = ustar[b].ravel()
         residual = (sp.identity(a.shape[0], format="csr") - dt * a) @ solved[b].ravel() - rhs
         if np.vecdot(residual, residual) > cfg.linear_tol ** 2 * max(np.vecdot(rhs, rhs), 1.0):

@@ -54,7 +54,7 @@ def difference_mode(domain, matching, p):
     """lambda and the unit eigenvector phi of the slowest difference mode
     (u1, u2) = (phi, -phi) of the network operator, which maps it to -lambda
     times itself."""
-    a = network_diffusion_matrix(domain, matching, 1.0, p, 2).toarray()
+    a = network_diffusion_matrix(matching, 1.0, p).toarray()
     nc = domain.n_cells
     block = a[:nc, :nc] - a[:nc, nc:]
     assert np.array_equal(block, block.T)

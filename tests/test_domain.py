@@ -272,7 +272,7 @@ def test_diffusion_zero_on_equal_constants():
     d = build_domain(1, [1.0], [16])
     m = full_boundary_matching(d, 2, "1-2")
     u = np.full((2, 16), 3.7)
-    out = apply_diffusion(u, d, m, d=2.0, p=5.0)
+    out = apply_diffusion(u, m, d=2.0, p=5.0)
     assert np.all(out == 0.0)
 
 
@@ -283,16 +283,20 @@ def test_boundary_flux_value():
     m = full_boundary_matching(d, 2, "1-2")
     u = np.zeros((2, 10))
     u[0] = 1.0
-    out = apply_diffusion(u, d, m, d=3.0, p=2.0)
+    out = apply_diffusion(u, m, d=3.0, p=2.0)
     assert out[0, 0] * d.cell_volume == pytest.approx(-6.0, rel=1e-15)
     assert out[1, 0] * d.cell_volume == pytest.approx(6.0, rel=1e-15)
     assert np.all(out[:, 1:-1] == 0.0)
 
 
 def test_diffusion_shape_mismatch():
-    d = build_domain(1, [1.0], [8])
-    with pytest.raises(ValueError):
-        apply_diffusion(np.zeros((2, 9)), d, None, 1.0, 0.0)
+    # the field's (N, n_cells) must be the matching's: N = 2 on 16 cells here
+    m = full_boundary_matching(build_domain(1, [1.0], [16]), 2, "1-2")
+    # a wrong N, coupled and not; a wrong cell count, alone and batched; no N axis
+    for shape, p in [((3, 16), 0.0), ((3, 16), 2.0), ((2, 9), 0.0), ((4, 2, 9), 0.0),
+                     ((16,), 0.0)]:
+        with pytest.raises(ValueError, match=r"shape \(\[B,\] 2, 16\)"):
+            apply_diffusion(np.zeros(shape), m, 1.0, p)
 
 
 def manufactured_error_1d(n: int) -> float:
@@ -301,7 +305,7 @@ def manufactured_error_1d(n: int) -> float:
     (x,) = d.cell_center_coords()
     u = np.cos(math.pi * x / length)[None, :].repeat(2, axis=0)
     want = -(math.pi / length) ** 2 * u
-    got = apply_diffusion(u, d, parse_matching([], d, 2), d=1.0, p=0.0)
+    got = apply_diffusion(u, parse_matching([], d, 2), d=1.0, p=0.0)
     return float(np.abs(got - want).max())
 
 
@@ -309,9 +313,9 @@ def manufactured_error_2d(n: int) -> float:
     lx, ly = 1.0, 1.5
     d = build_domain(2, [lx, ly], [n, n])
     x, y = d.cell_center_coords()
-    u = (np.cos(math.pi * x / lx) * np.cos(math.pi * y / ly))[None, :]
+    u = (np.cos(math.pi * x / lx) * np.cos(math.pi * y / ly))[None, :].repeat(2, axis=0)
     want = -((math.pi / lx) ** 2 + (math.pi / ly) ** 2) * u
-    got = apply_diffusion(u, d, None, d=1.0, p=0.0)
+    got = apply_diffusion(u, parse_matching([], d, 2), d=1.0, p=0.0)
     return float(np.abs(got - want).max())
 
 
@@ -338,8 +342,8 @@ def test_diffusion_linearity():
     u = rng.normal(size=(3, d.n_cells))
     w = rng.normal(size=(3, d.n_cells))
     a, b = 1.7, -0.4
-    lhs = apply_diffusion(a * u + b * w, d, m, 2.0, 3.0)
-    rhs = a * apply_diffusion(u, d, m, 2.0, 3.0) + b * apply_diffusion(w, d, m, 2.0, 3.0)
+    lhs = apply_diffusion(a * u + b * w, m, 2.0, 3.0)
+    rhs = a * apply_diffusion(u, m, 2.0, 3.0) + b * apply_diffusion(w, m, 2.0, 3.0)
     scale = np.abs(rhs).max()
     assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
@@ -351,7 +355,7 @@ def test_diffusion_global_conservation():
         d = build_domain(dim, extents, cells)
         m = full_boundary_matching(d, 3, "1-2")
         u = rng.normal(size=(3, d.n_cells))
-        out = apply_diffusion(u, d, m, 2.5, 4.0)
+        out = apply_diffusion(u, m, 2.5, 4.0)
         total = float(np.sum(integrate_domain(out, d)))
         assert abs(total) <= 1e-11 * np.abs(u).max() * d.omega_measure
 
@@ -362,7 +366,7 @@ def test_diffusion_negative_semidefinite():
     m = full_boundary_matching(d, 2, "1-2")
     for _ in range(25):
         u = rng.normal(size=(2, d.n_cells))
-        out = apply_diffusion(u, d, m, 1.5, 2.0)
+        out = apply_diffusion(u, m, 1.5, 2.0)
         quad = float(np.sum(u * out) * d.cell_volume)
         assert quad <= 1e-10 * np.abs(u).max() ** 2
 
@@ -384,8 +388,8 @@ def test_diffusion_relabeling_equivariance():
     u2 = np.empty_like(u)
     for i in range(3):
         u2[perm[i]] = u[i]
-    out = apply_diffusion(u, d, m, 2.0, 3.0)
-    out2 = apply_diffusion(u2, d, m2, 2.0, 3.0)
+    out = apply_diffusion(u, m, 2.0, 3.0)
+    out2 = apply_diffusion(u2, m2, 2.0, 3.0)
     for i in range(3):
         assert np.array_equal(out2[perm[i]], out[i])
 
@@ -395,9 +399,9 @@ def test_matrix_route_matches_stencil_route():
     for dim, extents, cells in ((1, [2.0], [16]), (2, [1.0, 1.5], [6, 8])):
         d = build_domain(dim, extents, cells)
         m = full_boundary_matching(d, 2, "1-2")
-        a = network_diffusion_matrix(d, m, 1.3, 2.7, 2)
+        a = network_diffusion_matrix(m, 1.3, 2.7)
         u = rng.normal(size=(2, d.n_cells))
-        direct = apply_diffusion(u, d, m, 1.3, 2.7)
+        direct = apply_diffusion(u, m, 1.3, 2.7)
         via_matrix = (a @ u.ravel()).reshape(2, d.n_cells)
         scale = np.abs(direct).max()
         assert np.abs(direct - via_matrix).max() <= 1e-12 * scale

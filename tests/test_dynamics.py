@@ -110,7 +110,7 @@ def test_full_rhs_vanishes_at_equilibrium():
     u, v, w = equilibrium_root(params)
     state = constant_state(domain, 2, u=u, v=v, w=w)
     du, dv, dw = reaction_rhs(state, params)
-    du = du + apply_diffusion(state.u, domain, matching, params.d, params.p)
+    du = du + apply_diffusion(state.u, matching, params.d, params.p)
     for arr in (du, dv, dw):
         assert np.abs(arr).max() <= 1e-9
 
@@ -119,7 +119,7 @@ def test_full_rhs_equals_reaction_when_uncoupled_constant():
     params, domain, matching = default_setup(p=0.0)
     state = constant_state(domain, 2, u=0.7, v=-0.2, w=0.4)
     du, _, _ = reaction_rhs(state, params)
-    full = du + apply_diffusion(state.u, domain, matching, params.d, params.p)
+    full = du + apply_diffusion(state.u, matching, params.d, params.p)
     assert np.array_equal(full, du)
 
 
@@ -130,7 +130,7 @@ def test_full_rhs_added_term_linear_in_u():
     u2 = rng.normal(size=(2, domain.n_cells))
 
     def added(u):
-        return apply_diffusion(u, domain, matching, params.d, params.p)
+        return apply_diffusion(u, matching, params.d, params.p)
 
     lhs = added(2.0 * u1 - 3.0 * u2)
     rhs = 2.0 * added(u1) - 3.0 * added(u2)

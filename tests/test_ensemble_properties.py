@@ -276,7 +276,7 @@ def test_record_trajectories_equal_record_trajectory():
 
 def oracle_apply_diffusion(u, domain, matching, d, p):
     """The stencil with the per-neuron coupling loop the batched one replaced."""
-    out = apply_diffusion(u, domain, None, d, 0.0)
+    out = apply_diffusion(u, matching, d, 0.0)
     if p != 0.0:
         fc = domain.face_cell
         coef = (d * p / domain.cell_volume) * domain.face_area
@@ -297,12 +297,12 @@ D_VALUES, P_VALUES = [0.3, 1.0, 2.5], [0.0, 0.7, 4.0]
                 max_size=3))
 def test_network_matrix_is_symmetric_and_matches_stencil(network, d, p, seed, others):
     domain, matching, n = network
-    a = network_diffusion_matrix(domain, matching, d, p, n).tocsr()
+    a = network_diffusion_matrix(matching, d, p).tocsr()
     assert (a != a.T).nnz == 0
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(n, domain.n_cells))
     got = (a @ u.ravel()).reshape(u.shape)
-    want = apply_diffusion(u, domain, matching, d, p)
+    want = apply_diffusion(u, matching, d, p)
     # both sum the same few terms per cell in different orders
     bound = 32 * np.finfo(float).eps * (abs(a) @ np.abs(u).ravel()).reshape(u.shape)
     assert np.all(np.abs(got - want) <= bound)
@@ -311,9 +311,9 @@ def test_network_matrix_is_symmetric_and_matches_stencil(network, d, p, seed, ot
     members = [(d, p), (d + 1.0, 0.0)] + others
     ds, ps = (np.array(column)[:, None, None] for column in zip(*members))
     batch = rng.normal(size=(len(members), n, domain.n_cells))
-    rows = apply_diffusion(batch, domain, matching, ds, ps)
+    rows = apply_diffusion(batch, matching, ds, ps)
     for row, ub, (db, pb) in zip(rows, batch, members):
-        one = apply_diffusion(ub, domain, matching, db, pb)
+        one = apply_diffusion(ub, matching, db, pb)
         assert np.array_equal(row, one)
         assert np.array_equal(one, oracle_apply_diffusion(ub, domain, matching, db, pb))
 
@@ -345,7 +345,7 @@ def assert_same_storage(got, want):
        st.one_of(st.just(0.0), st.floats(0.1, 50.0)))
 def test_network_matrix_equals_per_face_loop(network, d, p):
     domain, matching, n = network
-    assert_same_storage(network_diffusion_matrix(domain, matching, d, p, n),
+    assert_same_storage(network_diffusion_matrix(matching, d, p),
                         oracle_network_matrix(domain, matching, d, p, n))
 
 
@@ -357,5 +357,5 @@ def test_network_matrix_sums_corner_faces_in_face_order():
         domain = build_domain(2, rng.uniform(0.3, 2.0, 2), rng.integers(4, 13, 2))
         matching = full_boundary_matching(domain, 3, "1-2")
         d, p = rng.uniform(0.1, 3.0), rng.uniform(0.1, 50.0)
-        assert_same_storage(network_diffusion_matrix(domain, matching, d, p, 3),
+        assert_same_storage(network_diffusion_matrix(matching, d, p),
                             oracle_network_matrix(domain, matching, d, p, 3))

@@ -3,11 +3,12 @@
 Every entry that takes a ``domain`` beside a matching checks, before it
 builds anything, that the two describe one grid (dim, extents and cells,
 compared by value), and a prebuilt initial state must be (N, n_cells) on
-that grid.  A run without a matching equals the run with a matching whose
-faces are all self-matched.
+that grid.  At every entry, a run without a matching equals the run with a
+matching whose faces are all self-matched.
 """
 
 import pickle
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -103,6 +104,30 @@ def test_no_matching_is_the_all_self_matched_matching(scheme, dim):
     uncoupled = parse_matching([], domain, params.n_neurons)
     assert np.array_equal(run_final(ic, params, domain, None, scheme),
                           run_final(ic, params, domain, uncoupled, scheme))
+
+
+def outcome_bytes(result):
+    """The bytes of a record's columns, of each record in a list, or of a number."""
+    if isinstance(result, list):
+        return [outcome_bytes(one) for one in result]
+    if isinstance(result, float):
+        return np.float64(result).tobytes()
+    return [np.asarray(getattr(result, f.name)).tobytes()
+            for f in fields(result) if f.name != "consts"]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("entry", ["record_trajectory", "record_trajectories",
+                                   "asynchronous_degree"])
+def test_a_recording_entry_takes_no_matching_as_the_uncoupled_one(entry, dim, scheme):
+    # the observers read the matching, so it is resolved before they are built
+    domain = build_domain(dim, [1.0] * dim, [8] * dim)
+    params, ic = HRParameters.default(p=2.0), InitialCondition(seed=1)
+    cfg = IntegratorConfig(t_end=0.02, scheme=scheme, dt=2e-3, record_every=2)
+    uncoupled = parse_matching([], domain, params.n_neurons)
+    want = ENTRIES[entry](ic, params, domain, uncoupled, cfg)
+    assert outcome_bytes(ENTRIES[entry](ic, params, domain, None, cfg)) == outcome_bytes(want)
 
 
 # (u, v, w) shapes of a prebuilt initial state on a 16-cell run with N = 2
