@@ -178,16 +178,21 @@ class BoundaryMatching:
         return tuple(divmod(int(code), n) for code in codes)
 
     @functools.cached_property
+    def partner_index(self) -> np.ndarray:
+        """(N, F): where neuron i's partner at face f sits in flat (N, F) face values."""
+        return self.partner.T * self.domain.n_faces + np.arange(self.domain.n_faces)
+
+    @functools.cached_property
     def face_groups(self) -> tuple:
         """``matched_pairs`` grouped by face count: per group the pairs' positions,
-        their i as a column, and one row per pair of the faces where i is
-        matched to j, then of those faces' areas."""
+        then one row per pair of the faces where i is matched to j, as i's
+        places in flat (N, F) face values, and of those faces' areas."""
         faces = [np.flatnonzero(self.partner[:, i] == j) for i, j in self.matched_pairs]
-        owners = np.array([i for i, _ in self.matched_pairs])
+        owners = np.array([i for i, _ in self.matched_pairs]) * self.domain.n_faces
         counts = np.array([f.size for f in faces])
         ats = [np.flatnonzero(counts == count) for count in np.unique(counts)]
         rows = [np.array([faces[k] for k in at]) for at in ats]
-        return tuple((at, owners[at, None], r, self.domain.face_area[r]) for at, r in zip(ats, rows))
+        return tuple((at, owners[at, None] + r, self.domain.face_area[r]) for at, r in zip(ats, rows))
 
 
 def parse_pairs(text) -> list:

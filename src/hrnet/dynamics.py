@@ -633,31 +633,34 @@ def simulate(ic, params: HRParameters, domain: Domain, matching,
     attached.  ``domain`` must describe the matching's grid (else a
     ValueError).  This is the one-member case of :func:`simulate_ensemble`.
     """
-    (result,) = simulate_ensemble([ic], [params], domain, matching, cfg, [observer])
+    batch_observer = observer and (lambda state, members: [observer(_member(state, 0))])
+    (result,) = simulate_ensemble([ic], [params], domain, matching, cfg, batch_observer)
     if isinstance(result, Exception):
         raise result
     return result
 
 
 def simulate_ensemble(ics, params_list, domain: Domain, matching,
-                      cfg: IntegratorConfig, observers=None) -> list:
+                      cfg: IntegratorConfig, observer=None) -> list:
     """Integrate every member to t_end, all members of a batch in one time loop.
 
     Member b starts from ``ics[b]`` (as in :func:`simulate`) and follows
-    ``params_list[b]``, observed by ``observers[b]`` (None or absent: no
-    rows).  Returns, per member and in order, its :class:`SimulationResult`
-    or the :class:`~hrnet.errors.RunFailure` it failed with, rows attached; a
-    failed member keeps its slot in the batch, unobserved, and the others go
-    on.  Every member is bitwise equal to its own serial run.
+    ``params_list[b]``.  ``observer(state, members)`` is called once per
+    recorded time of each batch with its (B, N, cells) state and the list of
+    its members' positions in ``params_list``, and returns one row per member
+    (None or absent: None rows).  Returns, per member and in order, its
+    :class:`SimulationResult` or the :class:`~hrnet.errors.RunFailure` it
+    failed with, rows attached; a failed member keeps its slot in the batch,
+    unobserved (its rows end before its failure), and the others go on.
+    Every member is bitwise equal to its own serial run.
 
     Members that resolve to one step size and step count form one batch;
     batches run one after another.  ``domain`` must describe the matching's
     grid and a prebuilt state be (N, n_cells) on it, else a ValueError.
     """
     params_list = list(params_list)
-    observers = [None] * len(params_list) if observers is None else list(observers)
-    if not len(ics) == len(params_list) == len(observers):
-        raise ValueError("need one initial condition, parameter set and observer per member")
+    if len(ics) != len(params_list):
+        raise ValueError("need one initial condition and parameter set per member")
     # with one network size and grid, each initial condition is checked or made
     # (a file read) once, before any solver is built, so bad initial data fail first
     matching = run_matching(params_list, domain, matching)
@@ -676,7 +679,7 @@ def simulate_ensemble(ics, params_list, domain: Domain, matching,
         batches.setdefault(resolve_dt(cfg, domain, params), []).append(b)
     results = [None] * len(params_list)
     for members in batches.values():
-        _run_batch(members, starts, params_list, matching, cfg, observers, results)
+        _run_batch(members, starts, params_list, matching, cfg, observer, results)
     return results
 
 
@@ -684,24 +687,20 @@ def _member(state: NetworkState, i: int) -> NetworkState:
     return NetworkState(state.t, state.u[i], state.v[i], state.w[i])
 
 
-def _observe(observer, state: NetworkState, i: int):
-    return observer(_member(state, i)) if observer is not None else None
-
-
-def _run_batch(members, starts, params_list, matching, cfg, observers, results):
+def _run_batch(members, starts, params_list, matching, cfg, observer, results):
     """The time loop of one batch; writes each member's outcome into ``results``.
 
     One stepper serves the whole run.  A failed member keeps its slot, unobserved:
     its error, with its rows, is recorded the first time, and later ones are not.
     """
+    observe = observer or (lambda state, members: [None] * len(members))
     stepper = Integrator([params_list[b] for b in members], matching.domain, matching, cfg)
     # C-contiguous (B, N, cells) copies: the inputs are never mutated
     state = NetworkState(0.0, *(np.stack([getattr(starts[b], name) for b in members])
                                 for name in ("u", "v", "w")))
     # exact, accumulation-free timestamps
-    times = [0.0]
-    rows = [[_observe(observers[b], state, i)] for i, b in enumerate(members)]
-    failed = set()
+    times, failed = [0.0], set()
+    rows = [[row] for row in observe(state, members)]
     # |u| seen so far, cell by cell; a member's largest is reduced when it fails
     seen = np.abs(state.u)
     scratch = np.empty_like(seen)
@@ -728,9 +727,10 @@ def _run_batch(members, starts, params_list, matching, cfg, observers, results):
             np.maximum(seen, np.abs(state.u, out=scratch), out=seen)
             if k % cfg.record_every == 0 or k == stepper.n_steps:
                 times.append(state.t)
-                for i, b in enumerate(members):
+                # one observer call for the whole batch; a failed member's row is dropped
+                for i, row in enumerate(observe(state, members)):
                     if i not in failed:
-                        rows[i].append(_observe(observers[b], state, i))
+                        rows[i].append(row)
     for i, b in enumerate(members):
         if i not in failed:
             results[b] = SimulationResult(state=_member(state, i), times=list(times),

@@ -66,21 +66,22 @@ _pairs = functools.cache(functools.partial(np.triu_indices, k=1))
 def pair_differences(state: NetworkState, domain: Domain) -> np.ndarray:
     """Quadrature norms of u_i - u_j, v_i - v_j and w_i - w_j, each pair once.
 
-    Returns a (3, pairs) array, one column per pair i < j in row-major order.
-    Per block of pairs, one gather of each side and one row sum per pair and field.
+    Returns a (3, ..., pairs) array over the state's batch axes, one column per
+    pair i < j in row-major order.  Per block of pairs, one gather of each side
+    and one row sum per member, pair and field.
     """
     # C order: a row reduction over another layout sums in another order
     fields = np.ascontiguousarray([state.u, state.v, state.w])
     i, j = _pairs(state.n_neurons)
-    # blocks of at most 8192 cells per field, one pair at least: 192 KB of
-    # differences, the fastest measured for 1D and for 2D rows
-    size = max(1, 8192 // domain.n_cells)
-    out = np.empty((3, i.size))
+    # blocks of at most 8192 cells per field over the whole batch, one pair at
+    # least: 192 KB of differences, the fastest measured for 1D and for 2D rows
+    size = max(1, 8192 * state.n_neurons // state.u.size)
+    out = np.empty((*fields.shape[:-2], i.size))
     for s in range(0, i.size, size):
-        diff = fields.take(i[s:s + size], axis=1)
-        diff -= fields.take(j[s:s + size], axis=1)
+        diff = fields.take(i[s:s + size], axis=-2)
+        diff -= fields.take(j[s:s + size], axis=-2)
         diff *= diff
-        np.sum(diff, axis=2, out=out[:, s:s + size])
+        diff.sum(axis=-1, out=out[..., s:s + size])
     out *= domain.cell_volume
     return out
 
@@ -114,30 +115,30 @@ class KResult:
 
 
 def compute_K(state: NetworkState, matching: BoundaryMatching) -> KResult:
-    """Every boundary observable of ``state``, from one gather of its face values
-    and, for the matched gap, one per group of ``matching.face_groups``."""
-    # the gather comes back Fortran-ordered; C order makes row sums add in
-    # the same order as 1-D sums
-    uf = np.ascontiguousarray(state.u[:, matching.domain.face_cell])
+    """Every boundary observable of each member of ``state``, from one gather of its
+    face values and, for the matched gap, one per group of ``matching.face_groups``."""
+    # take returns C order, so row sums add in the order of 1-D sums
+    uf = state.u.take(matching.domain.face_cell, axis=-1)
+    lead = uf.shape[:-2]
     # coupling residuals u_i - u_partner(i)
-    resid = uf - uf[matching.partner.T, np.arange(uf.shape[1])]
+    resid = uf - uf.reshape(*lead, -1).take(matching.partner_index, axis=-1)
     area = matching.domain.face_area
-    # (N, N, F): entry (i, j) summed over contiguous faces, as a row of its own
-    du = uf[:, None] - uf
-    k = np.sum((resid[:, None] - resid) * du * area, axis=2)
-    gap = np.sum(du * du * area, axis=2)
+    # (..., N, N, F): entry (i, j) summed over contiguous faces, as a row of its own
+    du = uf[..., :, None, :] - uf[..., None, :, :]
+    k = ((resid[..., :, None, :] - resid[..., None, :, :]) * du * area).sum(axis=-1)
+    gap = (du * du * area).sum(axis=-1)
     # ordered pairs summed left to right in row-major order; the zero
     # diagonal leaves the running sum unchanged
-    boundary_diff_full = float(np.cumsum(gap)[-1])
-    # slot 0 starts the running sum over the pairs in matched_pairs order
-    gaps = np.zeros(len(matching.matched_pairs) + 1)
-    for at, owner, faces, face_area in matching.face_groups:
+    boundary_diff_full = gap.reshape(*lead, -1).cumsum(axis=-1).take(-1, axis=-1)
+    # the pairs in matched_pairs order, then a zero that ends the running sum
+    gaps = np.zeros((*lead, len(matching.matched_pairs) + 1))
+    for at, faces, face_area in matching.face_groups:
         # on the faces where i is matched to j, resid[i] is u_i - u_j
-        pair_gap = resid[owner, faces]
-        gaps[1:][at] = np.sum(pair_gap * pair_gap * face_area, axis=1)
-    matched_gap = float(np.cumsum(gaps)[-1])
-    return KResult(k=k, k_sum=float(k.sum()), boundary_diff_full=boundary_diff_full,
-                   matched_gap=matched_gap)
+        pair_gap = resid.reshape(*lead, -1).take(faces, axis=-1)
+        gaps[..., at] = (pair_gap * pair_gap * face_area).sum(axis=-1)
+    return KResult(k=k, k_sum=k.reshape(*lead, -1).sum(axis=-1),
+                   boundary_diff_full=boundary_diff_full,
+                   matched_gap=gaps.cumsum(axis=-1).take(-1, axis=-1))
 
 
 @dataclass
@@ -204,31 +205,37 @@ class TrajectoryRecord:
 
 
 class TrajectoryObserver:
-    """Per-state row builder with no state of its own: each call returns one
-    float64 row of ``t``, the total and the c1-weighted energy, ``p *
-    matched_gap``, ``boundary_diff_full``, ``k_sum``, then the G-weighted
-    energy of every pair i < j in row-major order.  The record derives the
-    envelope and threshold columns (:meth:`TrajectoryRecord.from_rows`).
+    """Row builder with no state of its own for one member, or a sequence of them
+    as :class:`~hrnet.dynamics.Integrator` takes them.  ``observer(state, members)``
+    returns one row per member of a (B, N, cells) batch, ``members`` being their
+    positions in the sequence; ``observer(state)``, member 0's row of one (N, cells)
+    state.  A row is float64: ``t``, the total and the c1-weighted energy, ``p *
+    matched_gap``, ``boundary_diff_full``, ``k_sum``, then the G-weighted energy
+    of every pair i < j in row-major order.  The record derives the envelope and
+    threshold columns (:meth:`TrajectoryRecord.from_rows`).
     """
 
-    def __init__(self, params: HRParameters, matching: BoundaryMatching,
-                 consts: DerivedConstants):
-        self.params = params
+    def __init__(self, params, matching: BoundaryMatching, consts):
+        members = zip(*([params], [consts]) if isinstance(params, HRParameters) else (params, consts))
         self.matching = matching
-        self.consts = consts
+        self._constants = np.array([(m.p, c.c1, c.g) for m, c in members])
 
-    def __call__(self, state: NetworkState) -> np.ndarray:
-        c = self.consts
-        domain = self.matching.domain
-        vol = domain.cell_volume
-        u_energy = float(np.sum(state.u * state.u)) * vol
-        v_energy = float(np.sum(state.v * state.v)) * vol
-        w_energy = float(np.sum(state.w * state.w)) * vol
-        u_sq, v_sq, w_sq = pair_differences(state, domain)
+    def __call__(self, state: NetworkState, members=0) -> np.ndarray:
+        p, c1, g = self._constants.take(members, axis=0).T
+        lead = state.u.shape[:-2]
+        vol = self.matching.domain.cell_volume
+        # per member, one row sum over its N * cells values
+        u_energy, v_energy, w_energy = ((x * x).reshape(*lead, -1).sum(axis=-1) * vol
+                                        for x in (state.u, state.v, state.w))
+        u_sq, v_sq, w_sq = pair_differences(state, self.matching.domain)
         kres = compute_K(state, self.matching)
-        scalars = (state.t, u_energy + v_energy + w_energy, c.c1 * u_energy + v_energy + w_energy,
-                   self.params.p * kres.matched_gap, kres.boundary_diff_full, kres.k_sum)
-        return np.concatenate([scalars, c.g * u_sq + v_sq + w_sq])
+        rows = np.empty((*lead, 6 + u_sq.shape[-1]))
+        for k, column in enumerate((state.t, u_energy + v_energy + w_energy,
+                                    c1 * u_energy + v_energy + w_energy, p * kres.matched_gap,
+                                    kres.boundary_diff_full, kres.k_sum)):
+            rows[..., k] = column
+        rows[..., 6:] = g[..., None] * u_sq + v_sq + w_sq
+        return rows
 
 
 def record_trajectory(ic, params: HRParameters, domain: Domain,
@@ -258,10 +265,9 @@ def record_trajectories(ics, params_list, domain: Domain,
     recorded before the failure.  ``domain`` must describe the matching's
     grid (else a ValueError); a None matching couples no face.
     """
-    matching = run_matching(params_list, domain, matching)  # the observers read it
-    observers = [TrajectoryObserver(params, matching, consts)
-                 for params, consts in zip(params_list, consts_list)]
-    results = simulate_ensemble(ics, params_list, domain, matching, cfg, observers)
+    matching = run_matching(params_list, domain, matching)  # the observer reads it
+    observer = TrajectoryObserver(params_list, matching, consts_list)
+    results = simulate_ensemble(ics, params_list, domain, matching, cfg, observer)
     return [result if isinstance(result, RunFailure)
             else TrajectoryRecord.from_rows(result.rows, params.n_neurons, consts)
             for params, consts, result in zip(params_list, consts_list, results)]
@@ -540,12 +546,11 @@ def asynchronous_degree(params: HRParameters, domain: Domain,
     ics = [replace(ic, seed=seed + k) if ic.kind != "file" else ic
            for k in range(sample_count)]
 
-    def observer(state):
+    def observer(state, members):
         u_sq, v_sq, w_sq = pair_differences(state, matching.domain)
         return u_sq + v_sq + w_sq
 
-    results = simulate_ensemble(ics, [params] * sample_count, domain, matching,
-                                cfg, [observer] * sample_count)
+    results = simulate_ensemble(ics, [params] * sample_count, domain, matching, cfg, observer)
     n = params.n_neurons
     worst_sq = 0.0  # per pair i < j, its largest tail maximum so far
     for k, result in enumerate(results):

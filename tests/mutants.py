@@ -67,7 +67,7 @@ MUTANTS = {
         "metrics.py", "(max(c.c1, 1.0) / lo)", "(min(c.c1, 1.0) / lo)",
         ("tests/test_metrics.py::test_from_rows_derives_envelope_and_thresholds_per_row",)),
     "matched-gap-without-area": Mutant(
-        "metrics.py", "pair_gap * pair_gap * face_area, axis=1", "pair_gap * pair_gap, axis=1",
+        "metrics.py", "(pair_gap * pair_gap * face_area).sum(", "(pair_gap * pair_gap).sum(",
         ("tests/test_metrics.py::test_stimulation_signal_2d_area_weighting",)),
     "energy-monitor-without-half": Mutant(
         "metrics.py", "consts.r_star * 0.5 * (b[:-1] + b[1:])", "consts.r_star * (b[:-1] + b[1:])",
@@ -93,15 +93,21 @@ MUTANTS = {
          "tests/test_dynamics.py::test_rk4_fourth_order_self_convergence")),
     # np.add.reduceat adds each row in order, not in a row sum's pairwise order
     "group-sums-by-reduceat": Mutant(
-        "metrics.py", "np.sum(pair_gap * pair_gap * face_area, axis=1)",
+        "metrics.py", "(pair_gap * pair_gap * face_area).sum(axis=-1)",
         "np.add.reduceat((pair_gap * pair_gap * face_area).ravel(), "
-        "np.arange(0, pair_gap.size, pair_gap.shape[1]))",
+        "np.arange(0, pair_gap.size, pair_gap.shape[-1])).reshape(pair_gap.shape[:-1])",
         ("tests/test_metrics_properties.py::test_observables_equal_per_pair_oracle",)),
     # a row sum over another layout adds in another order
     "pair-block-fortran-order": Mutant(
-        "metrics.py", "diff = fields.take(i[s:s + size], axis=1)",
-        "diff = np.asfortranarray(fields.take(i[s:s + size], axis=1))",
+        "metrics.py", "diff = fields.take(i[s:s + size], axis=-2)",
+        "diff = np.asfortranarray(fields.take(i[s:s + size], axis=-2))",
         ("tests/test_metrics_properties.py::test_observables_equal_per_pair_oracle",)),
+    # one observer call per batch: every member's row takes member 0's p, c1 and g
+    "observer-member-zero-constants": Mutant(
+        "metrics.py", "self._constants.take(members, axis=0)",
+        "self._constants.take(np.zeros_like(members), axis=0)",
+        ("tests/test_ensemble_properties.py::test_batched_records_equal_serial_records",
+         "tests/test_ensemble_properties.py::test_ring_n32_batched_records_equal_serial_records")),
 }
 
 

@@ -507,10 +507,8 @@ def test_simulate_ensemble_needs_one_of_each_per_member():
     params, domain, matching = default_setup()
     cfg = IntegratorConfig(t_end=0.1, scheme="explicit-rk4", dt="auto")
     ic = InitialCondition()
-    with pytest.raises(ValueError, match="one initial condition, parameter set and observer"):
+    with pytest.raises(ValueError, match="one initial condition and parameter set per member"):
         simulate_ensemble([ic], [params, params], domain, matching, cfg)
-    with pytest.raises(ValueError, match="one initial condition, parameter set and observer"):
-        simulate_ensemble([ic, ic], [params, params], domain, matching, cfg, [None])
 
 
 def unexpected_call(*args, **kwargs):

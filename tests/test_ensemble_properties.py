@@ -6,7 +6,11 @@ multi-column solve per shared operator, one block-diagonal
 residual matvec).  Every member must still get exactly the bits of its own
 ``simulate`` call: rows, times, final state, and for a failed member the
 error type, time, message and rows, while its batch-mates are unaffected.
-The batch's Green's blocks are computed once, one per distinct d.
+The batch's Green's blocks are computed once, one per distinct d.  The
+observer is called once per record for the whole batch, so
+``record_trajectories`` must give each member exactly its own
+``record_trajectory``, and ``asynchronous_degree`` the value of its samples'
+own runs.
 
 The operator tests check the assembled network matrix that the residual
 guard applies: exactly symmetric, equal to the ``apply_diffusion`` stencil
@@ -16,6 +20,9 @@ up to rounding, and stored exactly as the per-face ``lil`` loop it replaced
 each member the bits of its own call and of the per-neuron coupling loop it
 replaced.
 """
+
+import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -44,8 +51,19 @@ from hrnet.dynamics import (
     simulate,
     simulate_ensemble,
 )
-from hrnet.errors import IntegrationError
-from hrnet.metrics import record_trajectories, record_trajectory
+from hrnet.config import load_config
+from hrnet.errors import IntegrationError, RunFailure
+from hrnet.metrics import (
+    MetricsOptions,
+    TrajectoryRecord,
+    asynchronous_degree,
+    pair_differences,
+    record_trajectories,
+    record_trajectory,
+    trailing_window,
+)
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 # a fixed example sequence keeps tier-1 reproducible and writes no database
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -54,6 +72,12 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 
 def snapshot(state):
     return state.t, state.u.copy(), state.v.copy(), state.w.copy()
+
+
+def snapshots(state, members):
+    """``snapshot`` of each member of a batch state, one row per member."""
+    return [(state.t, state.u[i].copy(), state.v[i].copy(), state.w[i].copy())
+            for i in range(len(members))]
 
 
 def assert_rows_equal(got, want):
@@ -125,13 +149,13 @@ def test_every_member_equals_its_serial_run(ensemble, jobs):
     domain, matching, cfg, ics, params_list = ensemble
     n = len(ics)
     batched = simulate_ensemble(ics, params_list, domain, matching, cfg,
-                                [snapshot] * n)
+                                snapshots)
     # contiguous near-equal batches, one per worker, as sweep_rows splits
     chunked = []
     k = min(jobs, n)
     for c in (slice(n * i // k, n * (i + 1) // k) for i in range(k)):
         chunked += simulate_ensemble(ics[c], params_list[c], domain, matching,
-                                     cfg, [snapshot] * len(ics[c]))
+                                     cfg, snapshots)
     for ic, params, got, got_chunked in zip(ics, params_list, batched, chunked):
         want = serial(ic, params, domain, matching, cfg)
         assert_same_outcome(got, want)
@@ -150,7 +174,7 @@ def test_blown_up_member_fails_as_serially_and_leaves_batch_mates_alone():
     params_list = [HRParameters.default(p=2.0), HRParameters.default(J=1e6),
                    HRParameters.default(p=2.0)]
     results = simulate_ensemble(ics, params_list, domain, matching, cfg,
-                                [snapshot] * 3)
+                                snapshots)
     blown = results[1]
     assert isinstance(blown, IntegrationError)
     assert 0.0 < blown.t < 0.1 and len(blown.rows) >= 1
@@ -174,7 +198,7 @@ def test_one_stepper_serves_a_batch_through_a_failure(dim, monkeypatch):
     with monkeypatch.context() as patch:
         counting(patch, Integrator, "__init__", built)
         results = simulate_ensemble(ics, params_list, domain, matching, cfg,
-                                    [snapshot] * 3)
+                                    snapshots)
     assert len(built) == 1
     failed = results[1]
     assert isinstance(failed, IntegrationError)
@@ -236,7 +260,7 @@ def test_one_greens_block_per_distinct_d(monkeypatch):
     params_list = [HRParameters.default(p=p) for p in (0.0, 1.0, 4.0, 4.0)]
     greens = []
     counting(monkeypatch, dynamics.CapacitanceSolver, "_green", greens)
-    results = simulate_ensemble(ics, params_list, domain, matching, cfg, [snapshot] * 4)
+    results = simulate_ensemble(ics, params_list, domain, matching, cfg, snapshots)
     assert [args[2] for args in greens] == [1.0]  # one d, and p = 0 needs no block
     for ic, params, got in zip(ics, params_list, results):
         assert_same_outcome(got, serial(ic, params, domain, matching, cfg))
@@ -251,9 +275,76 @@ def test_shared_2d_factor_solves_members_bitwise_like_serial():
     ics = [InitialCondition(kind="uniform-random", seed=s) for s in range(5)]
     params_list = [HRParameters.default(p=2.0)] * 5
     results = simulate_ensemble(ics, params_list, domain, matching, cfg,
-                                [snapshot] * 5)
+                                snapshots)
     for ic, params, got in zip(ics, params_list, results):
         assert_same_outcome(got, serial(ic, params, domain, matching, cfg))
+
+
+def assert_same_record(got, want):
+    """Bit for bit in every TrajectoryRecord field, or the same failure and rows."""
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert str(got) == str(want)
+        assert len(got.rows) == len(want.rows)
+        assert all(np.array_equal(a, b) for a, b in zip(got.rows, want.rows))
+        return
+    for f in dataclasses.fields(TrajectoryRecord):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
+
+
+def assert_records_equal_serial(domain, matching, cfg, ics, params_list):
+    consts_list = [derive_constants(p, domain.omega_measure, 9.8, 9.8) for p in params_list]
+    records = record_trajectories(ics, params_list, domain, matching, cfg, consts_list)
+    for ic, params, consts, got in zip(ics, params_list, consts_list, records):
+        try:
+            want = record_trajectory(ic, params, domain, matching, cfg, consts)
+        except RunFailure as err:  # the outcome under test, compared as a value
+            want = err
+        assert_same_record(got, want)
+    return records
+
+
+@PROPERTY
+@given(ensembles())
+def test_batched_records_equal_serial_records(ensemble):
+    # one observer call per record for the whole batch: each member's row
+    # takes its own p, c1 and g, and a failed member's rows stop at its failure
+    assert_records_equal_serial(*ensemble)
+
+
+def test_ring_n32_batched_records_equal_serial_records():
+    # the ring-1d-n32 network: 496 pairs, so a block of pairs holds several members
+    cfg = load_config(GOLDEN / "ring-1d-n32" / "run.ini")
+    ics = [dataclasses.replace(cfg.ic, seed=s) for s in (1, 2, 3, 4)]
+    params_list = [cfg.params.replace(p=p) for p in (0.0, 1.0, 4.0)]
+    params_list.append(cfg.params.replace(J=1e6))
+    run = cfg.integrator.replace(t_end=0.1)
+    records = assert_records_equal_serial(cfg.domain, cfg.matching, run, ics, params_list)
+    assert isinstance(records[-1], IntegrationError)
+    assert len({float(r.stimulation_s[-1]) for r in records[:3]}) == 3
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_asynchronous_degree_equals_its_serial_reference(dim):
+    domain = build_domain(dim, [1.0] * dim, [32] if dim == 1 else [8, 6])
+    matching = full_boundary_matching(domain, 3, "1-2")
+    params = HRParameters.default(n_neurons=3, p=2.0)
+    cfg = IntegratorConfig(t_end=0.1, scheme="imex-euler", dt=5e-3, record_every=3)
+    ic = InitialCondition(kind="uniform-random", offset=1.0, noise=0.5)
+    seed, count = 7, 3
+    got = asynchronous_degree(params, domain, matching, cfg, count, seed, ic)
+    # each sample's own run with a per-state observer, then the tail maximum
+    # per pair and the sum over ordered pairs
+    worst = 0.0
+    for k in range(count):
+        res = simulate(dataclasses.replace(ic, seed=seed + k), params, domain, matching, cfg,
+                       observer=lambda state: pair_differences(state, domain).sum(axis=0))
+        tail = trailing_window(np.asarray(res.times), MetricsOptions.tail_fraction)
+        worst = np.maximum(worst, np.max(np.asarray(res.rows)[tail], axis=0))
+    ordered = np.zeros((3, 3))
+    ordered[np.triu_indices(3, 1)] = worst
+    assert got == float(np.sqrt(ordered + ordered.T).sum())
 
 
 def test_record_trajectories_equal_record_trajectory():

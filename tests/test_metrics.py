@@ -40,6 +40,7 @@ from hrnet.metrics import (
     envelope_check,
     fit_sync_rate,
     pair_differences,
+    record_trajectories,
     record_trajectory,
     stimulation_signal,
 )
@@ -519,6 +520,33 @@ def test_envelope_two_separate_windows():
     report = envelope_check(record, FRIENDLY)
     assert [(w.t_start, w.t_end) for w in report.windows] == [
         (0.0, 0.0), (2.0, 3.0), (5.0, 5.0)]
+
+
+@pytest.mark.parametrize("scheme, dt", [("imex-euler", 1e-3), ("explicit-rk4", "auto")])
+def test_low_threshold_profile_counts_a_decaying_window_on_real_rows(scheme, dt):
+    # a legal profile that brings the per-pair threshold down to 0.277 on the
+    # stock interval: at p = 10 the first rows rise above it, then decay
+    domain = build_domain(1, [1.0], [128])
+    matching = full_boundary_matching(domain, 2, "1-2")
+    pc = poincare_constants(domain, mode="discrete")
+    profile = HRParameters.default(a=1e-3, alpha=1e-3, q=1e-3, J=0.0, c=0.0, r=1.0,
+                                   beta=0.1, b=40.0, d=0.01)
+    profile.validate_strict()
+    # one batch with an uncoupled member: each row takes its own member's p
+    params_list = [profile.replace(p=10.0), profile.replace(p=0.0)]
+    consts_list = [derive_constants(params, domain.omega_measure, pc.eta1, pc.eta2)
+                   for params in params_list]
+    ic = InitialCondition(kind="uniform-random", seed=0, offset=1.0, noise=0.5)
+    cfg = IntegratorConfig(t_end=1.0, scheme=scheme, dt=dt, record_every=10)
+    coupled, uncoupled = record_trajectories([ic, ic], params_list, domain, matching, cfg,
+                                             consts_list)
+    assert np.count_nonzero(coupled.stimulation_s > coupled.threshold_perpair) >= 5
+    report = envelope_check(coupled, consts_list[0])
+    (window,) = report.windows
+    assert window.n_rows >= 5 and window.envelope_ok and window.monotonic_ok
+    assert report.decay_ok
+    assert not uncoupled.stimulation_s.any()
+    assert envelope_check(uncoupled, consts_list[1]).windows == []
 
 
 # ---------------------------------------------------------------------------

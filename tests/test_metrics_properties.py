@@ -6,7 +6,8 @@ the matched pairs in groups that share a face count, one gather and one row
 sum per group, then add the pairs in order.  The ``oracle_*`` functions below
 are the per-ordered-pair loops they replaced, kept as the reference; on random
 grids, random involution matchings and random states the two must agree bit
-for bit (``np.array_equal``, float ``==``), not merely to a tolerance.  A row
+for bit (``np.array_equal``, float ``==``), not merely to a tolerance, and a
+batch of two states must give each member the bits of its own call.  A row
 sum adds in the order of a 1D ``np.sum`` only over C-contiguous rows, and
 numpy's pairwise summation changes the order from 8 terms on, so the wide
 cases below have up to 40 neurons (several blocks of pairs in 1D) and 2D
@@ -206,6 +207,24 @@ def assert_observables_equal_oracle(scenario, g, p):
     assert res.k_sum == k_sum
     assert res.boundary_diff_full == boundary_diff_full
 
+    # batched, each member gets the bits of its own call
+    batch, members = batch_of_two(state)
+    sq, kres = pair_differences(batch, domain), compute_K(batch, matching)
+    for i, one in enumerate(members):
+        assert np.array_equal(sq[:, i], pair_differences(one, domain))
+        alone = compute_K(one, matching)
+        assert np.array_equal(kres.k[i], alone.k)
+        assert (kres.k_sum[i], kres.boundary_diff_full[i], kres.matched_gap[i]) == (
+            alone.k_sum, alone.boundary_diff_full, alone.matched_gap)
+
+
+def batch_of_two(state):
+    """A (2, N, cells) batch of ``state`` and its neurons in reverse, and the two."""
+    other = NetworkState(t=state.t, u=state.u[::-1], v=state.v[::-1], w=state.w[::-1])
+    batch = NetworkState(state.t, *(np.stack([a, b]) for a, b in
+                                    zip((state.u, state.v, state.w), (other.u, other.v, other.w))))
+    return batch, (state, other)
+
 
 def assert_observer_row_equals_oracle(scenario, p):
     domain, matching, state = scenario
@@ -223,6 +242,14 @@ def assert_observer_row_equals_oracle(scenario, p):
     assert k_sum_row == k_sum
     assert boundary_gap == boundary_diff_full
     assert stimulation == oracle_stimulation_signal(state, matching, params.p)
+
+    # one call for a batch, its members at positions 1 and 0 of the sequence
+    other = params.replace(p=p + 1.0)
+    other_consts = derive_constants(other, domain.omega_measure, 1.0, 1.0)
+    batch, (_, reversed_state) = batch_of_two(state)
+    rows = TrajectoryObserver([other, params], matching, [other_consts, consts])(batch, [1, 0])
+    assert np.array_equal(rows[0], row)
+    assert np.array_equal(rows[1], TrajectoryObserver(other, matching, other_consts)(reversed_state))
 
 
 @PROPERTY
