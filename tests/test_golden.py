@@ -55,6 +55,8 @@ CASES = {
     "ring-1d": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "ring-1d-n32": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "ring-2d": ((["simulate"],), ("trajectory.csv", "report.txt")),
+    # the low-threshold profile: report.txt counts one decaying window
+    "threshold-1d": ((["simulate"],), ("trajectory.csv", "report.txt")),
     "sweep-p": ((["sweep", "--param", "p", "--values", "0,2,32"],),
                 ("sweep.csv",)),
     "sweep-2d": ((["sweep", "--param", "p", "--values", "0,1,4"],),
