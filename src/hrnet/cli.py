@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 config error (an output directory that cannot be
 created too), 3 integration or solver failure, 4 verification failure, 5 an
 artifact that cannot be written.  The output directory is ``--out`` if
 given, else the ``HRNET_OUTDIR`` environment variable, else the config's
-``[output] directory``; it is created before the command's work starts.
+``[output] directory``; it is created before the command's work starts.  Each
+command returns its files' texts, and ``main``, the one writer, writes them.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ from .config import load_config
 from .errors import ConfigError, SingularParameterError
 from .runner import (
     atomic_write_text,
+    build_setup,
     check_sweepable,
+    constants_block,
+    constants_csv,
     resolve_output_dir,
-    run_constants,
     run_simulate,
     sweep_csv,
     sweep_rows,
@@ -86,41 +89,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _constants(cfg, out_dir, args) -> int:
-    sys.stdout.write(run_constants(cfg, out_dir, domain_only=args.domain_only))
-    return EXIT_OK
+def _constants(cfg, args):
+    consts = build_setup(cfg)
+    sys.stdout.write(constants_block(cfg, consts, args.domain_only))
+    return EXIT_OK, {} if args.domain_only else {"constants.csv": constants_csv(cfg, consts)}
 
 
-def _simulate(cfg, out_dir, args) -> int:
-    if run_simulate(cfg, out_dir) is None:
-        return EXIT_OK
-    print("run failed; partial trajectory flushed, see report.txt", file=sys.stderr)
-    return EXIT_RUN
+def _simulate(cfg, args):
+    failure, files = run_simulate(cfg)
+    return (EXIT_OK if failure is None else EXIT_RUN), files
 
 
-def _sweep(cfg, out_dir, args) -> int:
+def _sweep(cfg, args):
     rows = sweep_rows(cfg, args.param, args.values, jobs=args.jobs)
-    atomic_write_text(os.path.join(out_dir, "sweep.csv"), sweep_csv(rows))
-    return EXIT_OK
+    return EXIT_OK, {"sweep.csv": sweep_csv(rows)}
 
 
-def _verify(cfg, out_dir, args) -> int:
+def _verify(cfg, args):
     from . import verify
 
     results = verify.run_all(cfg, jobs=args.jobs)
     text = "".join(verify.format_result(r) + "\n" for r in results)
     sys.stdout.write(text)
-    atomic_write_text(os.path.join(out_dir, "verify_report.txt"), text)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
+    return (EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY), {"verify_report.txt": text}
 
 
-# each command's handler: (config, output directory, parsed arguments) -> exit code
+# each command's handler: (config, parsed arguments) -> (exit code, {file name: text})
 _COMMANDS = {"constants": _constants, "simulate": _simulate, "sweep": _sweep,
              "verify": _verify}
 
 
 def main(argv=None) -> int:
-    """Load the config and create the output directory once, then run the command."""
+    """Load the config, create the output directory once, run the command, write its files."""
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
@@ -143,7 +143,12 @@ def main(argv=None) -> int:
                 os.makedirs(out_dir, exist_ok=True)
             except OSError as err:
                 raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}")
-        return _COMMANDS[args.command](cfg, out_dir, args)
+        code, files = _COMMANDS[args.command](cfg, args)
+        for name, text in files.items():
+            atomic_write_text(os.path.join(out_dir, name), text)
+        if code == EXIT_RUN:
+            print("run failed; partial trajectory flushed, see report.txt", file=sys.stderr)
+        return code
     except (ConfigError, SingularParameterError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

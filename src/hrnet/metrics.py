@@ -216,9 +216,11 @@ class TrajectoryObserver:
     """
 
     def __init__(self, params, matching: BoundaryMatching, consts):
-        members = zip(*([params], [consts]) if isinstance(params, HRParameters) else (params, consts))
+        params, consts = ([params], [consts]) if isinstance(params, HRParameters) else (params, consts)
+        if len(consts) != len(params):
+            raise ValueError("need one parameter set and set of derived constants per member")
         self.matching = matching
-        self._constants = np.array([(m.p, c.c1, c.g) for m, c in members])
+        self._constants = np.array([(m.p, c.c1, c.g) for m, c in zip(params, consts)])
 
     def __call__(self, state: NetworkState, members=0) -> np.ndarray:
         p, c1, g = self._constants.take(members, axis=0).T

@@ -1,12 +1,12 @@
-"""Experiment drivers and artifact writers.
+"""Experiment drivers and artifact texts.
 
-Turns a loaded :class:`~hrnet.config.RunConfig` into files on disk:
-``constants.csv`` and a printed constants block, ``trajectory.csv`` plus
-``report.txt`` for single runs, and ``sweep.csv`` for parameter sweeps.
+Turns a loaded :class:`~hrnet.config.RunConfig` into the texts of its
+artifacts: ``constants.csv`` and a printed constants block, ``trajectory.csv``
+plus ``report.txt`` for single runs, and ``sweep.csv`` for parameter sweeps.
 
-All files are written atomically (temp file in the target directory, then
-``os.replace``), with LF line endings and fixed ``%.16e`` float formatting,
-so repeated runs of the same config produce byte-identical artifacts.
+``hrnet.cli.main`` alone writes them, with :func:`atomic_write_text` (temp file,
+then ``os.replace``); LF line endings and fixed ``%.16e`` float formatting make
+repeated runs of the same config produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ def fmt_float(x) -> str:
 
 
 def atomic_write_text(path, text):
-    """Write text with LF endings via a temp file and atomic rename."""
+    """Write text with LF endings via a temp file and atomic rename, in an existing directory."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
@@ -120,15 +119,6 @@ def constants_csv(cfg: RunConfig, consts: DerivedConstants) -> str:
     return header + "\n" + ",".join(values) + "\n"
 
 
-def run_constants(cfg: RunConfig, out_dir, domain_only=False) -> str:
-    """Build constants artifacts; returns the printable block."""
-    consts = build_setup(cfg)
-    if not domain_only:
-        atomic_write_text(os.path.join(out_dir, "constants.csv"),
-                          constants_csv(cfg, consts))
-    return constants_block(cfg, consts, domain_only)
-
-
 # ---------------------------------------------------------------------------
 # single simulation
 # ---------------------------------------------------------------------------
@@ -162,13 +152,11 @@ def simulation_report(record: TrajectoryRecord, consts: DerivedConstants,
     return "\n".join(lines) + "\n"
 
 
-def run_simulate(cfg: RunConfig, out_dir) -> RunFailure | None:
-    """Simulate per config, writing trajectory.csv and report.txt.
-
-    Returns None on completion, or the :class:`RunFailure` the run stopped
-    with, after flushing the rows recorded so far and naming the failure in
-    report.txt.
-    """
+def run_simulate(cfg: RunConfig) -> tuple:
+    """Simulate per config: ``(failure, {file name: text})``, the texts of
+    trajectory.csv and report.txt in that order.  ``failure`` is None on
+    completion, or the :class:`RunFailure` the run stopped with; trajectory.csv
+    then holds the rows recorded so far, and report.txt names the failure."""
     consts = build_setup(cfg)
     try:
         record = record_trajectory(cfg.ic, cfg.params, cfg.domain, cfg.matching,
@@ -179,9 +167,7 @@ def run_simulate(cfg: RunConfig, out_dir) -> RunFailure | None:
         failure, report = err, err.report() + "\n"
     else:
         failure, report = None, simulation_report(record, consts, cfg.metrics)
-    atomic_write_text(os.path.join(out_dir, "trajectory.csv"), trajectory_csv(record))
-    atomic_write_text(os.path.join(out_dir, "report.txt"), report)
-    return failure
+    return failure, {"trajectory.csv": trajectory_csv(record), "report.txt": report}
 
 
 # ---------------------------------------------------------------------------

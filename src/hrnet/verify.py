@@ -18,10 +18,7 @@ import dataclasses
 import decimal
 import functools
 import math
-import os
-import pathlib
 import random
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -391,13 +388,11 @@ def _criterion_k_probe(cfg: RunConfig, runs):
 # ---------------------------------------------------------------------------
 
 def _criterion_determinism(cfg: RunConfig, runs):
-    with tempfile.TemporaryDirectory() as tmp:
-        dirs = [os.path.join(tmp, name) for name in ("a", "b")]
-        for out_dir in dirs:
-            if (failure := run_simulate(cfg, out_dir)) is not None:
-                raise failure  # run_criterion reports it in the failure's own words
-        bytes_a, bytes_b = (pathlib.Path(out_dir, "trajectory.csv").read_bytes()
-                            for out_dir in dirs)
+    (failure_a, files_a), (failure_b, files_b) = (run_simulate(cfg) for _ in range(2))
+    if failure := failure_a or failure_b:
+        raise failure  # run_criterion reports it in the failure's own words
+    # each trajectory.csv as the writer stores it
+    bytes_a, bytes_b = (files["trajectory.csv"].encode("utf-8") for files in (files_a, files_b))
     identical = bytes_a == bytes_b
 
     short_cfg = dataclasses.replace(cfg, integrator=cfg.integrator.replace(t_end=5.0))

@@ -108,6 +108,21 @@ MUTANTS = {
         "self._constants.take(np.zeros_like(members), axis=0)",
         ("tests/test_ensemble_properties.py::test_batched_records_equal_serial_records",
          "tests/test_ensemble_properties.py::test_ring_n32_batched_records_equal_serial_records")),
+    # a failed run's artifacts are not written: exit 3 flushes nothing
+    "failed-run-not-written": Mutant(
+        "cli.py", "files.items()", "(files if code == EXIT_OK else {}).items()",
+        ("tests/test_cli.py::test_simulate_blowup_exit_3_with_partial_rows",)),
+    # the determinism criterion compares a run with itself
+    "determinism-run-with-itself": Mutant(
+        "verify.py", "bytes_a == bytes_b", "bytes_a == bytes_a",
+        ("tests/test_acceptance.py::test_determinism_criterion_catches_a_changed_rerun",)),
+    # a decay window's rows may not grow at all, not even within the tolerance
+    # (the threshold-1d window's row-to-row ratios are 0.976-0.980)
+    "window-monotonic-tolerance-flipped": Mutant(
+        "metrics.py", "increases <= 1.0 + opts.decay_tolerance",
+        "increases <= 1.0 - opts.decay_tolerance",
+        ("tests/test_metrics.py::test_low_threshold_profile_counts_a_decaying_window_on_real_rows",
+         "tests/test_golden.py::test_golden_artifacts_byte_identical[threshold-1d]")),
 }
 
 

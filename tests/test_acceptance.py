@@ -177,14 +177,12 @@ def test_k_probe_catches_a_scaled_cross_term(monkeypatch):
     assert "(4 d^2 |Gamma|, rel 1.0e-02)" in result.detail
 
 
-def test_determinism_criterion_catches_a_changed_rerun(monkeypatch, tmp_path):
+def test_determinism_criterion_catches_a_changed_rerun(monkeypatch):
     runs = []
 
-    def run_simulate(cfg, out_dir):
-        runs.append(out_dir)
-        pathlib.Path(out_dir).mkdir()
-        (pathlib.Path(out_dir) / "trajectory.csv").write_text(f"run {len(runs)}\n")
-        return None  # completed
+    def run_simulate(cfg):
+        runs.append(cfg)
+        return None, {"trajectory.csv": f"run {len(runs)}\n"}  # completed
 
     monkeypatch.setattr(verify, "run_simulate", run_simulate)
     monkeypatch.setattr(verify, "sweep_rows", lambda cfg, param, values, jobs: [
@@ -196,13 +194,14 @@ def test_determinism_criterion_catches_a_changed_rerun(monkeypatch, tmp_path):
                              "duplicate sweep values give identical rows: True")
 
 
-def test_determinism_criterion_words_a_failed_stock_run_as_report_txt(tmp_path):
+def test_determinism_criterion_words_a_failed_stock_run_as_report_txt():
     cfg = load_config(STOCK_CONFIG)
     cfg = dataclasses.replace(cfg, integrator=cfg.integrator.replace(linear_tol=1e-30))
-    assert isinstance(verify.run_simulate(cfg, tmp_path), LinearSolveError)
+    failure, files = verify.run_simulate(cfg)
+    assert isinstance(failure, LinearSolveError)
     result = run_criterion(11, cfg)
     assert not result.passed
-    assert result.detail + "\n" == (tmp_path / "report.txt").read_text()
+    assert result.detail + "\n" == files["report.txt"]
     assert result.detail.startswith("linear solve failed: backward Euler solve at t=0: ")
 
 

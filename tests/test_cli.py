@@ -289,8 +289,11 @@ def test_simulate_synchronized_ic_has_zero_diff_columns(tmp_path):
 
 def test_run_simulate_returns_none_on_completion(tmp_path):
     path, out = write_config(tmp_path)
-    assert run_simulate(load_config(path), out) is None
-    assert sorted(p.name for p in out.iterdir()) == ["report.txt", "trajectory.csv"]
+    failure, files = run_simulate(load_config(path))
+    assert failure is None
+    assert list(files) == ["trajectory.csv", "report.txt"]
+    assert files["trajectory.csv"].startswith(TRAJ_HEADER + "\n")
+    assert not out.exists()  # the texts are returned; cli.main alone writes
 
 
 def test_simulate_rerun_byte_identical(tmp_path):
@@ -549,17 +552,30 @@ def test_bad_sweep_argument_exit_2_and_makes_nothing(tmp_path, bad):
     assert not out.exists()
 
 
-def test_failed_artifact_write_leaves_no_temp_file(tmp_path, capsys):
+def test_failed_artifact_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    import hrnet.verify
+
+    # no criterion runs: verify's write is under test
+    monkeypatch.setattr(hrnet.verify, "run_all", lambda cfg, jobs=1: [])
     # the artifact's name taken by a directory: the rename fails after the write
     path, _ = write_config(tmp_path)
-    for command, artifact, extra in (("simulate", "trajectory.csv", []),
-                                     ("sweep", "sweep.csv", ["--param", "p", "--values", "1.0"])):
+    for command, artifact, extra in (("constants", "constants.csv", []),
+                                     ("simulate", "trajectory.csv", []),
+                                     ("sweep", "sweep.csv", ["--param", "p", "--values", "1.0"]),
+                                     ("verify", "verify_report.txt", [])):
         out = tmp_path / command
         (out / artifact).mkdir(parents=True)
         assert main([command, "--config", str(path), "--out", str(out), *extra]) == 5
         assert capsys.readouterr().err == (f"output error: cannot write {out / artifact}: "
                                            f"Is a directory\n")
         assert [p.name for p in out.iterdir()] == [artifact]
+    # the directory cli.main created, removed during the run: it is not created again
+    out = tmp_path / "removed"
+    monkeypatch.setattr(hrnet.verify, "run_all", lambda cfg, jobs=1: out.rmdir() or [])
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == (f"output error: cannot write {out / 'verify_report.txt'}: "
+                                       f"No such file or directory\n")
+    assert not out.exists()
 
 
 # finite settings whose step or grid leaves float range: each once ended in
@@ -704,7 +720,7 @@ def test_output_directory_that_cannot_be_created_exit_2_before_any_work(
     path, _ = write_config(tmp_path)
     blocker = tmp_path / "a-file"
     blocker.write_text("")
-    for module, name in ((hrnet.cli, "run_constants"), (hrnet.cli, "run_simulate"),
+    for module, name in ((hrnet.cli, "build_setup"), (hrnet.cli, "run_simulate"),
                          (hrnet.cli, "sweep_rows"), (hrnet.verify, "run_all")):
         monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("the run started"))
     extra = ["--param", "p", "--values", "1.0"] if command == "sweep" else []

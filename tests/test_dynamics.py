@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hrnet.dynamics as dynamics
-from hrnet.core import HRParameters
+from hrnet.core import HRParameters, derive_constants
 from hrnet.domain import (
     apply_diffusion,
     build_domain,
@@ -34,6 +34,7 @@ from hrnet.dynamics import (
     simulate_ensemble,
 )
 from hrnet.errors import ConfigError, IntegrationError, LinearSolveError
+from hrnet.metrics import record_trajectories
 
 
 def default_setup(n_cells=32, n_neurons=2, pairs="1-2", **overrides):
@@ -503,12 +504,21 @@ def test_integrator_needs_members_of_one_step_size():
         Integrator([params, params.replace(d=2.0)], domain, matching, cfg)
 
 
-def test_simulate_ensemble_needs_one_of_each_per_member():
+# None: one initial condition short; else two members with this many derived-constant sets
+@pytest.mark.parametrize("n_consts", [None, 1, 3])
+def test_simulate_ensemble_needs_one_of_each_per_member(monkeypatch, n_consts):
     params, domain, matching = default_setup()
     cfg = IntegratorConfig(t_end=0.1, scheme="explicit-rk4", dt="auto")
     ic = InitialCondition()
-    with pytest.raises(ValueError, match="one initial condition and parameter set per member"):
-        simulate_ensemble([ic], [params, params], domain, matching, cfg)
+    monkeypatch.setattr(dynamics, "Integrator", unexpected_call)  # rejected before any solver
+    if n_consts is None:
+        with pytest.raises(ValueError, match="one initial condition and parameter set per member"):
+            simulate_ensemble([ic], [params, params], domain, matching, cfg)
+    else:
+        consts = derive_constants(params, domain.omega_measure, 9.8, 9.8)
+        with pytest.raises(ValueError, match="one parameter set and set of derived constants"):
+            record_trajectories([ic, ic], [params, params], domain, matching, cfg,
+                                [consts] * n_consts)
 
 
 def unexpected_call(*args, **kwargs):
